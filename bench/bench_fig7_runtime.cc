@@ -6,11 +6,16 @@
 // so the parallel-speedup trajectory is tracked across PRs.
 //
 // Paper reference points: for q1/q2 TSens tracks query evaluation closely
-// (~1.8x / ~0.9x past scale 0.001); for q3 TSens costs ~4.2x evaluation
-// while returning a ~60,000x tighter bound than Elastic; Elastic itself is
-// near-instant at all scales (static analysis over precomputed max
-// frequencies — its preprocessing is charged to the database, as in the
-// paper).
+// (~1.8x / ~0.9x past scale 0.001); for q3 TSens returns a ~60,000x
+// tighter bound than Elastic; Elastic itself is near-instant at all scales
+// (static analysis over precomputed max frequencies — its preprocessing is
+// charged to the database, as in the paper).
+//
+// Measured q3 TSens/eval, threads=0, three runs (LSENS_REPS 3 and 5) on a
+// 4-vCPU Intel Xeon VM on a shared host: 2.6-3.5x at sf 0.001 and
+// 2.5-3.4x at sf 0.01. The ratio holds across scales because GroupMax
+// reads T_Orders' max straight from Customer and ⊤ instead of building
+// their 3.3M-row join (see exec/group_max.h).
 //
 // Environment: LSENS_SCALES=..., LSENS_Q3_MAX_SCALE=0.01, LSENS_REPS=3,
 // LSENS_THREADS=0,2,8

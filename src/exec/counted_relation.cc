@@ -196,7 +196,6 @@ void CountedRelation::TruncateTopK(size_t k, ExecContext* ctx_in) {
 
 void CountedRelation::Filter(
     const std::function<bool(std::span<const Value>)>& keep) {
-  const size_t k = arity();
   std::vector<Value> new_data;
   std::vector<Count> new_counts;
   new_counts.reserve(counts_.size());
@@ -208,7 +207,6 @@ void CountedRelation::Filter(
   }
   data_ = std::move(new_data);
   counts_ = std::move(new_counts);
-  (void)k;
 }
 
 void CountedRelation::ScaleCounts(Count factor, ExecContext* ctx) {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -114,6 +115,10 @@ class CountedRelation {
  private:
   friend CountedRelation GroupBySum(const CountedRelation&,
                                     const AttributeSet&, ExecContext*);
+  friend std::optional<CountedRelation> GroupMax(const CountedRelation&,
+                                                 const CountedRelation&,
+                                                 const AttributeSet&,
+                                                 ExecContext*);
 
   AttributeSet attrs_;
   std::vector<Value> data_;   // flat row-major, arity() stride

@@ -18,10 +18,17 @@ namespace lsens {
 
 class ExecContextPool;
 
-// Aggregate counters for one operator kind ("join.hash", "normalize", ...).
-// Wall times of nested operators overlap: a join's time includes the time
-// of the Normalize it runs on its output, which is also reported under
-// "normalize".
+// Aggregate counters for one operator kind. The exec layer records:
+//   join.hash, join.sort_merge, join.cross, join.default — NaturalJoin
+//     kernels; estimate_join_rows — the exact join-size pass;
+//   fold_join — FoldJoin, and FoldJoinButLast (rows_out = the prefix);
+//   group_by_sum — γ; group_max — GroupMax, the max row of γ(A ⋈ B)
+//     without the join (rows_out 0 or 1; 0 also when it declines);
+//   normalize, truncate.top_k, semijoin.
+// The sensitivity, cache and server layers add their own rows (tsens.*,
+// cache.*, serve.*). Wall times of nested operators overlap: a join's time
+// includes the time of the Normalize it runs on its output, which is also
+// reported under "normalize".
 struct OperatorStats {
   std::string name;
   uint64_t calls = 0;

@@ -8,19 +8,16 @@
 
 namespace lsens {
 
-CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
-                         const JoinOptions& options) {
-  if (pieces.empty()) return CountedRelation::Unit();
-  ExecContext& ctx = ResolveExecContext(options.ctx);
-  uint64_t rows_in = 0;
-  for (const CountedRelation* piece : pieces) rows_in += piece->NumRows();
-  OpTimer op(ctx, "fold_join", rows_in);
+namespace {
 
-  std::vector<const CountedRelation*> remaining = pieces;
-  // Start from the smallest non-defaulted piece; if everything is
-  // defaulted (degenerate), undo the first piece's truncation semantics by
-  // treating its explicit rows as exact (sound upper-bound direction is
-  // preserved because defaults only ever raise counts).
+// The greedy order loop behind FoldJoin and FoldJoinButLast: starts the
+// accumulator at the smallest non-defaulted piece of `remaining` and joins
+// pieces into it until `keep` pieces are left in `remaining`.
+CountedRelation GreedyFold(std::vector<const CountedRelation*>& remaining,
+                           size_t keep, const JoinOptions& options) {
+  // Start from the smallest non-defaulted piece: a defaulted (top-k) piece
+  // stands for rows it no longer stores, so it can only ever be joined
+  // into an accumulator that covers its attributes.
   size_t start = SIZE_MAX;
   for (size_t i = 0; i < remaining.size(); ++i) {
     if (remaining[i]->has_default()) continue;
@@ -34,7 +31,7 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
   CountedRelation acc = *remaining[start];
   remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(start));
 
-  while (!remaining.empty()) {
+  while (remaining.size() > keep) {
     // Pick the piece minimizing the joined row count; among pieces that
     // share no attribute with the accumulator (cross products) only pick
     // one if no sharing piece exists. Defaulted pieces are eligible only
@@ -59,22 +56,46 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
         best_shares = shares;
       }
     }
-    if (best == SIZE_MAX) {
-      // Only deferred defaulted pieces remain and none is covered. Undoing
-      // their truncation is not possible (rows were dropped); instead join
-      // them as exact relations over their explicit rows plus keep the
-      // default as a multiplier floor is unsound. This situation is
-      // prevented by TSens (it disables top-k truncation for relations
-      // consumed in attribute-introducing positions), so reaching it is a
-      // programming error.
-      LSENS_CHECK_MSG(false,
-                      "defaulted piece never covered by the accumulator");
-    }
+    // Every remaining piece is defaulted and none is covered by the
+    // accumulator. Callers must rule this out by making the non-defaulted
+    // pieces cover each defaulted piece's attributes. TSens does: it
+    // truncates only ⊥/⊤ tables, whose attributes are a link between two
+    // bags, and every fold consuming one also folds the S tables of the
+    // bag holding that link, which cover it.
+    LSENS_CHECK_MSG(best != SIZE_MAX,
+                    "defaulted piece never covered by the accumulator");
     acc = NaturalJoin(acc, *remaining[best], options);
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
   }
+  return acc;
+}
+
+uint64_t TotalRows(const std::vector<const CountedRelation*>& pieces) {
+  uint64_t rows = 0;
+  for (const CountedRelation* piece : pieces) rows += piece->NumRows();
+  return rows;
+}
+
+}  // namespace
+
+CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
+                         const JoinOptions& options) {
+  if (pieces.empty()) return CountedRelation::Unit();
+  ExecContext& ctx = ResolveExecContext(options.ctx);
+  OpTimer op(ctx, "fold_join", TotalRows(pieces));
+  CountedRelation acc = GreedyFold(pieces, /*keep=*/0, options);
   op.set_rows_out(acc.NumRows());
   return acc;
+}
+
+FoldSplit FoldJoinButLast(std::vector<const CountedRelation*> pieces,
+                          const JoinOptions& options) {
+  LSENS_CHECK_MSG(pieces.size() >= 2, "FoldJoinButLast needs two pieces");
+  ExecContext& ctx = ResolveExecContext(options.ctx);
+  OpTimer op(ctx, "fold_join", TotalRows(pieces));
+  CountedRelation prefix = GreedyFold(pieces, /*keep=*/1, options);
+  op.set_rows_out(prefix.NumRows());
+  return {std::move(prefix), pieces.front()};
 }
 
 }  // namespace lsens

@@ -12,9 +12,8 @@ namespace lsens {
 // non-defaulted pieces) and each step picks the remaining piece minimizing
 // the *exact* result-row count (computed by EstimateJoinRows), preferring
 // attribute-sharing pieces over cross products. Defaulted (top-k) pieces
-// are only joined once the accumulator covers their attributes; if that
-// never happens, their truncation is undone (sound — it only tightens the
-// upper bound back to the exact value).
+// are only joined once the accumulator covers their attributes; the
+// non-defaulted pieces must cover them (CHECK-failed otherwise).
 //
 // This is the workhorse behind the paper's r⋈(X1, ..., Xp) expressions:
 // botjoins/topjoins (Eq. 7–8), multiplicity tables (Eq. 6, including the
@@ -24,6 +23,20 @@ namespace lsens {
 // An empty `pieces` yields the unit relation.
 CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
                          const JoinOptions& options = {});
+
+// FoldJoin stopped one step early: `prefix` folds every piece except
+// `last`, the one the greedy order joins last, so that
+// NaturalJoin(prefix, *last) == FoldJoin(pieces) bit for bit. Lets a
+// caller that needs only an aggregate of the full fold (GroupMax) skip
+// materializing it. Needs at least two pieces; `last` points into the
+// caller's pieces. Recorded as one "fold_join" call whose rows_out is the
+// prefix's row count.
+struct FoldSplit {
+  CountedRelation prefix;
+  const CountedRelation* last;
+};
+FoldSplit FoldJoinButLast(std::vector<const CountedRelation*> pieces,
+                          const JoinOptions& options = {});
 
 }  // namespace lsens
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "exec/exec_context.h"
+#include "exec/group_max.h"
 #include "query/atom_scan.h"
 #include "query/eval.h"
 
@@ -31,6 +32,29 @@ void ApplyPredicates(const Atom& atom, CountedRelation* rel) {
     }
     return true;
   });
+}
+
+// True if one of `atom`'s predicates constrains an attribute of `attrs`.
+bool PredicatesTouch(const Atom& atom, const AttributeSet& attrs) {
+  for (const Predicate& p : atom.predicates) {
+    if (Contains(attrs, p.var)) return true;
+  }
+  return false;
+}
+
+// A multiplicity-table component reduced to its max row: GroupMax reads
+// the max and argmax of γ_group straight from the inputs of the fold's
+// last join. When GroupMax declines, the already-folded prefix joins the
+// last piece and is grouped in full.
+CountedRelation MaxOnlyTable(std::vector<const CountedRelation*> pieces,
+                             const AttributeSet& group,
+                             const JoinOptions& jopts, ExecContext& ctx) {
+  FoldSplit split = FoldJoinButLast(std::move(pieces), jopts);
+  std::optional<CountedRelation> best =
+      GroupMax(split.prefix, *split.last, group, &ctx);
+  if (best.has_value()) return *std::move(best);
+  return GroupBySum(NaturalJoin(split.prefix, *split.last, jopts), group,
+                    &ctx);
 }
 
 // Partitions pieces into attribute-connectivity components (pieces sharing
@@ -264,10 +288,26 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
     Count max_product = scale;
     for (const auto& comp : components) {
       std::vector<const CountedRelation*> comp_pieces;
-      for (size_t idx : comp) comp_pieces.push_back(pieces[idx]);
+      AttributeSet comp_attrs;
+      for (size_t idx : comp) {
+        comp_pieces.push_back(pieces[idx]);
+        comp_attrs = Union(comp_attrs, pieces[idx]->attrs());
+      }
+      AttributeSet group = Intersect(out.table_attrs, comp_attrs);
+      const bool group_is_full = group == comp_attrs;
+      // Only the max row matters when nothing keeps the table and no
+      // predicate filters its rows; a grouping fold of two or more pieces
+      // then never needs materializing.
+      if (!options.keep_tables && options.capture == nullptr &&
+          comp.size() >= 2 && !group_is_full &&
+          !PredicatesTouch(q.atom(a), group)) {
+        CountedRelation table =
+            MaxOnlyTable(std::move(comp_pieces), group, jopts, actx);
+        max_product *= table.MaxCount();
+        comp_tables.push_back(std::move(table));
+        continue;
+      }
       CountedRelation folded = FoldJoin(std::move(comp_pieces), jopts);
-      AttributeSet group = Intersect(out.table_attrs, folded.attrs());
-      const bool group_is_full = group == folded.attrs();
       TSensCapture::AtomComponent* cap = nullptr;
       if (options.capture != nullptr) {
         cap = &options.capture->atom_components[static_cast<size_t>(a)]

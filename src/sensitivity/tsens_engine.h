@@ -121,7 +121,11 @@ struct TSensOptions {
 // The T_a expression can factor into attribute-disjoint groups (always the
 // case for path queries: ⊤ and ⊥ share nothing). The engine exploits
 // γ_{X∪Y}(A × B) = γ_X(A) × γ_Y(B) to avoid materializing such cross
-// products unless keep_tables requires the full table.
+// products unless keep_tables requires the full table. Likewise, when
+// neither keep_tables nor capture needs a table, a component that groups
+// a fold of two or more pieces (and carries no predicate on its group
+// attributes) is reduced to its max row by GroupMax (exec/group_max.h)
+// instead of being materialized.
 StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                          const Ghd& ghd, const Database& db,
                                          const TSensOptions& options = {});
