@@ -3,11 +3,20 @@
 // (warm) queries from pinned snapshots. Reports reader throughput
 // (queries/sec), the writer's repair-batch coalescing, and — the
 // correctness gate — the number of snapshot-consistency violations found
-// by sampled from-scratch recomputes against the pinned snapshots. Writes
-// the BENCH_serving.json trajectory file ({"readers", "turns", "queries",
-// "queries_per_sec", "epochs_published", "mean_turn_deltas",
+// by sampled from-scratch recomputes against the pinned snapshots.
+//
+// A second, deterministic phase (manual_turns) measures publish cost: a
+// manual-turn server with no readers and no registered queries takes 1-row
+// insert turns at LSENS_SERVE_ROWS and at 10x that many rows per relation.
+// With no warm pass a turn is apply + publish, and publishing replays the
+// spare, so turn_ms_p50 should stay flat as the untouched rows grow 10x;
+// snapshots_recycled counts the turns that took that path.
+//
+// Writes the BENCH_serving.json trajectory file ({"readers", "turns",
+// "queries", "queries_per_sec", "epochs_published", "mean_turn_deltas",
 // "max_turn_deltas", "warm_hits", "cold_hits", "cold_computes",
-// "oracle_checks", "snapshot_violations"}).
+// "oracle_checks", "snapshot_violations", "manual_turns": [{"rows",
+// "turn_ms_p50", "snapshots_recycled"}, ...]}).
 //
 // Exits non-zero (failing the CTest smoke) when any sampled read differs
 // from the from-scratch recompute at its pinned epoch: served answers must
@@ -15,7 +24,7 @@
 //
 // Knobs:
 //   LSENS_SERVE_READERS       reader sessions               (default 8)
-//   LSENS_SERVE_TURNS         published writer turns        (default 200)
+//   LSENS_SERVE_TURNS         published writer turns/phase  (default 200)
 //   LSENS_SERVE_QUERIES       queries per reader            (default 200)
 //   LSENS_SERVE_ROWS          rows per relation             (default 20000)
 //   LSENS_SERVE_DOMAIN        join-key domain               (default 500)
@@ -79,10 +88,11 @@ std::vector<ConjunctiveQuery> MakeChainQueries(Database& db) {
 
 // Insert-only batches keep every delta applicable regardless of how far
 // the feeder's view lags the master, so the turn count is delta-driven.
-DatabaseDelta MakeInsertDelta(Rng& rng, long domain) {
+// Each batch inserts 1..max_rows rows.
+DatabaseDelta MakeInsertDelta(Rng& rng, long domain, uint64_t max_rows) {
   RelationDelta rd;
   rd.relation = "R" + std::to_string(rng.NextBounded(kChainLen));
-  const size_t n = 1 + rng.NextBounded(2);
+  const size_t n = 1 + rng.NextBounded(max_rows);
   for (size_t i = 0; i < n; ++i) {
     rd.inserts.push_back(
         {static_cast<Value>(rng.NextBounded(static_cast<uint64_t>(domain))),
@@ -91,6 +101,38 @@ DatabaseDelta MakeInsertDelta(Rng& rng, long domain) {
   DatabaseDelta delta;
   delta.push_back(std::move(rd));
   return delta;
+}
+
+struct PublishPhase {
+  long rows = 0;
+  double turn_ms_p50 = 0;
+  uint64_t snapshots_recycled = 0;
+};
+
+// The manual_turns phase at one size: `turns` timed 1-row insert turns.
+// Returns false if a turn failed to publish.
+bool RunManualTurns(long rows, long domain, long turns, PublishPhase* out) {
+  Rng build_rng(20200614);
+  ServingConfig config;
+  config.manual_turns = true;
+  SensitivityServer server(MakeChainDb(build_rng, rows, domain), config);
+
+  Rng feed_rng(99);
+  std::vector<double> turn_ms;
+  // Turn 0 has no spare yet, so it clones: not timed.
+  for (long t = 0; t <= turns; ++t) {
+    if (!server.SubmitDelta(MakeInsertDelta(feed_rng, domain, 1)).ok()) {
+      return false;
+    }
+    WallTimer timer;
+    if (!server.TurnEpoch()) return false;
+    if (t > 0) turn_ms.push_back(timer.ElapsedSeconds() * 1e3);
+  }
+  out->rows = rows;
+  out->turn_ms_p50 = bench::Median(turn_ms);
+  out->snapshots_recycled = server.stats().snapshots_recycled;
+  server.Shutdown();
+  return true;
 }
 
 int Run() {
@@ -169,7 +211,9 @@ int Run() {
       1000;
   while (server.stats().turns < static_cast<uint64_t>(turns_target) &&
          submitted < submit_cap) {
-    if (!server.SubmitDelta(MakeInsertDelta(feed_rng, domain)).ok()) break;
+    if (!server.SubmitDelta(MakeInsertDelta(feed_rng, domain, 2)).ok()) {
+      break;
+    }
     ++submitted;
     if (submitted % static_cast<uint64_t>(batch) == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -210,6 +254,20 @@ int Run() {
   std::printf("reader-0 session profile:\n%s",
               RenderExecStats(sessions[0]->ctx()).c_str());
 
+  std::vector<PublishPhase> phases;
+  for (long scale : {1L, 10L}) {
+    PublishPhase phase;
+    if (!RunManualTurns(rows * scale, domain, turns_target, &phase)) {
+      std::fprintf(stderr, "FAIL: manual_turns phase at %ld rows did not "
+                   "publish every turn\n", rows * scale);
+      return 1;
+    }
+    std::printf("manual_turns rows=%ld: turn_ms_p50 %.4f  "
+                "snapshots_recycled %" PRIu64 "\n",
+                phase.rows, phase.turn_ms_p50, phase.snapshots_recycled);
+    phases.push_back(phase);
+  }
+
   const char* path = std::getenv("LSENS_BENCH_SERVING_JSON");
   if (path == nullptr) path = "BENCH_serving.json";
   if (std::FILE* f = std::fopen(path, "w")) {
@@ -221,11 +279,20 @@ int Run() {
                  ", \"warm_hits\": %" PRIu64 ", \"cold_hits\": %" PRIu64
                  ", \"cold_computes\": %" PRIu64
                  ", \"oracle_checks\": %" PRIu64
-                 ", \"snapshot_violations\": %" PRIu64 "}\n",
+                 ", \"snapshot_violations\": %" PRIu64
+                 ", \"manual_turns\": [",
                  readers, stats.turns, total_queries, qps,
                  stats.epochs_published, mean_turn_deltas,
                  stats.max_turn_deltas, stats.warm_hits, stats.cold_hits,
                  stats.cold_computes, oracle_checks, violations);
+    for (size_t i = 0; i < phases.size(); ++i) {
+      std::fprintf(f,
+                   "%s{\"rows\": %ld, \"turn_ms_p50\": %.4f"
+                   ", \"snapshots_recycled\": %" PRIu64 "}",
+                   i == 0 ? "" : ", ", phases[i].rows, phases[i].turn_ms_p50,
+                   phases[i].snapshots_recycled);
+    }
+    std::fprintf(f, "]}\n");
     std::fclose(f);
     std::printf("wrote %s\n", path);
   } else {

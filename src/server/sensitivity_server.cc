@@ -120,6 +120,7 @@ SensitivityServer::SensitivityServer(Database db, ServingConfig config)
     live_.push_back(first);
     current_ = std::move(first);
     ++stats_.epochs_published;
+    ++stats_.snapshots_cloned;
     ReclaimLocked();
   }
   if (!config_.manual_turns) {
@@ -214,17 +215,17 @@ bool SensitivityServer::DoTurn() {
 
   // Each batch applies all-or-nothing (Database::ApplyDelta): a poisoned
   // batch bumps nothing and the epoch published below — or left in place
-  // when nothing applied — never reflects it.
-  uint64_t applied = 0;
+  // when nothing applied — never reflects it, nor does the replay.
+  std::vector<DatabaseDelta> applied;
   uint64_t rejected = 0;
-  for (const DatabaseDelta& delta : batch) {
+  for (DatabaseDelta& delta : batch) {
     if (master_.ApplyDelta(delta).ok()) {
-      ++applied;
+      applied.push_back(std::move(delta));
     } else {
       ++rejected;
     }
   }
-  if (applied == 0) {
+  if (applied.empty()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.empty_turns;
     stats_.deltas_rejected += rejected;
@@ -244,10 +245,8 @@ bool SensitivityServer::DoTurn() {
     // same error from their own cold compute.
     if (result.ok()) next->warm.emplace(reg.key, *std::move(result));
   }
-  {
-    std::lock_guard<std::mutex> lock(dict_mu_);
-    next->db = master_.CloneSnapshot();
-  }
+  bool recycled = false;
+  next->db = NextSnapshot(applied, &recycled);
   next->versions = next->db.VersionVector();
   next->bytes = next->db.MemoryBytes();
 
@@ -260,14 +259,53 @@ bool SensitivityServer::DoTurn() {
     live_.push_back(next);
     current_ = std::move(next);
     ++stats_.epochs_published;
+    ++(recycled ? stats_.snapshots_recycled : stats_.snapshots_cloned);
     ++stats_.turns;
-    stats_.deltas_applied += applied;
+    stats_.deltas_applied += applied.size();
     stats_.deltas_rejected += rejected;
     stats_.max_turn_deltas =
         std::max(stats_.max_turn_deltas, static_cast<uint64_t>(batch.size()));
     ReclaimLocked();
   }
+  prev_applied_ = std::move(applied);
   return true;
+}
+
+Database SensitivityServer::NextSnapshot(
+    const std::vector<DatabaseDelta>& applied, bool* recycled) {
+  std::optional<Database> spare;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    spare = std::exchange(spare_, std::nullopt);
+    // Only a spare one epoch behind current_ can be replayed. An older
+    // one (its successor was still pinned when it retired, and a turn has
+    // published since) lacks the turns in between.
+    *recycled = spare.has_value() && spare_epoch_ + 1 == current_->id;
+    stats_.spare_bytes = 0;
+  }
+  if (!*recycled) {
+    spare.reset();  // frees a stale spare outside mu_, before the copy
+    std::lock_guard<std::mutex> lock(dict_mu_);
+    return master_.CloneSnapshot();
+  }
+  // The spare holds epoch current_ - 1: the previous turn's batches bring
+  // it to current_, this turn's to the master. Each applied to the master
+  // from the same contents, so each applies here identically.
+  auto replay = [&](const std::vector<DatabaseDelta>& turn) {
+    for (const DatabaseDelta& delta : turn) {
+      LSENS_CHECK_MSG(spare->ApplyDelta(delta).ok(),
+                      "replayed batch failed on the spare");
+    }
+  };
+  replay(prev_applied_);
+  replay(applied);
+  {
+    std::lock_guard<std::mutex> lock(dict_mu_);
+    spare->dict().CatchUpTo(master_.dict());
+  }
+  LSENS_CHECK_MSG(spare->VersionVector() == master_.VersionVector(),
+                  "replayed spare diverged from the master");
+  return *std::move(spare);
 }
 
 EpochPin SensitivityServer::PinCurrent() {
@@ -285,6 +323,13 @@ void SensitivityServer::Unpin(internal::Epoch* epoch) {
 }
 
 void SensitivityServer::ReclaimLocked() {
+  for (const auto& e : live_) {
+    if (e != current_ && e->pins == 0 && e->id + 1 == current_->id) {
+      spare_ = std::move(e->db);
+      spare_epoch_ = e->id;
+      stats_.spare_bytes = e->bytes;
+    }
+  }
   const size_t before = live_.size();
   std::erase_if(live_, [&](const std::shared_ptr<internal::Epoch>& e) {
     return e != current_ && e->pins == 0;

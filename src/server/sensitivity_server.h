@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -73,15 +74,23 @@ struct ServingStats {
   uint64_t cold_hits = 0;      // answered from the epoch's cold memo
   uint64_t cold_computes = 0;  // computed by the reader from the snapshot
   uint64_t sessions_opened = 0;
-  uint64_t epochs_reclaimed = 0;  // retired snapshots actually freed
+  uint64_t epochs_reclaimed = 0;  // retired epochs dropped (freed or spared)
   uint64_t epochs_live = 0;       // gauge: current + still-pinned retired
   uint64_t epoch_bytes = 0;       // gauge: bytes held by live snapshots
+  // How each published snapshot was built: brought forward from the spare
+  // by replaying the last two turns' batches, or deep-copied from the
+  // master (the constructor's epoch 1, and any turn without a usable
+  // spare). recycled + cloned == epochs_published.
+  uint64_t snapshots_recycled = 0;
+  uint64_t snapshots_cloned = 0;
+  uint64_t spare_bytes = 0;  // gauge: bytes held by the spare (0 if none)
 };
 
 // A pinned, immutable epoch view. While a pin is alive the snapshot it
 // references cannot be reclaimed, however many writer turns pass; the last
-// pin on a retired epoch frees it on release. Move-only; released on
-// destruction. Pins must not outlive the server.
+// pin on a retired epoch reclaims it on release (frees it, or keeps its
+// database as the writer's spare; see SensitivityServer). Move-only;
+// released on destruction. Pins must not outlive the server.
 class EpochPin {
  public:
   EpochPin() = default;
@@ -157,6 +166,17 @@ class ServerSession {
 //     then publishes the next epoch atomically (RCU-style pointer swap).
 //   - Retired epochs are reclaimed when their last pin drops; a publish
 //     with no pinned readers reclaims the previous epoch immediately.
+//   - Publish by replay: when the epoch one behind the current one
+//     retires unpinned, its database becomes the spare. The next turn
+//     brings the spare forward by replaying the batches of the previous
+//     turn and of this one (Database::ApplyDelta, which is deterministic
+//     on identical contents, so the result equals a clone of the master,
+//     row order included) and publishes it — publish cost follows the
+//     delta, not the database size. Without such a spare (the first turn,
+//     or that epoch still pinned) the turn deep-copies the master
+//     instead. Which path runs depends only on pin state; ServingStats
+//     counts both. Memory: the master, the current snapshot and the spare
+//     stay resident, three copies of the database in steady state.
 //
 // Reads never block on the writer and never see a half-applied delta: a
 // pinned snapshot is immutable by construction. Queries on an epoch are
@@ -192,7 +212,8 @@ class SensitivityServer {
   // code — the door through which delta producers mint codes for string
   // values before submitting them. Safe from any thread: interning is
   // append-only (codes are stable), and the same lock spans the snapshot
-  // clone inside a turn, so an epoch never copies a half-built dictionary.
+  // clone or dictionary catch-up inside a turn, so an epoch never copies a
+  // half-built dictionary.
   // Epochs published before this call simply do not contain the new code:
   // their ContainsValue range check answers false (no mis-decode), and the
   // next published epoch renders it.
@@ -229,9 +250,15 @@ class SensitivityServer {
   void WriterLoop();
   // One writer turn; returns true when an epoch was published.
   bool DoTurn();
+  // The snapshot for the epoch after current_: the spare replayed forward
+  // when it is exactly one epoch behind current_, else a master clone.
+  // `*recycled` tells which.
+  Database NextSnapshot(const std::vector<DatabaseDelta>& applied,
+                        bool* recycled);
   EpochPin PinCurrent();
   void Unpin(internal::Epoch* epoch);
-  // Drops retired epochs with zero pins and refreshes the gauges.
+  // Drops retired epochs with zero pins (keeping the one just behind
+  // current_ as the spare) and refreshes the gauges.
   void ReclaimLocked();
   StatusOr<SensitivityResult> ServeQuery(const EpochPin& pin,
                                          const ConjunctiveQuery& q,
@@ -241,14 +268,17 @@ class SensitivityServer {
   ServingConfig config_;
 
   // Writer-owned state: the master database, the shared cache repaired
-  // against it, and the writer's stats context. Only the writer thread (or
-  // the owner, in manual mode / the constructor) touches these — except
-  // the master's dictionary, which InternValue may append to from any
-  // thread under dict_mu_; the snapshot clone in a turn holds the same
-  // lock so no epoch copies a dictionary mid-append.
+  // against it, the writer's stats context, and the batches that applied
+  // in the turn that published current_ (the spare's replay prefix). Only
+  // the writer thread (or the owner, in manual mode / the constructor)
+  // touches these — except the master's dictionary, which InternValue may
+  // append to from any thread under dict_mu_; the snapshot clone or
+  // dictionary catch-up in a turn holds the same lock so no epoch copies a
+  // dictionary mid-append.
   Database master_;
   SensitivityCache cache_;
   ExecContext writer_ctx_;
+  std::vector<DatabaseDelta> prev_applied_;
   std::mutex dict_mu_;
 
   // Admission queue; guards the registered-query list too.
@@ -264,6 +294,12 @@ class SensitivityServer {
   std::shared_ptr<internal::Epoch> current_;
   uint64_t epoch_counter_ = 0;
   ServingStats stats_;
+  // The database of the retired epoch spare_epoch_, kept for the next
+  // turn to replay forward. Handed over under mu_ by whichever thread
+  // retires that epoch (a publish or a reader's last Unpin) and taken by
+  // the writer.
+  std::optional<Database> spare_;
+  uint64_t spare_epoch_ = 0;
 
   std::mutex shutdown_mu_;            // serializes Shutdown calls
   std::atomic<bool> shutdown_{false};  // queries after this are fatal

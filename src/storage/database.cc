@@ -7,23 +7,29 @@
 namespace lsens {
 
 Database Database::Clone() const {
-  Database out;
-  out.attrs_ = attrs_;
-  out.dict_ = dict_;
-  out.names_ = names_;
+  Database out = CopyWithoutRelations();
   for (const auto& name : names_) {
-    auto it = relations_.find(name);
-    LSENS_CHECK(it != relations_.end());
-    out.relations_.emplace(name, std::make_unique<Relation>(*it->second));
+    const Relation& rel = *relations_.find(name)->second;
+    out.relations_.emplace(name, std::make_unique<Relation>(rel));
   }
   return out;
 }
 
 Database Database::CloneSnapshot() const {
-  Database out = Clone();
-  for (const auto& name : out.names_) {
-    out.relations_.find(name)->second->DisableChangeLog();
+  Database out = CopyWithoutRelations();
+  for (const auto& name : names_) {
+    const Relation& rel = *relations_.find(name)->second;
+    out.relations_.emplace(name,
+                           std::make_unique<Relation>(rel.CloneSnapshot()));
   }
+  return out;
+}
+
+Database Database::CopyWithoutRelations() const {
+  Database out;
+  out.attrs_ = attrs_;
+  out.dict_ = dict_;
+  out.names_ = names_;
   return out;
 }
 

@@ -43,8 +43,10 @@ class Database {
 
   // Deep copy for an immutable epoch snapshot: contents and version
   // counters are preserved (so the snapshot's VersionVector still names the
-  // epoch it was taken at), but change logs are dropped — a snapshot never
-  // mutates, and the copied log would only pin memory per epoch.
+  // epoch it was taken at), but change logs are not copied (see
+  // Relation::CloneSnapshot). The snapshot may still take ApplyDelta: the
+  // serving layer brings a retired snapshot forward that way, and ApplyDelta
+  // bumps versions identically with or without a log.
   Database CloneSnapshot() const;
 
   // Adds an empty relation; CHECK-fails if the name already exists.
@@ -90,6 +92,9 @@ class Database {
   const Dictionary& dict() const { return dict_; }
 
  private:
+  // Catalog, dictionary and relation names; no relations yet.
+  Database CopyWithoutRelations() const;
+
   std::vector<std::string> names_;  // insertion order, for stable iteration
   // lsens-lint: allow(unordered-iter) lookup-only by name; every walk over
   // the database routes through names_ so iteration order is insertion

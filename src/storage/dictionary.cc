@@ -13,6 +13,13 @@ Value Dictionary::Intern(std::string_view s) {
   return v;
 }
 
+void Dictionary::CatchUpTo(const Dictionary& source) {
+  LSENS_CHECK(size() <= source.size());
+  for (size_t i = size(); i < source.size(); ++i) {
+    LSENS_CHECK(Intern(source.strings_[i]) == kBase + static_cast<Value>(i));
+  }
+}
+
 Value Dictionary::Lookup(std::string_view s) const {
   auto it = values_.find(s);
   if (it == values_.end()) return -1;

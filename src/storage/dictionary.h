@@ -50,6 +50,13 @@ class Dictionary {
 
   size_t size() const { return strings_.size(); }
 
+  // Appends the codes `source` interned beyond size(), so this dictionary
+  // decodes every code `source` does. Requires this dictionary to be an
+  // earlier copy of `source` (codes are stable, so a copy is a prefix);
+  // CHECK-fails when a string would land on a different code. Brings a
+  // retired epoch snapshot's dictionary up to the master's.
+  void CatchUpTo(const Dictionary& source);
+
   // Bytes held by the interned strings and both index structures, for the
   // same epoch/footprint accounting as Relation::MemoryBytes.
   size_t MemoryBytes() const;

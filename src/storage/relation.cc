@@ -172,12 +172,13 @@ void Relation::EnableChangeLog(size_t capacity) {
   log_base_version_ = version_;
 }
 
-void Relation::DisableChangeLog() {
-  log_enabled_ = false;
-  log_.clear();
-  log_.shrink_to_fit();
-  log_capacity_ = 0;
-  log_base_version_ = version_;
+Relation Relation::CloneSnapshot() const {
+  Relation out(name_, column_names_);
+  out.cols_ = cols_;
+  out.dict_cols_ = dict_cols_;
+  out.version_ = version_;
+  out.log_base_version_ = version_;
+  return out;
 }
 
 size_t Relation::MemoryBytes() const {

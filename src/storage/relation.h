@@ -146,8 +146,12 @@ class Relation {
   }
 
   // --- Versioning and the change log -------------------------------------
-  // Monotone mutation counter: every AppendRow / SwapRemoveRow / Set /
-  // Clear (and each row of an ApplyDelta) bumps it by one.
+  // Monotone mutation counter: every AppendRow / SwapRemoveRow / Clear (and
+  // each row of an ApplyDelta) bumps it by one. Set bumps it by one with the
+  // log off and by two with it on (one per logged entry, so log offsets stay
+  // aligned with versions) — only Set makes the count depend on the log, so
+  // a logged relation and an unlogged copy that see the same ApplyDelta
+  // sequence keep equal versions.
   uint64_t version() const { return version_; }
 
   // Starts (or restarts) row-level change logging. The log keeps at most
@@ -157,10 +161,10 @@ class Relation {
   void EnableChangeLog(size_t capacity);
   bool change_log_enabled() const { return log_enabled_; }
 
-  // Stops logging and drops the retained entries (version() is preserved).
-  // Immutable snapshot clones use this: a snapshot never mutates, so its
-  // copied log would only pin memory.
-  void DisableChangeLog();
+  // Copy for an immutable snapshot: schema, columns, dictionary flags and
+  // version(), with logging off. The change log is not copied — a snapshot
+  // never mutates through the log, so its entries would only cost the copy.
+  Relation CloneSnapshot() const;
 
   // Bytes held by column storage plus the retained change-log entries, for
   // epoch/eviction accounting (same spirit as DynTable::MemoryBytes).

@@ -100,6 +100,9 @@ void ExpectStatsEqual(const ServingStats& a, const ServingStats& b,
   EXPECT_EQ(a.epochs_reclaimed, b.epochs_reclaimed) << context;
   EXPECT_EQ(a.epochs_live, b.epochs_live) << context;
   EXPECT_EQ(a.epoch_bytes, b.epoch_bytes) << context;
+  EXPECT_EQ(a.snapshots_recycled, b.snapshots_recycled) << context;
+  EXPECT_EQ(a.snapshots_cloned, b.snapshots_cloned) << context;
+  EXPECT_EQ(a.spare_bytes, b.spare_bytes) << context;
 }
 
 // Replays one seeded script of interleaved pins, queries, held-pin
@@ -506,6 +509,154 @@ TEST(ServingReclamationTest, PostPublishInternRendersInNextEpoch) {
   EXPECT_FALSE(old_pin.db().dict().ContainsValue(code));
   old_pin.Release();
   server.Shutdown();
+}
+
+// --- Publish path: replayed spare vs clone ---------------------------------
+
+// `got` equals `want` as a published snapshot must: every relation
+// IdenticalTo (row order included), the same version vector, and the same
+// dictionary strings code for code.
+void ExpectSameSnapshot(const Database& got, const Database& want,
+                        const std::string& context) {
+  ASSERT_EQ(got.relation_names(), want.relation_names()) << context;
+  for (const std::string& name : want.relation_names()) {
+    EXPECT_TRUE(got.Find(name)->IdenticalTo(*want.Find(name)))
+        << context << " relation " << name;
+  }
+  EXPECT_EQ(got.VersionVector(), want.VersionVector()) << context;
+  ASSERT_EQ(got.dict().size(), want.dict().size()) << context;
+  for (size_t i = 0; i < want.dict().size(); ++i) {
+    const Value code = Dictionary::kBase + static_cast<Value>(i);
+    EXPECT_EQ(got.dict().String(code), want.dict().String(code)) << context;
+  }
+}
+
+// Drives a manual-turn server with a seeded stream and applies the same
+// accepted batches to a test-owned mirror. Turns coalesce up to three
+// batches, mixing single- and multi-relation batches with poisoned ones
+// (alone or riding with a good delta); some turns apply nothing; strings
+// are interned between turns; pins are held across one or two turns. A
+// pin across two turns leaves no usable spare, so the next turn clones;
+// otherwise the turn replays the spare. Either way every published
+// snapshot must equal the mirror, and a held snapshot must never change.
+ServingStats RunPublishStream(uint64_t seed, StreamShape shape) {
+  Rng rng(seed * 7919 + static_cast<uint64_t>(shape));
+  auto ex = MakeStreamInstance(rng, shape);
+  const std::vector<std::string> relations = QueryRelationNames(ex.query);
+  Database mirror = ex.db.Clone();
+
+  ServingConfig config;
+  config.manual_turns = true;
+  config.max_turn_deltas = 3;
+  config.cache.max_delta_fraction = 1.0;
+  SensitivityServer server(std::move(ex.db), config);
+  // Registered, so the master's relations log their changes while the
+  // snapshots' do not: the replay premise runs across that difference.
+  server.RegisterQuery(ex.query);
+  auto session = server.OpenSession("s");
+
+  // A good batch is generated against the mirror and applied to it at
+  // once, so batches queued together stay valid in submission order.
+  auto good_batch = [&]() {
+    DatabaseDelta delta;
+    const int parts = 1 + static_cast<int>(rng.NextBounded(2));
+    for (int p = 0; p < parts; ++p) {
+      DatabaseDelta part =
+          MakeRandomDelta(rng, mirror, relations, /*domain=*/3);
+      EXPECT_TRUE(mirror.ApplyDelta(part).ok());
+      delta.insert(delta.end(), part.begin(), part.end());
+    }
+    return delta;
+  };
+  auto poisoned_batch = [&]() {
+    DatabaseDelta delta;
+    if (rng.NextBounded(2) == 0) {
+      RelationDelta good;
+      good.relation = relations[0];
+      good.inserts.push_back(
+          std::vector<Value>(mirror.Find(relations[0])->arity(), Value(1)));
+      delta.push_back(std::move(good));
+    }
+    RelationDelta bad;
+    bad.relation = relations[rng.NextBounded(relations.size())];
+    bad.delete_rows = {1'000'000};
+    delta.push_back(std::move(bad));
+    return delta;
+  };
+
+  struct Held {
+    EpochPin pin;
+    Database expected;
+    int turns_left = 0;
+  };
+  std::vector<Held> held;
+  for (int turn = 0; turn < 40; ++turn) {
+    const std::string context = "seed " + std::to_string(seed) + " shape " +
+                                std::to_string(static_cast<int>(shape)) +
+                                " turn " + std::to_string(turn);
+    if (rng.NextBounded(4) == 0) {
+      const std::string s = "v" + std::to_string(turn);
+      EXPECT_EQ(server.InternValue(s), mirror.dict().Intern(s)) << context;
+    }
+    if (rng.NextBounded(4) == 0) {
+      EpochPin pin = session->Pin();
+      Database expected = pin.db().Clone();
+      held.push_back({std::move(pin), std::move(expected),
+                      1 + static_cast<int>(rng.NextBounded(2))});
+    }
+
+    const uint64_t before = server.current_epoch();
+    const size_t batches = rng.NextBounded(config.max_turn_deltas + 1);
+    bool any_good = false;
+    for (size_t b = 0; b < batches; ++b) {
+      const bool good = rng.NextBounded(4) != 0;
+      any_good |= good;
+      EXPECT_TRUE(
+          server.SubmitDelta(good ? good_batch() : poisoned_batch()).ok())
+          << context;
+    }
+    EXPECT_EQ(server.TurnEpoch(), any_good) << context;
+    EXPECT_EQ(server.current_epoch(), before + (any_good ? 1 : 0))
+        << context;
+    if (any_good) {
+      EpochPin pin = session->Pin();
+      ExpectSameSnapshot(pin.db(), mirror, context);
+    }
+
+    for (size_t i = held.size(); i-- > 0;) {
+      if (--held[i].turns_left > 0) continue;
+      ExpectSameSnapshot(held[i].pin.db(), held[i].expected,
+                         context + " (held pin)");
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    if (held.empty() && server.current_epoch() > 1) {
+      // Nothing pinned: the epoch before the current one is the spare.
+      EXPECT_GT(server.stats().spare_bytes, 0u) << context;
+    }
+  }
+
+  const ServingStats stats = server.stats();
+  server.Shutdown();
+  return stats;
+}
+
+TEST(ServingPublishTest, ReplayedAndClonedSnapshotsMatchMirror) {
+  for (uint64_t seed : {1, 2, 3}) {
+    for (StreamShape shape :
+         {StreamShape::kPath, StreamShape::kTree, StreamShape::kTriangle}) {
+      const ServingStats stats = RunPublishStream(seed, shape);
+      if (HasFatalFailure()) return;
+      const std::string context = "seed " + std::to_string(seed) +
+                                  " shape " +
+                                  std::to_string(static_cast<int>(shape));
+      EXPECT_EQ(stats.snapshots_recycled + stats.snapshots_cloned,
+                stats.epochs_published)
+          << context;
+      EXPECT_GT(stats.snapshots_recycled, 0u) << context;
+      // Beyond the constructor's epoch 1, some turn fell back to a clone.
+      EXPECT_GT(stats.snapshots_cloned, 1u) << context;
+    }
+  }
 }
 
 // --- Shutdown and abuse -----------------------------------------------------

@@ -164,6 +164,55 @@ TEST(RelationTest, IdenticalTo) {
   EXPECT_FALSE(a.IdenticalTo(b));
 }
 
+TEST(RelationTest, ApplyDeltaIsDeterministicWithOrWithoutLog) {
+  // The serving layer publishes an epoch by replaying a turn's batches on
+  // an unlogged snapshot of the logged master, so one ApplyDelta sequence
+  // must leave both with the same rows in the same order and the same
+  // version. Set is the one mutator whose version bump depends on the log.
+  Rng rng(11);
+  Relation logged("R", {"A", "B"});
+  for (int i = 0; i < 20; ++i) {
+    logged.AppendRow({rng.NextInRange(0, 5), rng.NextInRange(0, 5)});
+  }
+  logged.EnableChangeLog(8);  // small: the log also wraps mid-stream
+  Relation unlogged = logged.CloneSnapshot();
+  ASSERT_FALSE(unlogged.change_log_enabled());
+  for (int step = 0; step < 50; ++step) {
+    std::vector<std::vector<Value>> inserts(rng.NextBounded(3));
+    for (auto& row : inserts) {
+      row = {rng.NextInRange(0, 5), rng.NextInRange(0, 5)};
+    }
+    std::vector<size_t> deletes;
+    const size_t n = logged.NumRows();
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.NextBounded(8) == 0) deletes.push_back(i);
+    }
+    ASSERT_TRUE(logged.ApplyDelta(inserts, deletes).ok());
+    ASSERT_TRUE(unlogged.ApplyDelta(inserts, deletes).ok());
+    ASSERT_TRUE(unlogged.IdenticalTo(logged)) << "step " << step;
+    ASSERT_EQ(unlogged.version(), logged.version()) << "step " << step;
+  }
+
+  logged.Set(0, 0, 9);
+  unlogged.Set(0, 0, 9);
+  EXPECT_TRUE(unlogged.IdenticalTo(logged));
+  EXPECT_EQ(logged.version(), unlogged.version() + 1);
+}
+
+TEST(DictionaryTest, CatchUpToAppendsTheSourceSuffix) {
+  Dictionary source;
+  source.Intern("a");
+  Dictionary copy = source;
+  const Value b = source.Intern("b");
+  const Value c = source.Intern("c");
+  copy.CatchUpTo(source);
+  EXPECT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy.String(b), "b");
+  EXPECT_EQ(copy.Lookup("c"), c);
+  copy.CatchUpTo(source);  // already caught up: no-op
+  EXPECT_EQ(copy.size(), 3u);
+}
+
 TEST(DatabaseTest, AddFindGet) {
   Database db;
   Relation* r = db.AddRelation("R", {"A"});
