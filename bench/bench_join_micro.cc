@@ -1,8 +1,8 @@
 // Operator micro-benchmarks (google-benchmark): the counted-relation
 // primitives every TSens pass is built from — r⋈ under each join kernel
 // (including the pre-ExecContext legacy kernels kept here as the
-// comparison baseline), γ group-by-sum, and the Yannakakis-style count
-// evaluation on TPC-H q1.
+// comparison baseline), Normalize and γ group-by-sum on the packed sort
+// kernel, and the Yannakakis-style count evaluation on TPC-H q1.
 //
 // Besides the console table, the run writes a machine-readable trajectory
 // file (default BENCH_join.json, override with LSENS_BENCH_JSON):
@@ -302,6 +302,70 @@ void BM_GroupBySum(benchmark::State& state) {
                           static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_GroupBySum)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// `rows` unnormalized rows over `arity` columns drawn from rows / 7.5
+// distinct tuples — the duplication of the Lineitem -> {SK, PK} scan
+// (600k rows, 80k groups). Column 0 is the tuple id; the other columns
+// are 8-bit functions of it, so every key shape here packs into one sort
+// word (the wide-key fallback is pinned by tests, not timed).
+CountedRelation MakeDuplicated(Rng& rng, size_t rows, size_t arity) {
+  AttributeSet attrs;
+  for (size_t c = 0; c < arity; ++c) {
+    attrs.push_back(static_cast<AttrId>(c + 1));
+  }
+  CountedRelation rel(std::move(attrs));
+  const uint64_t groups = rows * 2 / 15 + 1;
+  std::vector<Value> row(arity);
+  for (size_t i = 0; i < rows; ++i) {
+    const uint64_t g = rng.NextBounded(groups);
+    row[0] = static_cast<Value>(g);
+    for (size_t c = 1; c < arity; ++c) {
+      row[c] = static_cast<Value>(Mix64(g * 31 + c) & 0xff);
+    }
+    rel.AppendRow(row, Count::One());
+  }
+  return rel;
+}
+
+// Normalize of an unsorted, duplicated relation: range(0) = key columns
+// (the arity), range(1) = rows.
+void BM_Normalize(benchmark::State& state) {
+  Rng rng(4);
+  const size_t cols = static_cast<size_t>(state.range(0));
+  const size_t rows = static_cast<size_t>(state.range(1));
+  const CountedRelation input = MakeDuplicated(rng, rows, cols);
+  ExecContext ctx;
+  for (auto _ : state) {
+    state.PauseTiming();
+    CountedRelation r = input;
+    state.ResumeTiming();
+    r.Normalize(&ctx);
+    benchmark::DoNotOptimize(r.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_Normalize)->ArgsProduct({{1, 2, 3}, {10000, 600000}});
+
+// γ onto two columns that are not a prefix of the normalized input, so
+// the group-by sorts rather than merging in input order. range(0) = rows
+// generated; about rows / 7.5 remain after the input is normalized.
+void BM_GroupBySumTwoCols(benchmark::State& state) {
+  Rng rng(5);
+  const size_t rows = static_cast<size_t>(state.range(0));
+  CountedRelation r = MakeDuplicated(rng, rows, 3);
+  r.Normalize();
+  ExecContext ctx;
+  for (auto _ : state) {
+    CountedRelation g = GroupBySum(r, {2, 3}, &ctx);
+    benchmark::DoNotOptimize(g.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_GroupBySumTwoCols)->Arg(10000)->Arg(600000);
 
 void BM_TopKTruncation(benchmark::State& state) {
   Rng rng(3);

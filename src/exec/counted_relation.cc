@@ -75,14 +75,14 @@ void CountedRelation::Normalize(ExecContext* ctx_in) {
   cols.resize(k);
   std::iota(cols.begin(), cols.end(), 0);
 
-  std::vector<uint32_t>& perm = ctx.norm_perm();
-  if (SortRowsBy(*this, cols, perm, ctx)) {
+  const PackedSort sorted(*this, cols, ctx);
+  if (sorted.presorted()) {
     // Already sorted: one verification pass; strictly increasing rows with
     // non-zero counts need no rebuild at all.
     bool clean = true;
     for (size_t i = 0; i < n && clean; ++i) {
       clean = !counts_[i].IsZero() &&
-              (i == 0 || CompareRowsAt(Row(i - 1), Row(i), cols) != 0);
+              (i == 0 || sorted.KeyAt(i - 1) != sorted.KeyAt(i));
     }
     if (clean) {
       normalized_ = true;
@@ -99,12 +99,10 @@ void CountedRelation::Normalize(ExecContext* ctx_in) {
   cbuf.clear();
   vbuf.reserve(data_.size());
   cbuf.reserve(n);
-  ForEachSortedGroup(*this, cols, perm, [&](size_t begin, size_t end) {
-    Count total = Count::Zero();
-    for (size_t i = begin; i < end; ++i) total += counts_[perm[i]];
+  sorted.ForEachGroup([&](size_t begin, size_t end) {
+    const Count total = sorted.SumCounts(begin, end, counts_);
     if (total.IsZero()) return;  // drop explicit zero-count rows
-    std::span<const Value> row = Row(perm[begin]);
-    vbuf.insert(vbuf.end(), row.begin(), row.end());
+    sorted.AppendKey(begin, vbuf);
     cbuf.push_back(total);
   });
   data_.swap(vbuf);
@@ -246,18 +244,15 @@ CountedRelation GroupBySum(const CountedRelation& in,
   cols.reserve(group_attrs.size());
   for (AttrId a : group_attrs) cols.push_back(in.ColumnOf(a));
 
-  // One sorted permutation over the input (shared machinery with
-  // Normalize; a sort is skipped when the group columns are a prefix of an
-  // already-normalized relation), groups emitted pre-merged and in order —
-  // the output is normalized by construction.
-  std::vector<uint32_t>& perm = ctx.norm_perm();
-  SortRowsBy(in, cols, perm, ctx);
-  ForEachSortedGroup(in, cols, perm, [&](size_t begin, size_t end) {
-    Count total = Count::Zero();
-    for (size_t i = begin; i < end; ++i) total += in.counts_[perm[i]];
+  // One packed sort over the input (shared machinery with Normalize; no
+  // reorder when the group columns are a prefix of an already-normalized
+  // relation), groups emitted pre-merged and in order — the output is
+  // normalized by construction.
+  const PackedSort sorted(in, cols, ctx);
+  sorted.ForEachGroup([&](size_t begin, size_t end) {
+    const Count total = sorted.SumCounts(begin, end, in.counts_);
     if (total.IsZero()) return;
-    std::span<const Value> row = in.Row(perm[begin]);
-    for (int c : cols) out.data_.push_back(row[static_cast<size_t>(c)]);
+    sorted.AppendKey(begin, out.data_);
     out.counts_.push_back(total);
   });
   out.normalized_ = true;

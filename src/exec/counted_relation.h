@@ -145,8 +145,8 @@ inline int CompareRowsUnchecked(std::span<const Value> a,
 
 // γ_{group_attrs} with sum over cnt (the paper's group-by). `group_attrs`
 // must be a subset of in.attrs(); input must not carry a default. Runs on
-// the same sort/merge machinery as Normalize (row_sort.h): one sorted
-// permutation over the input, groups emitted pre-normalized.
+// the same sort/merge machinery as Normalize (row_sort.h): one packed sort
+// over the input, groups emitted pre-normalized.
 CountedRelation GroupBySum(const CountedRelation& in,
                            const AttributeSet& group_attrs,
                            ExecContext* ctx = nullptr);

@@ -11,7 +11,6 @@
 #include "common/count.h"
 #include "common/timer.h"
 #include "exec/hash_group_table.h"
-#include "exec/row_sort.h"
 #include "storage/value.h"
 
 namespace lsens {
@@ -24,7 +23,8 @@ class ExecContextPool;
 //   fold_join — FoldJoin, and FoldJoinButLast (rows_out = the prefix);
 //   group_by_sum — γ; group_max — GroupMax, the max row of γ(A ⋈ B)
 //     without the join (rows_out 0 or 1; 0 also when it declines);
-//   normalize, truncate.top_k, semijoin.
+//   normalize, truncate.top_k, semijoin; sort.fallback — a sort whose key
+//     did not fit the packed 64-bit word (row_sort.h), absent otherwise.
 // The sensitivity, cache and server layers add their own rows (tsens.*,
 // cache.*, serve.*). Wall times of nested operators overlap: a join's time
 // includes the time of the Normalize it runs on its output, which is also
@@ -39,10 +39,11 @@ struct OperatorStats {
 };
 
 // Execution state threaded through the exec and sensitivity layers: owns
-// the reusable arenas (sort permutations, row/key scratch, the flat hash
-// group table, normalize rebuild buffers) so hot operators allocate O(1)
-// times per context instead of per invocation, collects per-operator stats,
-// and carries execution knobs.
+// the reusable arenas (sort-merge permutations, the packed sort words and
+// their radix ping-pong buffer, row/key scratch, the flat hash group
+// table, normalize rebuild buffers) so hot operators allocate O(1) times
+// per context instead of per invocation, collects per-operator stats, and
+// carries execution knobs.
 //
 // Ownership rule under parallel execution:
 //   - A context is single-threaded state: one owner thread at a time,
@@ -75,19 +76,18 @@ class ExecContext {
   // --- Arenas ------------------------------------------------------------
   // Distinct slots so concurrently-live uses inside one operator never
   // alias (e.g. sort-merge join holds both side permutations while the
-  // final Normalize uses its own).
+  // final Normalize sorts through sort_words). sort_words holds one
+  // PackedSort's words (row_sort.h) and sort_words_tmp is its radix
+  // ping-pong buffer; the two may trade contents during a sort.
   std::vector<uint32_t>& perm_a() { return perm_a_; }
   std::vector<uint32_t>& perm_b() { return perm_b_; }
-  std::vector<uint32_t>& norm_perm() { return norm_perm_; }
   std::vector<Value>& value_buf() { return value_buf_; }
   std::vector<Count>& count_buf() { return count_buf_; }
   std::vector<Value>& row_buf() { return row_buf_; }
   std::vector<Value>& key_buf() { return key_buf_; }
   std::vector<int>& col_buf() { return col_buf_; }
-  std::vector<SortKeyRef>& sort_keys() { return sort_keys_; }
-  std::vector<SortKeyRef>& sort_keys_tmp() { return sort_keys_tmp_; }
-  std::vector<SortKey64>& sort_keys64() { return sort_keys64_; }
-  std::vector<SortKey64>& sort_keys64_tmp() { return sort_keys64_tmp_; }
+  std::vector<uint64_t>& sort_words() { return sort_words_; }
+  std::vector<uint64_t>& sort_words_tmp() { return sort_words_tmp_; }
   std::vector<uint32_t>& sel_buf() { return sel_buf_; }
   std::vector<uint64_t>& hash_buf() { return hash_buf_; }
   std::vector<Value>& gather_buf() { return gather_buf_; }
@@ -119,16 +119,13 @@ class ExecContext {
 
   std::vector<uint32_t> perm_a_;
   std::vector<uint32_t> perm_b_;
-  std::vector<uint32_t> norm_perm_;
   std::vector<Value> value_buf_;
   std::vector<Count> count_buf_;
   std::vector<Value> row_buf_;
   std::vector<Value> key_buf_;
   std::vector<int> col_buf_;
-  std::vector<SortKeyRef> sort_keys_;
-  std::vector<SortKeyRef> sort_keys_tmp_;
-  std::vector<SortKey64> sort_keys64_;
-  std::vector<SortKey64> sort_keys64_tmp_;
+  std::vector<uint64_t> sort_words_;
+  std::vector<uint64_t> sort_words_tmp_;
   std::vector<uint32_t> sel_buf_;
   std::vector<uint64_t> hash_buf_;
   std::vector<Value> gather_buf_;

@@ -1,7 +1,10 @@
 #include "exec/row_sort.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
+#include <utility>
 
 #include "exec/exec_context.h"
 
@@ -14,85 +17,37 @@ inline uint64_t OrderedBits(Value v) {
   return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
 }
 
-// Stable LSD radix sort of `keys` by .key, one counting pass per byte that
-// actually varies across the input (real-world key domains are narrow, so
-// this is typically 2-4 passes instead of 16). `tmp` is the ping-pong
-// buffer; both vectors may end up swapped, which is fine — they are arena
-// slots of the same context.
-void RadixSortKeys(std::vector<SortKeyRef>& keys, std::vector<SortKeyRef>& tmp,
-                   unsigned __int128 varying) {
-  tmp.resize(keys.size());
-  for (int b = 0; b < 16; ++b) {
-    const int shift = 8 * b;
-    if (((varying >> shift) & 0xff) == 0) continue;
-    size_t count[256] = {};
-    for (const SortKeyRef& k : keys) {
-      ++count[static_cast<size_t>((k.key >> shift) & 0xff)];
-    }
-    size_t pos[256];
-    size_t run = 0;
-    for (int i = 0; i < 256; ++i) {
-      pos[i] = run;
-      run += count[i];
-    }
-    for (const SortKeyRef& k : keys) {
-      tmp[pos[static_cast<size_t>((k.key >> shift) & 0xff)]++] = k;
-    }
-    keys.swap(tmp);
-  }
-}
+constexpr int kDigitBits = 11;
+constexpr size_t kBuckets = size_t{1} << kDigitBits;
+constexpr int kMaxDigits = (64 + kDigitBits - 1) / kDigitBits;
+// Below this many rows std::sort on the words beats the radix passes.
+constexpr size_t kRadixMinRows = 256;
 
-// Same stable LSD radix, specialized to the fixed-width 64-bit single-key
-// element: half the element size of SortKeyRef, identical ordering (the
-// wide path zero-fills its low 64 bits for one-column sorts, so both walk
-// the same varying bytes and break ties by idx the same way).
-void RadixSortKeys64(std::vector<SortKey64>& keys, std::vector<SortKey64>& tmp,
-                     uint64_t varying) {
-  tmp.resize(keys.size());
-  for (int b = 0; b < 8; ++b) {
-    const int shift = 8 * b;
-    if (((varying >> shift) & 0xff) == 0) continue;
-    size_t count[256] = {};
-    for (const SortKey64& k : keys) {
-      ++count[static_cast<size_t>((k.key >> shift) & 0xff)];
+// Stable LSD radix sort of `words` on bits [lo, hi), kDigitBits per pass.
+// One read pass fills every digit's histogram; a digit that is the same in
+// every word costs no scatter pass. `tmp` is the ping-pong buffer; the two
+// vectors may end up swapped, which is fine — both are arena slots of the
+// same context, and the sorted words always end in `words`.
+void RadixSortWords(std::vector<uint64_t>& words, std::vector<uint64_t>& tmp,
+                    int lo, int hi) {
+  const int digits = (hi - lo + kDigitBits - 1) / kDigitBits;
+  std::array<std::array<uint32_t, kBuckets>, kMaxDigits> counts;
+  for (int d = 0; d < digits; ++d) counts[d].fill(0);
+  for (uint64_t w : words) {
+    for (int d = 0; d < digits; ++d) {
+      ++counts[d][(w >> (lo + d * kDigitBits)) & (kBuckets - 1)];
     }
-    size_t pos[256];
-    size_t run = 0;
-    for (int i = 0; i < 256; ++i) {
-      pos[i] = run;
-      run += count[i];
-    }
-    for (const SortKey64& k : keys) {
-      tmp[pos[static_cast<size_t>((k.key >> shift) & 0xff)]++] = k;
-    }
-    keys.swap(tmp);
   }
-}
-
-// Single-key-column sort: fills `perm` ordered by column c0, ties by row
-// index. Produces exactly the permutation the 128-bit path would (stable
-// sort of the same key sequence), just through narrower elements.
-void SortRowsBySingle(const CountedRelation& r, int c0,
-                      std::vector<uint32_t>& perm, ExecContext& ctx) {
-  const size_t n = r.NumRows();
-  std::vector<SortKey64>& keys = ctx.sort_keys64();
-  keys.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i].key = OrderedBits(r.Row(i)[static_cast<size_t>(c0)]);
-    keys[i].idx = static_cast<uint32_t>(i);
+  tmp.resize(words.size());
+  for (int d = 0; d < digits; ++d) {
+    const int shift = lo + d * kDigitBits;
+    std::array<uint32_t, kBuckets>& pos = counts[d];
+    if (pos[(words[0] >> shift) & (kBuckets - 1)] == words.size()) continue;
+    uint32_t run = 0;
+    for (uint32_t& c : pos) run += std::exchange(c, run);
+    for (uint64_t w : words) tmp[pos[(w >> shift) & (kBuckets - 1)]++] = w;
+    words.swap(tmp);
   }
-  uint64_t varying = 0;
-  for (const SortKey64& k : keys) varying |= k.key ^ keys[0].key;
-  if (n >= 256) {
-    RadixSortKeys64(keys, ctx.sort_keys64_tmp(), varying);
-  } else {
-    std::sort(keys.begin(), keys.end(),
-              [](const SortKey64& x, const SortKey64& y) {
-                if (x.key != y.key) return x.key < y.key;
-                return x.idx < y.idx;
-              });
-  }
-  for (size_t i = 0; i < n; ++i) perm[i] = keys[i].idx;
 }
 
 }  // namespace
@@ -104,87 +59,116 @@ bool RowsSortedBy(const CountedRelation& r, std::span<const int> cols) {
   return true;
 }
 
+PackedSort::PackedSort(const CountedRelation& r, std::span<const int> cols,
+                       ExecContext& ctx)
+    : rel_(r), cols_(cols) {
+  const size_t n = r.NumRows();
+  LSENS_CHECK_MSG(n <= UINT32_MAX, "sorts address rows with 32-bit indices");
+  if (n == 0) return;
+  ctx.sort_words().resize(n);
+  idx_bits_ = static_cast<int>(std::bit_width(n - 1));
+  idx_mask_ = (uint64_t{1} << idx_bits_) - 1;
+
+  // Column-at-a-time passes over the row-major data keep every loop's
+  // accumulators in registers. First each key column's range on the
+  // ordered bits...
+  const Value* data = r.Row(0).data();
+  const size_t stride = r.arity();
+  fields_.reserve(cols.size());
+  int key_bits = 0;
+  for (int c : cols) {
+    uint64_t lo = UINT64_MAX;
+    uint64_t hi = 0;
+    const Value* v = data + c;
+    for (size_t i = 0; i < n; ++i, v += stride) {
+      const uint64_t b = OrderedBits(*v);
+      lo = std::min(lo, b);
+      hi = std::max(hi, b);
+    }
+    const int width = static_cast<int>(std::bit_width(hi - lo));
+    fields_.push_back({c, 0, width, lo});
+    key_bits += width;
+  }
+  if (key_bits + idx_bits_ <= 64) {
+    SortPacked(data, stride, key_bits, ctx);
+  } else {
+    SortFallback(ctx);
+  }
+  words_ = ctx.sort_words();
+}
+
+void PackedSort::SortPacked(const Value* data, size_t stride, int key_bits,
+                            ExecContext& ctx) {
+  // ...then the key, column 0 most significant, one column per pass...
+  const size_t n = rel_.NumRows();
+  std::vector<uint64_t>& words = ctx.sort_words();
+  std::fill(words.begin(), words.end(), uint64_t{0});
+  int shift = key_bits;
+  for (Field& f : fields_) {
+    shift -= f.width;
+    f.shift = shift;
+    if (f.width == 0) continue;
+    const Value* v = data + f.col;
+    for (size_t i = 0; i < n; ++i, v += stride) {
+      words[i] |= (OrderedBits(*v) - f.min) << shift;
+    }
+  }
+  // ...and last the row index, noting whether the words already ascend.
+  bool ascending = true;
+  uint64_t prev = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t word = words[i] << idx_bits_ | i;
+    ascending &= word >= prev;
+    words[i] = word;
+    prev = word;
+  }
+  presorted_ = ascending;
+  if (presorted_) return;
+  if (n < kRadixMinRows) {
+    std::sort(words.begin(), words.end());
+  } else {
+    RadixSortWords(words, ctx.sort_words_tmp(), idx_bits_,
+                   idx_bits_ + key_bits);
+  }
+}
+
+void PackedSort::SortFallback(ExecContext& ctx) {
+  const size_t n = rel_.NumRows();
+  OpTimer op(ctx, "sort.fallback", n);
+  op.set_rows_out(n);
+  packed_ = false;
+  std::vector<uint64_t>& words = ctx.sort_words();
+  std::iota(words.begin(), words.end(), uint64_t{0});
+  presorted_ = RowsSortedBy(rel_, cols_);
+  if (!presorted_) {
+    std::sort(words.begin(), words.end(), [&](uint64_t x, uint64_t y) {
+      const int cmp = CompareRowsAt(rel_.Row(x), rel_.Row(y), cols_);
+      return cmp != 0 ? cmp < 0 : x < y;
+    });
+  }
+  // Rewrite into the packed shape with a dense group rank as the key; the
+  // rank is below n, so it always fits above the row bits.
+  uint64_t rank = 0;
+  uint64_t prev = words[0];
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t row = words[i];
+    if (CompareRowsAt(rel_.Row(prev), rel_.Row(row), cols_) != 0) ++rank;
+    words[i] = rank << idx_bits_ | row;
+    prev = row;
+  }
+}
+
+void PackedSort::AppendRowKey(size_t i, std::vector<Value>& out) const {
+  std::span<const Value> row = rel_.Row(RowAt(i));
+  for (int c : cols_) out.push_back(row[static_cast<size_t>(c)]);
+}
+
 bool SortRowsBy(const CountedRelation& r, std::span<const int> cols,
                 std::vector<uint32_t>& perm, ExecContext& ctx) {
-  const size_t n = r.NumRows();
-  perm.resize(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  if (cols.empty() || RowsSortedBy(r, cols)) return true;
-
-  // One key column: the fixed-width 64-bit specialization.
-  if (cols.size() == 1) {
-    SortRowsBySingle(r, cols[0], perm, ctx);
-    return false;
-  }
-
-  // The first two key columns ride inline in a 128-bit key (sign-flipped
-  // so unsigned comparison preserves int64 order); row data is only
-  // touched again when a wider key ties on both.
-  std::vector<SortKeyRef>& keys = ctx.sort_keys();
-  keys.resize(n);
-  const int c0 = cols[0];
-  const int c1 = cols.size() > 1 ? cols[1] : c0;
-  for (size_t i = 0; i < n; ++i) {
-    std::span<const Value> row = r.Row(i);
-    const uint64_t hi = OrderedBits(row[static_cast<size_t>(c0)]);
-    const uint64_t lo = cols.size() > 1
-                            ? OrderedBits(row[static_cast<size_t>(c1)])
-                            : uint64_t{0};
-    keys[i].key = (static_cast<unsigned __int128>(hi) << 64) | lo;
-    keys[i].idx = static_cast<uint32_t>(i);
-  }
-
-  // Which key bytes vary decides between radix (narrow domains: a few
-  // linear passes) and introsort (wide domains or tiny inputs).
-  unsigned __int128 varying = 0;
-  for (const SortKeyRef& k : keys) varying |= k.key ^ keys[0].key;
-  int varying_bytes = 0;
-  for (int b = 0; b < 16; ++b) {
-    if ((varying >> (8 * b)) & 0xff) ++varying_bytes;
-  }
-  const bool use_radix = n >= 256 && varying_bytes <= 10;
-  std::span<const int> rest =
-      cols.size() > 2 ? cols.subspan(2) : std::span<const int>{};
-
-  if (use_radix) {
-    RadixSortKeys(keys, ctx.sort_keys_tmp(), varying);
-    if (!rest.empty()) {
-      // Stable radix ordered ties by row index; re-sort each equal-key run
-      // by the remaining columns.
-      size_t begin = 0;
-      while (begin < n) {
-        size_t end = begin + 1;
-        while (end < n && keys[end].key == keys[begin].key) ++end;
-        if (end - begin > 1) {
-          std::sort(keys.begin() + static_cast<ptrdiff_t>(begin),
-                    keys.begin() + static_cast<ptrdiff_t>(end),
-                    [&](const SortKeyRef& x, const SortKeyRef& y) {
-                      const int cmp =
-                          CompareRowsAt(r.Row(x.idx), r.Row(y.idx), rest);
-                      if (cmp != 0) return cmp < 0;
-                      return x.idx < y.idx;
-                    });
-        }
-        begin = end;
-      }
-    }
-  } else if (rest.empty()) {
-    std::sort(keys.begin(), keys.end(),
-              [](const SortKeyRef& x, const SortKeyRef& y) {
-                if (x.key != y.key) return x.key < y.key;
-                return x.idx < y.idx;
-              });
-  } else {
-    std::sort(keys.begin(), keys.end(),
-              [&](const SortKeyRef& x, const SortKeyRef& y) {
-                if (x.key != y.key) return x.key < y.key;
-                const int cmp = CompareRowsAt(r.Row(x.idx), r.Row(y.idx), rest);
-                if (cmp != 0) return cmp < 0;
-                return x.idx < y.idx;
-              });
-  }
-  for (size_t i = 0; i < n; ++i) perm[i] = keys[i].idx;
-  return false;
+  const PackedSort sorted(r, cols, ctx);
+  perm.resize(sorted.size());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = sorted.RowAt(i);
+  return sorted.presorted();
 }
 
 }  // namespace lsens

@@ -12,29 +12,36 @@ namespace lsens {
 class ExecContext;
 
 // Shared sort/merge machinery for the row-at-a-time operators: Normalize,
-// GroupBySum, the sort-merge join, and the cost-based algorithm picker all
-// order rows by a column subset through these helpers instead of each
-// carrying its own comparison loop.
-
-// Sort element: the row's first two key values (sign-flipped so unsigned
-// comparison preserves int64 order) packed into one 128-bit key, plus the
-// row index. Keeping the leading values contiguous lets comparisons for
-// keys of up to two columns resolve on `key` alone (ties broken by `idx`
-// for stability); wider keys gather the row data only on a two-column
-// tie.
-struct SortKeyRef {
-  unsigned __int128 key;
-  uint32_t idx;
-};
-
-// Fixed-width element of the single-key-column specialization: the one key
-// value sign-flipped into a uint64, plus the row index. Half the footprint
-// of SortKeyRef, so the radix passes of the overwhelmingly common
-// one-column sort (join keys, group-by drivers) move half the bytes.
-struct SortKey64 {
-  uint64_t key;
-  uint32_t idx;
-};
+// GroupBySum, the sort-merge join, GroupMax, and the cost-based algorithm
+// picker all order rows by a column subset through these helpers instead
+// of each carrying its own comparison loop.
+//
+// One kernel, PackedSort, serves them all. It packs each row's key into a
+// single 64-bit word and radix-sorts the words:
+//
+//   - Layout. A pass over each key column takes its min and max (as
+//     sign-flipped, order-preserving uint64 bits). Column j gets
+//     w_j = bit_width(max_j - min_j) bits holding value - min_j, column 0
+//     most significant. Below the key sit idx_bits = bit_width(n - 1)
+//     bits of row index:  word = key << idx_bits | row.
+//   - Fit rule. The packed path runs when Σ w_j + idx_bits <= 64. Whether
+//     it does depends only on the input's value ranges, never on a knob.
+//     Comparing words compares (key, row): the order is lexicographic on
+//     the key columns, ties broken by row index (stable).
+//   - Sort. Packing also detects presorted input (words already
+//     increasing), which needs no further work. Otherwise an LSD radix
+//     sorts 11-bit digits over the key bits only — the row bits start in
+//     increasing order and stay so, since every pass is stable. Below 256
+//     rows std::sort sorts the words.
+//   - Fallback. Keys that do not fit sort a row permutation by
+//     CompareRowsAt, ties by row index, and are then rewritten into the
+//     same word shape with a dense group rank as the key. The fallback
+//     records one `sort.fallback` operator row on the context.
+//
+// Consumers that merge runs (Normalize, GroupBySum) compare KeyAt() of
+// adjacent words and decode the output key from the word; the row data is
+// touched only for counts. SortRowsBy exposes the same order as a plain
+// permutation for the sort-merge join and GroupMax.
 
 // Lexicographic comparison of two rows restricted to `cols` (column
 // positions into each row; both rows use the same routing).
@@ -50,19 +57,106 @@ inline int CompareRowsAt(std::span<const Value> a, std::span<const Value> b,
 }
 
 // True if the rows of `r` are already sorted by `cols` (non-decreasing).
-// O(n * |cols|); the picker uses this to cost a zero-sort merge join, the
-// sorters to skip their std::sort.
+// O(n * |cols|); the picker uses this to cost a zero-sort merge join.
 bool RowsSortedBy(const CountedRelation& r, std::span<const int> cols);
 
+// The rows of `r` ordered by `cols` (ties by row index), as sorted packed
+// words. The words live in `ctx.sort_words()`: the object is valid until
+// the next sort on the same context.
+class PackedSort {
+ public:
+  PackedSort(const CountedRelation& r, std::span<const int> cols,
+             ExecContext& ctx);
+  PackedSort(const PackedSort&) = delete;
+  PackedSort& operator=(const PackedSort&) = delete;
+
+  size_t size() const { return words_.size(); }
+  // True when the input was already in order (words are the identity).
+  bool presorted() const { return presorted_; }
+
+  // Row index of the i-th row in sorted order.
+  uint32_t RowAt(size_t i) const {
+    return static_cast<uint32_t>(words_[i] & idx_mask_);
+  }
+  // Sort key of the i-th row: equal exactly when the rows agree on cols.
+  uint64_t KeyAt(size_t i) const { return words_[i] >> idx_bits_; }
+
+  // Σ counts[RowAt(i)] over sorted positions [begin, end). Rows come in
+  // random order, so the loop prefetches a few positions ahead rather than
+  // missing cache on every read.
+  Count SumCounts(size_t begin, size_t end,
+                  std::span<const Count> counts) const {
+    constexpr size_t kAhead = 16;
+    Count total = Count::Zero();
+    for (size_t i = begin; i < end; ++i) {
+      if (i + kAhead < size()) __builtin_prefetch(&counts[RowAt(i + kAhead)]);
+      total += counts[RowAt(i)];
+    }
+    return total;
+  }
+
+  // Appends the i-th row's values on cols (in cols order) to `out`:
+  // decoded from the word when packed, copied from the row otherwise.
+  void AppendKey(size_t i, std::vector<Value>& out) const {
+    if (!packed_) return AppendRowKey(i, out);
+    // Field widths stay below 64: a fitting key with n >= 2 leaves at
+    // least one row bit, and n == 1 has only zero-width fields.
+    const uint64_t key = KeyAt(i);
+    for (const Field& f : fields_) {
+      const uint64_t field = (key >> f.shift) & ((uint64_t{1} << f.width) - 1);
+      // Undo the sign-bit flip of the ordered encoding.
+      out.push_back(static_cast<Value>((f.min + field) ^ (uint64_t{1} << 63)));
+    }
+  }
+
+  // Invokes `emit(begin, end)` for every maximal run [begin, end) of
+  // sorted positions with equal keys, in order.
+  template <typename Fn>
+  void ForEachGroup(Fn&& emit) const {
+    const size_t n = size();
+    size_t begin = 0;
+    while (begin < n) {
+      const uint64_t key = KeyAt(begin);
+      size_t end = begin + 1;
+      while (end < n && KeyAt(end) == key) ++end;
+      emit(begin, end);
+      begin = end;
+    }
+  }
+
+ private:
+  // One key column's slice of the word: value bits = min + field.
+  struct Field {
+    int col;
+    int shift;  // bit offset of the field within the key
+    int width;
+    uint64_t min;
+  };
+
+  void SortPacked(const Value* data, size_t stride, int key_bits,
+                  ExecContext& ctx);
+  void SortFallback(ExecContext& ctx);
+  void AppendRowKey(size_t i, std::vector<Value>& out) const;
+
+  const CountedRelation& rel_;
+  std::span<const int> cols_;
+  std::vector<Field> fields_;
+  std::span<const uint64_t> words_;
+  int idx_bits_ = 0;
+  uint64_t idx_mask_ = 0;
+  bool presorted_ = true;
+  bool packed_ = true;
+};
+
 // Fills `perm` with a permutation of [0, r.NumRows()) ordering rows by
-// `cols`, ties broken by row index (stable). Leaves `perm` as the identity
-// without sorting when the input is already ordered; returns true in that
-// case. Scratch (the SortKeyRef array) comes from `ctx`.
+// `cols`, ties broken by row index (stable). Returns true (and leaves
+// `perm` the identity) when the input was already ordered. Scratch comes
+// from `ctx`.
 bool SortRowsBy(const CountedRelation& r, std::span<const int> cols,
                 std::vector<uint32_t>& perm, ExecContext& ctx);
 
-// Invokes `emit(begin, end)` for every maximal run perm[begin..end) of rows
-// with equal values on `cols`, in sorted order.
+// Invokes `emit(begin, end)` for every maximal run perm[begin..end) of
+// rows with equal values on `cols`, in sorted order.
 template <typename Fn>
 void ForEachSortedGroup(const CountedRelation& r, std::span<const int> cols,
                         std::span<const uint32_t> perm, Fn&& emit) {

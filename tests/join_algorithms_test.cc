@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -259,12 +263,57 @@ TEST(ExecContextTest, StatsAccumulateAcrossCalls) {
 
 // --- Shared sort machinery ------------------------------------------------
 
+// Stable-sort reference for SortRowsBy: rows ordered by `cols`, ties by
+// row index.
+void ExpectSortMatchesReference(const CountedRelation& r,
+                                std::span<const int> cols, ExecContext& ctx,
+                                const std::string& label) {
+  std::vector<uint32_t> perm;
+  SortRowsBy(r, cols, perm, ctx);
+  std::vector<uint32_t> expected(r.NumRows());
+  std::iota(expected.begin(), expected.end(), 0);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](uint32_t x, uint32_t y) {
+                     return CompareRowsAt(r.Row(x), r.Row(y), cols) < 0;
+                   });
+  ASSERT_EQ(perm, expected) << label;
+}
+
+// Calls recorded under "sort.fallback" so far (0 if it never ran).
+uint64_t FallbackCalls(const ExecContext& ctx) {
+  const OperatorStats* s = ctx.FindStats("sort.fallback");
+  return s == nullptr ? 0 : s->calls;
+}
+
+// `rows` random rows whose column c spans exactly [lo[c], lo[c] + span[c]]
+// (both ends present, in the last two rows so the input is unsorted), so
+// the packed key width of column c is bit_width(span[c]) by construction.
+CountedRelation MakeSpanning(Rng& rng, size_t rows, std::vector<Value> lo,
+                             std::vector<uint64_t> span) {
+  AttributeSet attrs;
+  for (size_t c = 0; c < lo.size(); ++c) {
+    attrs.push_back(static_cast<AttrId>(c + 1));
+  }
+  CountedRelation r(attrs);
+  std::vector<Value> row(lo.size());
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t c = 0; c < lo.size(); ++c) {
+      uint64_t off = rng.NextUint64() % span[c];
+      if (i + 2 == rows) off = span[c];
+      if (i + 1 == rows) off = 0;
+      row[c] = static_cast<Value>(static_cast<uint64_t>(lo[c]) + off);
+    }
+    r.AppendRow(row, Count::One());
+  }
+  return r;
+}
+
 TEST(RowSortTest, SortRowsByMatchesReferenceOnRandomInputs) {
   Rng rng(13);
   ExecContext ctx;
   for (int trial = 0; trial < 80; ++trial) {
-    // Alternate narrow domains (radix path) and spread values (introsort
-    // path, negatives included); arities 1-4 cover the inline-key widths.
+    // Alternate narrow domains (radix path) and spread values, negatives
+    // included; arities 1-4 cover one- to four-column packed keys.
     const size_t arity = 1 + trial % 4;
     AttributeSet attrs;
     for (size_t i = 0; i < arity; ++i) attrs.push_back(static_cast<AttrId>(i + 1));
@@ -283,17 +332,163 @@ TEST(RowSortTest, SortRowsByMatchesReferenceOnRandomInputs) {
       if (rng.NextBounded(2) == 0) cols.push_back(static_cast<int>(c));
     }
     if (cols.empty()) cols.push_back(static_cast<int>(arity - 1));
+    ExpectSortMatchesReference(r, cols, ctx, "trial " + std::to_string(trial));
+  }
 
-    std::vector<uint32_t> perm;
-    SortRowsBy(r, cols, perm, ctx);
+  // The int64 extremes: a full-range column never fits the word; narrow
+  // ranges hugging either end (and straddling zero) do.
+  auto bits = [](int w) { return (uint64_t{1} << w) - 1; };
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const std::vector<int> c0{0};
+  const std::vector<int> c01{0, 1};
+  const std::vector<int> c10{1, 0};
+  struct Case {
+    std::string label;
+    size_t rows;
+    std::vector<Value> lo;
+    std::vector<uint64_t> span;
+    bool fits;  // Σw + idx_bits <= 64
+  };
+  const std::vector<Case> cases = {
+      {"full int64 range", 300, {kMin}, {~uint64_t{0}}, false},
+      {"hugs INT64_MIN", 300, {kMin}, {1000}, true},
+      {"hugs INT64_MAX", 300, {kMax - 1000}, {1000}, true},
+      {"straddles zero", 300, {-500}, {1000}, true},
+      // 300 rows: idx_bits = 9. 55 + 9 = 64 fits; 56 + 9 = 65 does not.
+      {"radix, exactly 64 bits", 300, {-7}, {bits(55)}, true},
+      {"radix, 65 bits", 300, {-7}, {bits(56)}, false},
+      // 100 rows: idx_bits = 7, so the std::sort path at 57 + 7 and 58 + 7.
+      {"small, exactly 64 bits", 100, {kMin}, {bits(57)}, true},
+      {"small, 65 bits", 100, {kMin}, {bits(58)}, false},
+      // Two columns sharing the word: 30 + 25 + 9 = 64, then 65.
+      {"2 cols, 64 bits", 300, {kMin + 5, -3}, {bits(30), bits(25)}, true},
+      {"2 cols, 65 bits", 300, {kMin + 5, -3}, {bits(30), bits(26)}, false},
+  };
+  for (const Case& c : cases) {
+    const CountedRelation r = MakeSpanning(rng, c.rows, c.lo, c.span);
+    const std::vector<int>& cols = c.lo.size() == 1 ? c0 : c01;
+    const uint64_t before = FallbackCalls(ctx);
+    ExpectSortMatchesReference(r, cols, ctx, c.label);
+    EXPECT_EQ(FallbackCalls(ctx) - before, c.fits ? 0u : 1u) << c.label;
+    if (c.lo.size() == 2) ExpectSortMatchesReference(r, c10, ctx, c.label);
+  }
+}
 
-    std::vector<uint32_t> expected(r.NumRows());
-    std::iota(expected.begin(), expected.end(), 0);
-    std::stable_sort(expected.begin(), expected.end(),
-                     [&](uint32_t x, uint32_t y) {
-                       return CompareRowsAt(r.Row(x), r.Row(y), cols) < 0;
-                     });
-    ASSERT_EQ(perm, expected) << "trial " << trial;
+TEST(RowSortTest, FallbackRecordedOnlyForKeysWiderThanTheWord) {
+  Rng rng(17);
+  ExecContext ctx;
+  const std::vector<int> cols{0, 1};
+  // Narrow: two 10-bit columns over 1000 rows pack into 30 bits.
+  CountedRelation narrow = MakeSpanning(rng, 1000, {0, -5}, {1023, 1023});
+  narrow.Normalize(&ctx);
+  GroupBySum(narrow, {2}, &ctx);
+  std::vector<uint32_t> perm;
+  SortRowsBy(narrow, cols, perm, ctx);
+  EXPECT_EQ(ctx.FindStats("sort.fallback"), nullptr);
+
+  // Wide: a 40-bit and a 20-bit column plus 10 row bits need 70 bits.
+  const uint64_t bits40 = (uint64_t{1} << 40) - 1;
+  const uint64_t bits20 = (uint64_t{1} << 20) - 1;
+  const CountedRelation wide =
+      MakeSpanning(rng, 1000, {0, 0}, {bits40, bits20});
+  SortRowsBy(wide, cols, perm, ctx);
+  const OperatorStats* fallback = ctx.FindStats("sort.fallback");
+  ASSERT_NE(fallback, nullptr);
+  EXPECT_EQ(fallback->calls, 1u);
+  EXPECT_EQ(fallback->rows_in, 1000u);
+}
+
+// Oracle for Normalize and GroupBySum: a std::map keyed by the (projected)
+// row, summing counts, dropping keys whose total is zero.
+using CountMap = std::map<std::vector<Value>, Count>;
+
+void ExpectEqualsOracle(const CountedRelation& got, const CountMap& oracle,
+                        const std::string& label) {
+  std::vector<std::pair<std::vector<Value>, Count>> want;
+  for (const auto& [key, count] : oracle) {
+    if (!count.IsZero()) want.emplace_back(key, count);
+  }
+  ASSERT_EQ(got.NumRows(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const std::span<const Value> row = got.Row(i);
+    ASSERT_EQ(std::vector<Value>(row.begin(), row.end()), want[i].first)
+        << label << " row " << i;
+    ASSERT_EQ(got.CountAt(i), want[i].second) << label << " row " << i;
+  }
+}
+
+TEST(RowSortTest, NormalizeAndGroupBySumMatchMapOracle) {
+  Rng rng(19);
+  ExecContext ctx;
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  for (int trial = 0; trial < 120; ++trial) {
+    const size_t arity = static_cast<size_t>(trial % 5);
+    // Fewer and more than the 256-row radix threshold.
+    const size_t rows = trial % 3 == 0 ? 1 + rng.NextBounded(200)
+                                       : 300 + rng.NextBounded(1500);
+    const bool presorted = trial % 4 == 1;
+    const bool wide = trial % 7 == 3;  // full-range values: the fallback
+    AttributeSet attrs;
+    for (size_t c = 0; c < arity; ++c) {
+      attrs.push_back(static_cast<AttrId>(c + 1));
+    }
+    std::vector<std::pair<std::vector<Value>, Count>> input;
+    for (size_t i = 0; i < rows; ++i) {
+      std::vector<Value> row(arity);
+      for (Value& v : row) {
+        const uint64_t pick = rng.NextBounded(4);
+        if (!wide) {
+          v = static_cast<Value>(rng.NextBounded(6)) - 3;
+        } else if (pick == 0) {
+          v = kMin;
+        } else if (pick == 1) {
+          v = kMax;
+        } else {
+          v = static_cast<Value>(rng.NextUint64());
+        }
+      }
+      // Zero counts must vanish; saturated ones must stay saturated.
+      Count count(1 + rng.NextBounded(5));
+      const uint64_t pick = rng.NextBounded(10);
+      if (pick == 0) count = Count::Zero();
+      if (pick == 1) count = Count::Max();
+      input.emplace_back(std::move(row), count);
+    }
+    if (presorted) std::sort(input.begin(), input.end());
+
+    CountedRelation r(attrs);
+    CountMap oracle;
+    for (const auto& [row, count] : input) {
+      r.AppendRow(row, count);
+      oracle[row] += count;
+    }
+    const std::string label = "trial " + std::to_string(trial);
+    CountedRelation normalized = r;
+    normalized.Normalize(&ctx);
+    EXPECT_TRUE(normalized.normalized()) << label;
+    ExpectEqualsOracle(normalized, oracle, label + " normalize");
+
+    // γ over a random subset of the columns, from the raw and the
+    // normalized input (the latter merges prefixes without reordering).
+    AttributeSet group;
+    std::vector<size_t> group_cols;
+    for (size_t c = 0; c < arity; ++c) {
+      if (rng.NextBounded(2) == 0) {
+        group.push_back(attrs[c]);
+        group_cols.push_back(c);
+      }
+    }
+    CountMap grouped;
+    for (const auto& [row, count] : input) {
+      std::vector<Value> key;
+      for (size_t c : group_cols) key.push_back(row[c]);
+      grouped[key] += count;
+    }
+    ExpectEqualsOracle(GroupBySum(r, group, &ctx), grouped, label + " raw γ");
+    ExpectEqualsOracle(GroupBySum(normalized, group, &ctx), grouped,
+                       label + " normalized γ");
   }
 }
 
