@@ -1,8 +1,9 @@
 // Operator micro-benchmarks (google-benchmark): the counted-relation
 // primitives every TSens pass is built from — r⋈ under each join kernel
 // (including the pre-ExecContext legacy kernels kept here as the
-// comparison baseline), Normalize and γ group-by-sum on the packed sort
-// kernel, and the Yannakakis-style count evaluation on TPC-H q1.
+// comparison baseline), FoldJoin's greedy order on a q2-shaped chain,
+// Normalize and γ group-by-sum on the packed sort kernel, and the
+// Yannakakis-style count evaluation on TPC-H q1.
 //
 // Besides the console table, the run writes a machine-readable trajectory
 // file (default BENCH_join.json, override with LSENS_BENCH_JSON):
@@ -25,6 +26,7 @@
 #include "common/rng.h"
 #include "exec/counted_relation.h"
 #include "exec/exec_context.h"
+#include "exec/fold_join.h"
 #include "exec/join.h"
 #include "query/eval.h"
 #include "workload/queries.h"
@@ -266,6 +268,75 @@ void BM_AutoJoin(benchmark::State& state) {
 BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_SortMergeJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_AutoJoin)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// kAuto with the key leading on both sides ({1,2} ⋈ {1,3}): both inputs are
+// key-sorted, so the picker takes sort-merge without counting the output.
+void BM_AutoJoinPresorted(benchmark::State& state) {
+  Rng rng(1);
+  size_t rows = static_cast<size_t>(state.range(0));
+  CountedRelation a = MakeRandomCounted(rng, rows, {1, 2}, rows / 4 + 1);
+  CountedRelation b = MakeRandomCounted(rng, rows, {1, 3}, rows / 4 + 1);
+  ExecContext ctx;
+  JoinOptions opts{JoinAlgorithm::kAuto, &ctx};
+  for (auto _ : state) {
+    CountedRelation j = NaturalJoin(a, b, opts);
+    benchmark::DoNotOptimize(j.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(2 * rows));
+}
+BENCHMARK(BM_AutoJoinPresorted)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// FoldJoin over a TPC-H q2-shaped foreign-key chain, range(0) = lineitem
+// rows: Supplier(NK, SK), Part(PK), Partsupp(SK, PK) with four suppliers
+// per part, and Lineitem(SK, PK, OK) drawing from Partsupp. The greedy
+// order meets steps with two attribute-sharing candidates (counted) and
+// with one (not counted).
+void BM_FoldJoinChain(benchmark::State& state) {
+  Rng rng(6);
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t suppliers = rows / 20 + 4;
+  const size_t parts = rows / 5 + 1;
+  CountedRelation supplier({1, 2});
+  for (size_t s = 0; s < suppliers; ++s) {
+    supplier.AppendRow({static_cast<Value>(s % 25), static_cast<Value>(s)},
+                       Count::One());
+  }
+  CountedRelation part({3});
+  CountedRelation partsupp({2, 3});
+  for (size_t p = 0; p < parts; ++p) {
+    part.AppendRow({static_cast<Value>(p)}, Count::One());
+    for (size_t i = 0; i < 4; ++i) {
+      partsupp.AppendRow({static_cast<Value>((p + i * suppliers / 4) %
+                                             suppliers),
+                          static_cast<Value>(p)},
+                         Count::One());
+    }
+  }
+  CountedRelation lineitem({2, 3, 4});
+  for (size_t l = 0; l < rows; ++l) {
+    const size_t p = rng.NextBounded(parts);
+    const size_t i = rng.NextBounded(4);
+    lineitem.AppendRow({static_cast<Value>((p + i * suppliers / 4) % suppliers),
+                        static_cast<Value>(p), static_cast<Value>(l / 4)},
+                       Count::One());
+  }
+  for (CountedRelation* r : {&supplier, &part, &partsupp, &lineitem}) {
+    r->Normalize();
+  }
+  ExecContext ctx;
+  JoinOptions opts{JoinAlgorithm::kAuto, &ctx};
+  for (auto _ : state) {
+    CountedRelation j =
+        FoldJoin({&supplier, &part, &partsupp, &lineitem}, opts);
+    benchmark::DoNotOptimize(j.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_FoldJoinChain)->Arg(10000)->Arg(100000);
 
 void BM_LegacyJoin(benchmark::State& state, bool hash) {
   Rng rng(1);

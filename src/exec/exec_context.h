@@ -19,7 +19,9 @@ class ExecContextPool;
 
 // Aggregate counters for one operator kind. The exec layer records:
 //   join.hash, join.sort_merge, join.cross, join.default — NaturalJoin
-//     kernels; estimate_join_rows — the exact join-size pass;
+//     kernels; estimate_join_rows — the exact join-size pass, run only
+//     where its count can change a decision (the kAuto pick, FoldJoin's
+//     greedy order) or sizes a hash join's output;
 //   fold_join — FoldJoin, and FoldJoinButLast (rows_out = the prefix);
 //   group_by_sum — γ; group_max — GroupMax, the max row of γ(A ⋈ B)
 //     without the join (rows_out 0 or 1; 0 also when it declines);

@@ -1,7 +1,6 @@
 #include "exec/fold_join.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/macros.h"
 #include "exec/exec_context.h"
@@ -31,29 +30,46 @@ CountedRelation GreedyFold(std::vector<const CountedRelation*>& remaining,
   CountedRelation acc = *remaining[start];
   remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(start));
 
+  // Defaulted pieces are eligible only when covered by the accumulator's
+  // attributes.
+  auto eligible = [&acc](const CountedRelation* piece) {
+    return !piece->has_default() || IsSubset(piece->attrs(), acc.attrs());
+  };
   while (remaining.size() > keep) {
-    // Pick the piece minimizing the joined row count; among pieces that
-    // share no attribute with the accumulator (cross products) only pick
-    // one if no sharing piece exists. Defaulted pieces are eligible only
-    // when covered by the accumulator's attributes.
+    // The candidates are the eligible pieces sharing an attribute with the
+    // accumulator or, if none does, all eligible pieces (cross products).
+    // The candidate minimizing the joined row count wins, the earliest on
+    // ties; a lone candidate wins whatever its size, so it is not counted.
+    size_t num_eligible = 0;
+    size_t num_sharing = 0;
+    for (const CountedRelation* piece : remaining) {
+      if (!eligible(piece)) continue;
+      ++num_eligible;
+      if (Intersects(piece->attrs(), acc.attrs())) ++num_sharing;
+    }
+    const bool shares = num_sharing > 0;
+    const bool lone = (shares ? num_sharing : num_eligible) == 1;
     size_t best = SIZE_MAX;
-    size_t best_rows = std::numeric_limits<size_t>::max();
-    bool best_shares = false;
+    size_t best_rows = 0;
+    bool best_counted = false;  // best_rows == EstimateJoinRows(acc, best)
     for (size_t i = 0; i < remaining.size(); ++i) {
       const CountedRelation* piece = remaining[i];
-      if (piece->has_default() && !IsSubset(piece->attrs(), acc.attrs())) {
+      if (!eligible(piece) ||
+          Intersects(piece->attrs(), acc.attrs()) != shares) {
         continue;
       }
-      bool shares = Intersects(piece->attrs(), acc.attrs());
-      size_t rows = piece->has_default()
-                        ? acc.NumRows()  // covering join keeps acc's rows
-                        : EstimateJoinRows(acc, *piece, options.ctx,
-                                           options.threads);
-      if (best == SIZE_MAX || (shares && !best_shares) ||
-          (shares == best_shares && rows < best_rows)) {
+      if (lone) {
+        best = i;
+        break;
+      }
+      const bool counted = !piece->has_default();
+      const size_t rows =
+          counted ? EstimateJoinRows(acc, *piece, options.ctx, options.threads)
+                  : acc.NumRows();  // covering join keeps acc's rows
+      if (best == SIZE_MAX || rows < best_rows) {
         best = i;
         best_rows = rows;
-        best_shares = shares;
+        best_counted = counted;
       }
     }
     // Every remaining piece is defaulted and none is covered by the
@@ -64,7 +80,9 @@ CountedRelation GreedyFold(std::vector<const CountedRelation*>& remaining,
     // bag holding that link, which cover it.
     LSENS_CHECK_MSG(best != SIZE_MAX,
                     "defaulted piece never covered by the accumulator");
-    acc = NaturalJoin(acc, *remaining[best], options);
+    const CountedRelation& next = *remaining[best];
+    acc = best_counted ? NaturalJoinSized(acc, next, best_rows, options)
+                       : NaturalJoin(acc, next, options);
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
   }
   return acc;

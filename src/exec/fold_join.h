@@ -11,9 +11,12 @@ namespace lsens {
 // greedily: the accumulator starts at the piece with the fewest rows (among
 // non-defaulted pieces) and each step picks the remaining piece minimizing
 // the *exact* result-row count (computed by EstimateJoinRows), preferring
-// attribute-sharing pieces over cross products. Defaulted (top-k) pieces
-// are only joined once the accumulator covers their attributes; the
-// non-defaulted pieces must cover them (CHECK-failed otherwise).
+// attribute-sharing pieces over cross products. A step with a single
+// candidate takes it without counting; otherwise the winner's count is
+// handed to its join (NaturalJoinSized), which then does not count again.
+// Defaulted (top-k) pieces are only joined once the accumulator covers
+// their attributes; the non-defaulted pieces must cover them (CHECK-failed
+// otherwise).
 //
 // This is the workhorse behind the paper's r⋈(X1, ..., Xp) expressions:
 // botjoins/topjoins (Eq. 7–8), multiplicity tables (Eq. 6, including the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -127,9 +128,22 @@ CountedRelation CrossProduct(const CountedRelation& a,
   return out;
 }
 
-// Hash join over `table`, already built on the smaller side by the
-// estimate pass in NaturalJoin (whose wall time is reported as
-// "estimate_join_rows"; this timer covers probe/emit/normalize).
+// The flat group table on the smaller side's key (ctx.group_table()) and
+// the probe side's batch-hashed keys (ctx.hash_buf()): what the exact
+// join-size count and the hash kernel's emit loop both read.
+void BuildHashSide(const CountedRelation& a, const CountedRelation& b,
+                   const JoinLayout& layout, ExecContext& ctx) {
+  const bool build_a = a.NumRows() < b.NumRows();
+  ctx.group_table().Build(build_a ? a : b,
+                          build_a ? layout.a_key_cols : layout.b_key_cols);
+  HashRowKeysBatch(build_a ? b : a,
+                   build_a ? layout.b_key_cols : layout.a_key_cols,
+                   ctx.gather_buf(), ctx.hash_buf());
+}
+
+// Hash join building on the smaller side. `table_built` says the exact
+// count pass (CountJoinRows) already left the table and probe hashes in
+// `ctx`; otherwise this kernel builds them under its own timer.
 // `est_rows` is the exact pre-merge output size.
 //
 // With threads > 1 and a probe side past kParallelProbeMinRows the probe
@@ -140,14 +154,10 @@ CountedRelation CrossProduct(const CountedRelation& a,
 // emitted multiset is exactly the serial one and Count addition is
 // associative and commutative (saturating), so the normalized output — and
 // the one recorded "join.hash" stats row — is bit-identical to serial.
-//
-// `probe_hashes` holds the probe side's precomputed key hashes (the
-// estimate pass already batch-hashed them; workers read the shared array).
 CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
-                         const JoinLayout& layout, const FlatGroupTable& table,
-                         bool build_a, size_t est_rows,
-                         std::span<const uint64_t> probe_hashes,
-                         ExecContext& ctx, int threads) {
+                         const JoinLayout& layout, size_t est_rows,
+                         bool table_built, ExecContext& ctx, int threads) {
+  const bool build_a = a.NumRows() < b.NumRows();
   const CountedRelation& build = build_a ? a : b;
   const CountedRelation& probe = build_a ? b : a;
   const std::vector<int>& probe_cols =
@@ -155,6 +165,9 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
 
   OpTimer op(ctx, "join.hash", a.NumRows() + b.NumRows());
   op.set_build_rows(build.NumRows());
+  if (!table_built) BuildHashSide(a, b, layout, ctx);
+  const FlatGroupTable& table = ctx.group_table();
+  std::span<const uint64_t> probe_hashes = ctx.hash_buf();
   const size_t n = probe.NumRows();
 
   auto probe_range = [&](size_t begin, size_t end, CountedRelation* out,
@@ -201,15 +214,27 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
   return out;
 }
 
+// `sorted_a` / `sorted_b`: that side is already ordered on its key columns
+// (RowsSortedBy), so it merges in row order with no sort. `est_rows` sizes
+// the output Reserve; SIZE_MAX = unknown.
 CountedRelation SortMergeJoin(const CountedRelation& a,
                               const CountedRelation& b,
                               const JoinLayout& layout, size_t est_rows,
-                              ExecContext& ctx) {
+                              bool sorted_a, bool sorted_b, ExecContext& ctx) {
   OpTimer op(ctx, "join.sort_merge", a.NumRows() + b.NumRows());
+  auto order = [&ctx](const CountedRelation& r, std::span<const int> cols,
+                      bool sorted, std::vector<uint32_t>& perm) {
+    if (sorted) {
+      perm.resize(r.NumRows());
+      std::iota(perm.begin(), perm.end(), 0u);
+    } else {
+      SortRowsBy(r, cols, perm, ctx);
+    }
+  };
   std::vector<uint32_t>& pa = ctx.perm_a();
   std::vector<uint32_t>& pb = ctx.perm_b();
-  SortRowsBy(a, layout.a_key_cols, pa, ctx);
-  SortRowsBy(b, layout.b_key_cols, pb, ctx);
+  order(a, layout.a_key_cols, sorted_a, pa);
+  order(b, layout.b_key_cols, sorted_b, pb);
 
   auto key_cmp = [&](std::span<const Value> ra, std::span<const Value> rb) {
     for (size_t i = 0; i < layout.a_key_cols.size(); ++i) {
@@ -221,50 +246,80 @@ CountedRelation SortMergeJoin(const CountedRelation& a,
     return 0;
   };
 
+  // Calls fn(i, i_end, j, j_end) for every key group present on both
+  // sides: pa[i..i_end) and pb[j..j_end), in key order.
+  auto for_each_match = [&](auto&& fn) {
+    size_t i = 0;
+    size_t j = 0;
+    while (i < pa.size() && j < pb.size()) {
+      int cmp = key_cmp(a.Row(pa[i]), b.Row(pb[j]));
+      if (cmp < 0) {
+        ++i;
+      } else if (cmp > 0) {
+        ++j;
+      } else {
+        size_t i_end = i + 1;
+        while (i_end < pa.size() &&
+               key_cmp(a.Row(pa[i_end]), b.Row(pb[j])) == 0) {
+          ++i_end;
+        }
+        size_t j_end = j + 1;
+        while (j_end < pb.size() &&
+               key_cmp(a.Row(pa[i]), b.Row(pb[j_end])) == 0) {
+          ++j_end;
+        }
+        fn(i, i_end, j, j_end);
+        i = i_end;
+        j = j_end;
+      }
+    }
+  };
+
+  // Without a count from the caller, one emit-free walk over the ordered
+  // runs sizes the Reserve exactly.
+  if (est_rows == SIZE_MAX) {
+    est_rows = 0;
+    for_each_match([&](size_t i, size_t i_end, size_t j, size_t j_end) {
+      est_rows += (i_end - i) * (j_end - j);
+    });
+  }
   CountedRelation out(layout.out_attrs);
-  if (est_rows != SIZE_MAX) out.Reserve(std::min(est_rows, kMaxReserveRows));
+  out.Reserve(std::min(est_rows, kMaxReserveRows));
   std::vector<Value>& scratch = ctx.row_buf();
   scratch.resize(layout.out_src.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < pa.size() && j < pb.size()) {
-    int cmp = key_cmp(a.Row(pa[i]), b.Row(pb[j]));
-    if (cmp < 0) {
-      ++i;
-    } else if (cmp > 0) {
-      ++j;
-    } else {
-      // Find the group extents on both sides.
-      size_t i_end = i + 1;
-      while (i_end < pa.size() && key_cmp(a.Row(pa[i_end]), b.Row(pb[j])) == 0)
-        ++i_end;
-      size_t j_end = j + 1;
-      while (j_end < pb.size() && key_cmp(a.Row(pa[i]), b.Row(pb[j_end])) == 0)
-        ++j_end;
-      for (size_t x = i; x < i_end; ++x) {
-        for (size_t y = j; y < j_end; ++y) {
-          EmitRow(layout, a.Row(pa[x]), b.Row(pb[y]),
-                  a.CountAt(pa[x]) * b.CountAt(pb[y]), &out, scratch);
-        }
+  for_each_match([&](size_t i, size_t i_end, size_t j, size_t j_end) {
+    for (size_t x = i; x < i_end; ++x) {
+      for (size_t y = j; y < j_end; ++y) {
+        EmitRow(layout, a.Row(pa[x]), b.Row(pb[y]),
+                a.CountAt(pa[x]) * b.CountAt(pb[y]), &out, scratch);
       }
-      i = i_end;
-      j = j_end;
     }
-  }
+  });
   out.Normalize(&ctx);
   op.set_rows_out(out.NumRows());
   return out;
 }
 
-// Sums the probe-side run sizes against `table` — the exact pre-merge join
-// cardinality in O(|probe|). Large probes are chunk-summed on the pool;
-// partial sums are added in chunk order, so the total is exact and
-// deterministic either way.
-size_t ProbeTotalRows(const FlatGroupTable& table, const CountedRelation& probe,
-                      std::span<const int> probe_cols,
-                      std::span<const uint64_t> probe_hashes, ExecContext& ctx,
-                      int threads) {
+// The exact pre-merge join cardinality in O(|a| + |b|), recorded as
+// "estimate_join_rows": builds the table on the smaller side (BuildHashSide)
+// and sums the probe side's run sizes against it. Runs are key-verified, so
+// the count is exact even under hash collisions. Large probes are
+// chunk-summed on the pool; partial sums are added in chunk order, so the
+// total is exact and deterministic either way. Leaves the table and probe
+// hashes in `ctx` for HashJoin to reuse.
+size_t CountJoinRows(const CountedRelation& a, const CountedRelation& b,
+                     const JoinLayout& layout, ExecContext& ctx, int threads) {
+  const bool build_a = a.NumRows() < b.NumRows();
+  const CountedRelation& probe = build_a ? b : a;
+  const std::vector<int>& probe_cols =
+      build_a ? layout.b_key_cols : layout.a_key_cols;
+  OpTimer op(ctx, "estimate_join_rows", a.NumRows() + b.NumRows());
+  op.set_build_rows((build_a ? a : b).NumRows());
+  BuildHashSide(a, b, layout, ctx);
+  const FlatGroupTable& table = ctx.group_table();
+  std::span<const uint64_t> probe_hashes = ctx.hash_buf();
   const size_t n = probe.NumRows();
+  size_t total = 0;
   if (ShouldRunParallel(threads, n) && n >= kParallelProbeMinRows) {
     const size_t parts = static_cast<size_t>(threads);
     std::vector<size_t> partial(parts, 0);
@@ -277,14 +332,13 @@ size_t ProbeTotalRows(const FlatGroupTable& table, const CountedRelation& probe,
       }
       partial[p] = sum;
     });
-    size_t total = 0;
     for (size_t s : partial) total += s;
-    return total;
+  } else {
+    for (size_t j = 0; j < n; ++j) {
+      total += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
+    }
   }
-  size_t total = 0;
-  for (size_t j = 0; j < n; ++j) {
-    total += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
-  }
+  op.set_rows_out(total);
   return total;
 }
 
@@ -301,12 +355,15 @@ JoinAlgorithm PickJoinAlgorithm(size_t na, size_t nb, size_t est_rows,
   constexpr double kSortPerCmp = 1.25;
   constexpr double kEmitHash = 1.25;
   constexpr double kEmitMerge = 1.0;
+  // merge − hash falls as est_rows grows, so a merge win at 0 holds at any
+  // est_rows: PickAuto relies on this to skip the count.
+  static_assert(kEmitMerge <= kEmitHash);
   auto sort_cost = [](size_t n, bool sorted) {
     if (sorted || n < 2) return 0.0;
     const double nd = static_cast<double>(n);
     return kSortPerCmp * nd * std::log2(nd);
   };
-  const double est = est_rows == SIZE_MAX ? 0.0 : static_cast<double>(est_rows);
+  const double est = static_cast<double>(est_rows);
   const double scan = static_cast<double>(na + nb);
   const double merge_cost = sort_cost(na, sorted_a) + sort_cost(nb, sorted_b) +
                             kMergeScan * scan + kEmitMerge * est;
@@ -317,10 +374,34 @@ JoinAlgorithm PickJoinAlgorithm(size_t na, size_t nb, size_t est_rows,
                                 : JoinAlgorithm::kHash;
 }
 
-}  // namespace
+// The kAuto decision for a keyed join of non-defaulted sides, shared by
+// NaturalJoin and ChooseJoinAlgorithm so the exposed pick is the kernel
+// that runs. `estimate()` returns the exact pre-merge output size; it is
+// called only when sort-merge does not already win at zero output rows.
+struct AutoPick {
+  JoinAlgorithm algorithm;
+  bool sorted_a;
+  bool sorted_b;
+};
 
-CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
-                            const JoinOptions& options) {
+template <typename EstimateFn>
+AutoPick PickAuto(const CountedRelation& a, const CountedRelation& b,
+                  const JoinLayout& layout, EstimateFn&& estimate) {
+  AutoPick pick{JoinAlgorithm::kHash, RowsSortedBy(a, layout.a_key_cols),
+                RowsSortedBy(b, layout.b_key_cols)};
+  pick.algorithm = PickJoinAlgorithm(a.NumRows(), b.NumRows(), 0,
+                                     pick.sorted_a, pick.sorted_b);
+  if (pick.algorithm == JoinAlgorithm::kHash) {
+    pick.algorithm = PickJoinAlgorithm(a.NumRows(), b.NumRows(), estimate(),
+                                       pick.sorted_a, pick.sorted_b);
+  }
+  return pick;
+}
+
+// NaturalJoin given `known_rows` == EstimateJoinRows(a, b), or SIZE_MAX
+// when the caller has no count.
+CountedRelation JoinImpl(const CountedRelation& a, const CountedRelation& b,
+                         size_t known_rows, const JoinOptions& options) {
   ExecContext& ctx = ResolveExecContext(options.ctx);
   // Defaulted sides: route through the covering-join path.
   if (a.has_default() || b.has_default()) {
@@ -338,49 +419,49 @@ CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
 
   JoinLayout layout = MakeLayout(a, b);
   if (layout.key.empty()) return CrossProduct(a, b, ctx);
-  const bool build_a = a.NumRows() < b.NumRows();
   if (options.algorithm == JoinAlgorithm::kSortMerge) {
-    return SortMergeJoin(a, b, layout, /*est_rows=*/SIZE_MAX, ctx);
+    return SortMergeJoin(a, b, layout, known_rows,
+                         RowsSortedBy(a, layout.a_key_cols),
+                         RowsSortedBy(b, layout.b_key_cols), ctx);
   }
 
-  // kHash and kAuto share the estimate pass (recorded as
-  // "estimate_join_rows", the same work the public estimator does): it
-  // builds the flat group table the hash kernel then reuses, and its
-  // exact output count sizes the Reserve — which beats the reallocation
-  // doublings it replaces on expanding joins, measurably so in
-  // bench_join_micro. kAuto additionally feeds it to the cost model; when
-  // sort-merge wins, the table build is the price of the estimate.
-  const CountedRelation& build = build_a ? a : b;
-  const CountedRelation& probe = build_a ? b : a;
-  const std::vector<int>& build_cols =
-      build_a ? layout.a_key_cols : layout.b_key_cols;
-  const std::vector<int>& probe_cols =
-      build_a ? layout.b_key_cols : layout.a_key_cols;
-  FlatGroupTable& table = ctx.group_table();
-  // One column-batch pass hashes the probe side's keys; the estimate's
-  // ProbeTotalRows and the hash kernel's emit loop both reuse them.
-  std::vector<uint64_t>& probe_hashes = ctx.hash_buf();
-  size_t est_rows = 0;
-  {
-    OpTimer op(ctx, "estimate_join_rows", a.NumRows() + b.NumRows());
-    op.set_build_rows(build.NumRows());
-    table.Build(build, build_cols);
-    HashRowKeysBatch(probe, probe_cols, ctx.gather_buf(), probe_hashes);
-    est_rows = ProbeTotalRows(table, probe, probe_cols, probe_hashes, ctx,
-                              options.threads);
-    op.set_rows_out(est_rows);
-  }
-
+  // Without a known count, the hash kernel is preceded by the count pass
+  // (CountJoinRows, the same work the public estimator does): it builds
+  // the flat group table the kernel then reuses, and its exact count sizes
+  // the Reserve — which beats the reallocation doublings it replaces on
+  // expanding joins, measurably so in bench_join_micro. kAuto runs it
+  // only when the count can change the pick.
+  size_t est_rows = known_rows;
+  bool table_built = false;
+  auto estimate = [&] {
+    if (est_rows == SIZE_MAX) {
+      est_rows = CountJoinRows(a, b, layout, ctx, options.threads);
+      table_built = true;
+    }
+    return est_rows;
+  };
   if (options.algorithm == JoinAlgorithm::kAuto) {
-    const JoinAlgorithm picked = PickJoinAlgorithm(
-        a.NumRows(), b.NumRows(), est_rows,
-        RowsSortedBy(a, layout.a_key_cols), RowsSortedBy(b, layout.b_key_cols));
-    if (picked == JoinAlgorithm::kSortMerge) {
-      return SortMergeJoin(a, b, layout, est_rows, ctx);
+    const AutoPick pick = PickAuto(a, b, layout, estimate);
+    if (pick.algorithm == JoinAlgorithm::kSortMerge) {
+      return SortMergeJoin(a, b, layout, est_rows, pick.sorted_a,
+                           pick.sorted_b, ctx);
     }
   }
-  return HashJoin(a, b, layout, table, build_a, est_rows, probe_hashes, ctx,
+  return HashJoin(a, b, layout, estimate(), table_built, ctx,
                   options.threads);
+}
+
+}  // namespace
+
+CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
+                            const JoinOptions& options) {
+  return JoinImpl(a, b, /*known_rows=*/SIZE_MAX, options);
+}
+
+CountedRelation NaturalJoinSized(const CountedRelation& a,
+                                 const CountedRelation& b, size_t known_rows,
+                                 const JoinOptions& options) {
+  return JoinImpl(a, b, known_rows, options);
 }
 
 JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
@@ -388,39 +469,16 @@ JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
   if (a.has_default() || b.has_default()) return JoinAlgorithm::kHash;
   JoinLayout layout = MakeLayout(a, b);
   if (layout.key.empty()) return JoinAlgorithm::kHash;
-  return PickJoinAlgorithm(a.NumRows(), b.NumRows(),
-                           EstimateJoinRows(a, b, ctx),
-                           RowsSortedBy(a, layout.a_key_cols),
-                           RowsSortedBy(b, layout.b_key_cols));
+  return PickAuto(a, b, layout, [&] {
+           return CountJoinRows(a, b, layout, ResolveExecContext(ctx), 0);
+         }).algorithm;
 }
 
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
-                        ExecContext* ctx_in, int threads) {
-  AttributeSet key = Intersect(a.attrs(), b.attrs());
-  if (key.empty()) return a.NumRows() * b.NumRows();
-  ExecContext& ctx = ResolveExecContext(ctx_in);
-  OpTimer op(ctx, "estimate_join_rows", a.NumRows() + b.NumRows());
-  std::vector<int> a_cols;
-  std::vector<int> b_cols;
-  for (AttrId attr : key) {
-    a_cols.push_back(a.ColumnOf(attr));
-    b_cols.push_back(b.ColumnOf(attr));
-  }
-  // Group the smaller side in the flat table, probe with the other. Runs
-  // are key-verified, so the count is exact.
-  const bool build_a = a.NumRows() < b.NumRows();
-  const CountedRelation& build = build_a ? a : b;
-  const CountedRelation& probe = build_a ? b : a;
-  FlatGroupTable& table = ctx.group_table();
-  op.set_build_rows(build.NumRows());
-  table.Build(build, build_a ? a_cols : b_cols);
-  std::vector<uint64_t>& probe_hashes = ctx.hash_buf();
-  HashRowKeysBatch(probe, build_a ? b_cols : a_cols, ctx.gather_buf(),
-                   probe_hashes);
-  const size_t total = ProbeTotalRows(table, probe, build_a ? b_cols : a_cols,
-                                      probe_hashes, ctx, threads);
-  op.set_rows_out(total);
-  return total;
+                        ExecContext* ctx, int threads) {
+  JoinLayout layout = MakeLayout(a, b);
+  if (layout.key.empty()) return a.NumRows() * b.NumRows();
+  return CountJoinRows(a, b, layout, ResolveExecContext(ctx), threads);
 }
 
 }  // namespace lsens

@@ -10,10 +10,11 @@ class ExecContext;
 // Natural-join algorithm selection. kAuto runs the cost-based picker
 // (ChooseJoinAlgorithm): it weighs hash build/probe against sort-merge,
 // crediting sides that are already ordered on the join key (a sorted merge
-// needs no sort at all) and consulting the exact output size from the
-// estimator. kHash / kSortMerge force one kernel; both produce identical
-// normalized outputs (the paper describes its algorithms with sort-merge
-// joins, so that kernel is also the cross-check oracle).
+// needs no sort at all), and consults the exact output size from the
+// estimator only when that size can change the pick. kHash / kSortMerge
+// force one kernel; both produce identical normalized outputs (the paper
+// describes its algorithms with sort-merge joins, so that kernel is also
+// the cross-check oracle).
 enum class JoinAlgorithm { kAuto, kHash, kSortMerge };
 
 struct JoinOptions {
@@ -52,12 +53,23 @@ inline JoinOptions WorkerJoinOptions(const JoinOptions& base,
 CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
                             const JoinOptions& options = {});
 
+// NaturalJoin(a, b, options) for a caller that already holds the join's
+// exact size, which it then does not count again. Precondition:
+// `known_rows` == EstimateJoinRows(a, b) (ignored by joins with a
+// defaulted side or no shared attribute). FoldJoin passes the count its
+// greedy order computed.
+CountedRelation NaturalJoinSized(const CountedRelation& a,
+                                 const CountedRelation& b, size_t known_rows,
+                                 const JoinOptions& options = {});
+
 // The algorithm kAuto would run for NaturalJoin(a, b): a cost model over
 // the input sizes, key-order of each side (RowsSortedBy), and the exact
-// join cardinality from EstimateJoinRows. Exposed for tests and explain
-// output. Joins that never reach the hash/sort-merge decision — defaulted
-// sides and empty join keys — report kHash (their dedicated paths ignore
-// the picker).
+// join cardinality from EstimateJoinRows. The cost model's sort-merge
+// margin only grows with the output size, so when sort-merge wins at zero
+// output rows the estimate is skipped; NaturalJoin decides by the same
+// code. Exposed for tests and explain output. Joins that never reach the
+// hash/sort-merge decision — defaulted sides and empty join keys — report
+// kHash (their dedicated paths ignore the picker).
 JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
                                   const CountedRelation& b,
                                   ExecContext* ctx = nullptr);
@@ -65,9 +77,10 @@ JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
 // Exact number of result rows NaturalJoin(a, b) would produce, computed in
 // O(|a| + |b|) with a flat hash-group table on the smaller side (key
 // verification included, so the count is exact even under hash
-// collisions). Used by FoldJoin's greedy join-order heuristic and the
-// cost-based picker. `threads` > 1 chunk-sums large probe sides on the
-// global pool (the count is unchanged).
+// collisions). Used by FoldJoin's greedy join order when more than one
+// candidate can win, and by the cost-based picker when sort-merge does not
+// win regardless of output size. `threads` > 1 chunk-sums large probe
+// sides on the global pool (the count is unchanged).
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
                         ExecContext* ctx = nullptr, int threads = 0);
 

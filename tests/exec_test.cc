@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "exec/counted_relation.h"
+#include "exec/exec_context.h"
 #include "exec/fold_join.h"
 #include "exec/join.h"
 #include "query/atom_scan.h"
@@ -302,9 +303,57 @@ TEST(FoldJoinTest, ChainFold) {
   CountedRelation a = MakeCounted({1}, {{{0}, 2}});
   CountedRelation b = MakeCounted({1, 2}, {{{0, 5}, 3}});
   CountedRelation c = MakeCounted({2}, {{{5}, 7}});
-  CountedRelation r = FoldJoin({&a, &b, &c});
+  ExecContext ctx;
+  JoinOptions opts;
+  opts.ctx = &ctx;
+  CountedRelation r = FoldJoin({&a, &b, &c}, opts);
   ASSERT_EQ(r.NumRows(), 1u);
   EXPECT_EQ(r.CountAt(0), Count(42));
+  // Each step has one attribute-sharing candidate, which wins whatever its
+  // size, so the greedy order counts no join.
+  EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr);
+}
+
+TEST(FoldJoinTest, CountedOrderMatchesForcedKernels) {
+  // A(x,y) B(y,z) C(x,w) and a defaulted D(y): from A, B, C and the
+  // covered D all share an attribute, so the greedy order counts B and C
+  // and hands the winner's count to its join. Every kernel choice must
+  // give the same fold.
+  Rng rng(8);
+  for (int trial = 0; trial < 30; ++trial) {
+    auto make = [&](AttributeSet attrs, size_t rows, uint64_t domain) {
+      CountedRelation r(std::move(attrs));
+      std::vector<Value> row(r.arity());
+      for (size_t i = 0; i < rows; ++i) {
+        for (Value& v : row) v = static_cast<Value>(rng.NextBounded(domain));
+        r.AppendRow(row, Count(1 + rng.NextBounded(3)));
+      }
+      r.Normalize();
+      return r;
+    };
+    CountedRelation a = make({1, 2}, 3 + rng.NextBounded(10), 6);
+    CountedRelation b = make({2, 3}, 30 + rng.NextBounded(60), 6);
+    CountedRelation c = make({1, 4}, 30 + rng.NextBounded(60), 6);
+    CountedRelation d = make({2}, rng.NextBounded(4), 6);
+    d.set_default_count(Count(1 + rng.NextBounded(4)));
+    const std::vector<const CountedRelation*> pieces = {&a, &b, &c, &d};
+
+    ExecContext ctx;
+    JoinOptions opts;
+    opts.ctx = &ctx;
+    const CountedRelation automatic = FoldJoin(pieces, opts);
+    EXPECT_NE(ctx.FindStats("estimate_join_rows"), nullptr);
+    for (JoinAlgorithm forced :
+         {JoinAlgorithm::kHash, JoinAlgorithm::kSortMerge}) {
+      const CountedRelation r = FoldJoin(pieces, {forced});
+      ASSERT_EQ(r.attrs(), automatic.attrs());
+      ASSERT_EQ(r.NumRows(), automatic.NumRows()) << "trial " << trial;
+      for (size_t i = 0; i < r.NumRows(); ++i) {
+        ASSERT_EQ(CompareRows(r.Row(i), automatic.Row(i)), 0);
+        ASSERT_EQ(r.CountAt(i), automatic.CountAt(i));
+      }
+    }
+  }
 }
 
 TEST(EvalTest, Figure1CountIsOne) {

@@ -181,6 +181,13 @@ TEST(JoinPickerTest, PrefersSortMergeWhenBothSidesKeySorted) {
   CountedRelation b = MakeRandom(rng, {1, 3}, 2000, 50);
   ASSERT_GT(a.NumRows(), 500u);
   EXPECT_EQ(ChooseJoinAlgorithm(a, b), JoinAlgorithm::kSortMerge);
+  // Sort-merge wins at any output size here, so kAuto never counts it.
+  ExecContext ctx;
+  JoinOptions opts;
+  opts.ctx = &ctx;
+  NaturalJoin(a, b, opts);
+  EXPECT_NE(ctx.FindStats("join.sort_merge"), nullptr);
+  EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr);
 }
 
 TEST(JoinPickerTest, PrefersHashWhenSortWouldDominate) {
@@ -212,6 +219,65 @@ TEST(JoinPickerTest, SkewFlipsThePickToSortMerge) {
   NaturalJoin(a, b, opts);
   EXPECT_NE(ctx.FindStats("join.sort_merge"), nullptr);
   EXPECT_EQ(ctx.FindStats("join.hash"), nullptr);
+}
+
+// The kernel kAuto ran, read from the stats of a fresh context.
+JoinAlgorithm KernelThatRan(const ExecContext& ctx) {
+  if (ctx.FindStats("join.sort_merge") != nullptr) {
+    EXPECT_EQ(ctx.FindStats("join.hash"), nullptr);
+    return JoinAlgorithm::kSortMerge;
+  }
+  EXPECT_NE(ctx.FindStats("join.hash"), nullptr);
+  return JoinAlgorithm::kHash;
+}
+
+TEST(JoinPickerTest, KernelThatRanIsTheExposedPick) {
+  // Key-sorted and unsorted sides, skewed and uniform keys, empty sides:
+  // kAuto — with and without a count handed in — runs exactly the kernel
+  // ChooseJoinAlgorithm reports, and its output is the forced kernels'.
+  Rng rng(31);
+  const std::vector<std::pair<AttributeSet, AttributeSet>> shapes = {
+      {{1, 2}, {1, 3}},  // key leading on both sides: both key-sorted
+      {{1, 2}, {2, 3}},  // key trailing on `a` only
+      {{1, 3}, {2, 3}},  // key trailing on both sides
+  };
+  for (int trial = 0; trial < 48; ++trial) {
+    const auto& [attrs_a, attrs_b] = shapes[trial % shapes.size()];
+    const bool skewed = trial % 2 == 1;
+    const AttrId key = Intersect(attrs_a, attrs_b)[0];
+    auto make = [&](const AttributeSet& attrs, bool empty) {
+      if (empty) return CountedRelation(attrs);
+      if (!skewed) return MakeRandom(rng, attrs, 1200, 300);
+      const size_t hot_col = static_cast<size_t>(
+          std::find(attrs.begin(), attrs.end(), key) - attrs.begin());
+      return MakeSkewed(rng, attrs, rng.NextBounded(400), hot_col, 42, 3000);
+    };
+    // Every eighth pair has both sides empty, the next one only `b`.
+    CountedRelation a = make(attrs_a, trial % 8 == 0);
+    CountedRelation b = make(attrs_b, trial % 8 < 2);
+    const std::string label = "trial " + std::to_string(trial);
+
+    const JoinAlgorithm picked = ChooseJoinAlgorithm(a, b);
+    if (a.NumRows() == 0 && b.NumRows() == 0) {
+      EXPECT_EQ(picked, JoinAlgorithm::kHash) << label;  // costs tie at 0
+    }
+    const CountedRelation hash = NaturalJoin(a, b, {JoinAlgorithm::kHash});
+    ExpectSameRelation(NaturalJoin(a, b, {JoinAlgorithm::kSortMerge}), hash,
+                       label.c_str());
+    ExecContext ctx;
+    JoinOptions opts;
+    opts.ctx = &ctx;
+    ExpectSameRelation(NaturalJoin(a, b, opts), hash, label.c_str());
+    EXPECT_EQ(KernelThatRan(ctx), picked) << label;
+
+    const size_t rows = EstimateJoinRows(a, b);
+    ExecContext sized_ctx;
+    opts.ctx = &sized_ctx;
+    ExpectSameRelation(NaturalJoinSized(a, b, rows, opts), hash,
+                       label.c_str());
+    EXPECT_EQ(KernelThatRan(sized_ctx), picked) << label;
+    EXPECT_EQ(sized_ctx.FindStats("estimate_join_rows"), nullptr) << label;
+  }
 }
 
 // --- ExecContext stats ----------------------------------------------------
