@@ -1,7 +1,8 @@
 // Operator micro-benchmarks (google-benchmark): the counted-relation
 // primitives every TSens pass is built from — r⋈ under each join kernel
 // (including the pre-ExecContext legacy kernels kept here as the
-// comparison baseline), FoldJoin's greedy order on a q2-shaped chain,
+// comparison baseline, and the covering kernel kAuto runs when one side's
+// attributes cover the other's), FoldJoin's greedy order on a q2-shaped chain,
 // Normalize and γ group-by-sum on the packed sort kernel, and the
 // Yannakakis-style count evaluation on TPC-H q1.
 //
@@ -287,6 +288,46 @@ void BM_AutoJoinPresorted(benchmark::State& state) {
                           static_cast<int64_t>(2 * rows));
 }
 BENCHMARK(BM_AutoJoinPresorted)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// kAuto on covering pairs — b.attrs ⊆ a.attrs, the shape of every
+// topjoin/botjoin step — which run as one filter-and-scale pass over `a`
+// (join.covering), range(0) = rows of the larger side:
+//   leading        a(x, y) ⋈ b(x): merge walk, nothing built;
+//   trailing       a(x, y) ⋈ b(y): table on b, probed by a's rows;
+//   covered-larger a(x, y) ⋈ b(y) with |b| = 10 |a|: table on a, b's
+//                  counts scattered over its runs.
+enum class CoveringShape { kLeading, kTrailing, kCoveredLarger };
+
+void BM_CoveringJoin(benchmark::State& state, CoveringShape shape) {
+  Rng rng(9);
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const bool larger = shape == CoveringShape::kCoveredLarger;
+  const AttributeSet key =
+      shape == CoveringShape::kLeading ? AttributeSet{1} : AttributeSet{2};
+  CountedRelation a =
+      MakeRandomCounted(rng, larger ? rows / 10 : rows, {1, 2}, rows / 4 + 1);
+  CountedRelation b =
+      MakeRandomCounted(rng, larger ? rows : rows / 4, key, rows / 2 + 1);
+  ExecContext ctx;
+  JoinOptions opts{JoinAlgorithm::kAuto, &ctx};
+  for (auto _ : state) {
+    CountedRelation j = NaturalJoin(a, b, opts);
+    benchmark::DoNotOptimize(j.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(a.NumRows() + b.NumRows()));
+}
+BENCHMARK_CAPTURE(BM_CoveringJoin, leading, CoveringShape::kLeading)
+    ->Arg(10000)
+    ->Arg(100000);
+BENCHMARK_CAPTURE(BM_CoveringJoin, trailing, CoveringShape::kTrailing)
+    ->Arg(10000)
+    ->Arg(100000);
+BENCHMARK_CAPTURE(BM_CoveringJoin, covered-larger,
+                  CoveringShape::kCoveredLarger)
+    ->Arg(10000)
+    ->Arg(100000);
 
 // FoldJoin over a TPC-H q2-shaped foreign-key chain, range(0) = lineitem
 // rows: Supplier(NK, SK), Part(PK), Partsupp(SK, PK) with four suppliers

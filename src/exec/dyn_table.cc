@@ -229,9 +229,13 @@ Count DynTable::Set(std::span<const Value> key, Count c) {
   return old;
 }
 
-bool DynTable::Adjust(std::span<const Value> key, Count c, bool add) {
+bool DynTable::Adjust(std::span<const Value> key, Count c, bool add,
+                      Count* old_out) {
   LSENS_CHECK(key.size() == arity());
-  if (c.IsZero()) return true;  // no-op; also keeps zero == absent intact
+  if (c.IsZero()) {  // no-op; also keeps zero == absent intact
+    if (old_out != nullptr) *old_out = Get(key);
+    return true;
+  }
   const uint64_t h = HashKey(key);
   ++stats_.key_hashes;
   ++stats_.locates;
@@ -239,6 +243,7 @@ bool DynTable::Adjust(std::span<const Value> key, Count c, bool add) {
       primary_.Locate(h, [&](uint32_t r) { return KeyEquals(r, key); });
   Count old =
       cur.row == FlatRowIndex::kNoRow ? Count::Zero() : counts_[cur.row];
+  if (old_out != nullptr) *old_out = old;
   if (add) {
     Count updated = old + c;
     if (updated.IsSaturated()) {

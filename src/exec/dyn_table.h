@@ -109,7 +109,10 @@ class DynTable {
   // Returns false — leaving the table unchanged but flagged saturated —
   // when the adjustment is not exactly representable: the count would
   // saturate, or more copies are removed than present (a stale log).
-  bool Adjust(std::span<const Value> key, Count c, bool add);
+  // A non-null `old` receives the key's count before the adjustment (read
+  // off the same probe, so recording it costs nothing).
+  bool Adjust(std::span<const Value> key, Count c, bool add,
+              Count* old = nullptr);
 
   // Appends the live row ids whose `index_id` columns equal `key`.
   void LookupIndex(int index_id, std::span<const Value> key,

@@ -18,10 +18,12 @@ namespace lsens {
 class ExecContextPool;
 
 // Aggregate counters for one operator kind. The exec layer records:
-//   join.hash, join.sort_merge, join.cross, join.default — NaturalJoin
-//     kernels; estimate_join_rows — the exact join-size pass, run only
-//     where its count can change a decision (the kAuto pick, FoldJoin's
-//     greedy order) or sizes a hash join's output;
+//   join.covering, join.hash, join.sort_merge, join.cross — NaturalJoin
+//     kernels (join.covering: one side's attributes cover the other's,
+//     or a top-k defaulted side; its build_rows is 0 for a merge walk);
+//     estimate_join_rows — the exact join-size pass, run only where its
+//     count can change a decision (the kAuto pick of a non-covering
+//     join, FoldJoin's greedy order) or sizes a hash join's output;
 //   fold_join — FoldJoin, and FoldJoinButLast (rows_out = the prefix);
 //   group_by_sum — γ; group_max — GroupMax, the max row of γ(A ⋈ B)
 //     without the join (rows_out 0 or 1; 0 also when it declines);
@@ -93,6 +95,7 @@ class ExecContext {
   std::vector<uint32_t>& sel_buf() { return sel_buf_; }
   std::vector<uint64_t>& hash_buf() { return hash_buf_; }
   std::vector<Value>& gather_buf() { return gather_buf_; }
+  std::vector<uint8_t>& flag_buf() { return flag_buf_; }
   FlatGroupTable& group_table() { return group_table_; }
 
   // --- Stats -------------------------------------------------------------
@@ -131,6 +134,7 @@ class ExecContext {
   std::vector<uint32_t> sel_buf_;
   std::vector<uint64_t> hash_buf_;
   std::vector<Value> gather_buf_;
+  std::vector<uint8_t> flag_buf_;
   FlatGroupTable group_table_;
   std::vector<OperatorStats> stats_;  // small: one entry per operator kind
   bool is_pool_worker_ = false;

@@ -63,42 +63,79 @@ void EmitRow(const JoinLayout& layout, std::span<const Value> ra,
   out->AppendRow(scratch, count);
 }
 
-// Join where `b` carries a default and b.attrs ⊆ a.attrs: every a-row
-// survives, multiplied by its b-match count or b's default. The match
-// lookup runs over a flat hash-group table on `b` instead of a per-row
-// binary search.
-CountedRelation JoinWithDefault(const CountedRelation& a,
-                                const CountedRelation& b, ExecContext& ctx) {
+// Covering join: b.attrs ⊆ a.attrs, so the key is all of b and the output
+// is `a` filtered and scaled: row i of `a` is kept, in a's order, with
+// count a.CountAt(i) × its match on `b` (b.default_count() when none,
+// zero unless `b` is top-k truncated). One pass, no count, and no
+// Normalize when `a` is normalized. The match comes from
+//   - a merge walk when the key is a's leading columns and both sides
+//     are normalized (nothing is built);
+//   - else the flat group table on the smaller side: built on `b` and
+//     probed by a's rows, or built on `a` with b's counts scattered over
+//     its runs (build_rows = min(|a|, |b|) either way).
+CountedRelation CoveringJoin(const CountedRelation& a, const CountedRelation& b,
+                             ExecContext& ctx) {
   LSENS_CHECK(IsSubset(b.attrs(), a.attrs()));
-  OpTimer op(ctx, "join.default", a.NumRows() + b.NumRows());
-  op.set_build_rows(b.NumRows());
-  JoinLayout layout = MakeLayout(a, b);  // out_attrs == a.attrs()
-
-  FlatGroupTable& table = ctx.group_table();
-  std::vector<int>& b_all_cols = ctx.col_buf();
-  b_all_cols.resize(b.arity());
-  for (size_t c = 0; c < b.arity(); ++c) b_all_cols[c] = static_cast<int>(c);
-  table.Build(b, b_all_cols);
-  // The probe side's key hashes in one column-batch pass, reused per row.
-  std::vector<uint64_t>& probe_hashes = ctx.hash_buf();
-  HashRowKeysBatch(a, layout.a_key_cols, ctx.gather_buf(), probe_hashes);
-
-  CountedRelation out(layout.out_attrs);
-  out.Reserve(a.NumRows());
-  for (size_t i = 0; i < a.NumRows(); ++i) {
-    std::span<const Value> row = a.Row(i);
-    Count multiplier = Count::Zero();
-    std::span<const uint32_t> run =
-        table.Probe(row, layout.a_key_cols, probe_hashes[i]);
-    if (run.empty()) {
-      multiplier = b.default_count();
-    } else {
-      for (uint32_t r : run) multiplier += b.CountAt(r);
-    }
-    Count c = a.CountAt(i) * multiplier;
-    if (!c.IsZero()) out.AppendRow(row, c);
+  OpTimer op(ctx, "join.covering", a.NumRows() + b.NumRows());
+  const size_t k = b.arity();
+  // a's columns carrying the key, in b's column order.
+  std::vector<int> a_key(k);
+  bool leading = true;
+  for (size_t c = 0; c < k; ++c) {
+    a_key[c] = a.ColumnOf(b.attrs()[c]);
+    leading = leading && a_key[c] == static_cast<int>(c);
   }
-  out.Normalize(&ctx);
+  const Count unmatched = b.default_count();
+  const size_t nb = b.NumRows();
+
+  CountedRelation out(AttributeSet{});
+  if (leading && a.normalized() && b.normalized()) {
+    size_t j = 0;
+    out = a.FilterScale([&](size_t i) {
+      const std::span<const Value> key = a.Row(i).first(k);
+      int cmp = 1;
+      while (j < nb && (cmp = CompareRowsUnchecked(b.Row(j), key)) < 0) ++j;
+      return j < nb && cmp == 0 ? b.CountAt(j) : unmatched;
+    });
+  } else {
+    std::vector<int>& b_cols = ctx.col_buf();
+    b_cols.resize(k);
+    std::iota(b_cols.begin(), b_cols.end(), 0);
+    FlatGroupTable& table = ctx.group_table();
+    std::vector<uint64_t>& hashes = ctx.hash_buf();
+    if (nb <= a.NumRows()) {
+      op.set_build_rows(nb);
+      table.Build(b, b_cols);
+      HashRowKeysBatch(a, a_key, ctx.gather_buf(), hashes);
+      out = a.FilterScale([&](size_t i) {
+        const std::span<const uint32_t> run =
+            table.Probe(a.Row(i), a_key, hashes[i]);
+        if (run.empty()) return unmatched;
+        Count m = Count::Zero();
+        for (uint32_t r : run) m += b.CountAt(r);
+        return m;
+      });
+    } else {
+      op.set_build_rows(a.NumRows());
+      table.Build(a, a_key);
+      HashRowKeysBatch(b, b_cols, ctx.gather_buf(), hashes);
+      std::vector<Count>& mult = ctx.count_buf();
+      mult.assign(a.NumRows(), Count::Zero());
+      // Matched rows, tracked only when unmatched ones take a default.
+      std::vector<uint8_t>& matched = ctx.flag_buf();
+      matched.assign(b.has_default() ? a.NumRows() : 0, 0);
+      for (size_t j = 0; j < nb; ++j) {
+        for (uint32_t i : table.Probe(b.Row(j), b_cols, hashes[j])) {
+          mult[i] += b.CountAt(j);
+          if (!matched.empty()) matched[i] = 1;
+        }
+      }
+      out = a.FilterScale([&](size_t i) {
+        return matched.empty() || matched[i] != 0 ? mult[i] : unmatched;
+      });
+    }
+  }
+  if (!out.normalized()) out.Normalize(&ctx);
   op.set_rows_out(out.NumRows());
   return out;
 }
@@ -398,27 +435,41 @@ AutoPick PickAuto(const CountedRelation& a, const CountedRelation& b,
   return pick;
 }
 
+// The covering side of a keyed join if kAuto runs it as a covering join
+// (its attributes contain the other side's), or nullptr. With equal
+// attributes the smaller side drives: the output is a subset of its rows.
+const CountedRelation* CoveringSide(const CountedRelation& a,
+                                    const CountedRelation& b) {
+  const bool a_covers = IsSubset(b.attrs(), a.attrs());
+  const bool b_covers = IsSubset(a.attrs(), b.attrs());
+  if (a_covers && b_covers) return b.NumRows() < a.NumRows() ? &b : &a;
+  if (a_covers) return &a;
+  return b_covers ? &b : nullptr;
+}
+
 // NaturalJoin given `known_rows` == EstimateJoinRows(a, b), or SIZE_MAX
 // when the caller has no count.
 CountedRelation JoinImpl(const CountedRelation& a, const CountedRelation& b,
                          size_t known_rows, const JoinOptions& options) {
   ExecContext& ctx = ResolveExecContext(options.ctx);
-  // Defaulted sides: route through the covering-join path.
+  // Defaulted sides join only as the covered side, under every algorithm.
   if (a.has_default() || b.has_default()) {
     LSENS_CHECK_MSG(!(a.has_default() && b.has_default()),
                     "at most one defaulted side per join");
-    if (b.has_default()) {
-      LSENS_CHECK_MSG(IsSubset(b.attrs(), a.attrs()),
-                      "defaulted side must be attribute-covered by the other");
-      return JoinWithDefault(a, b, ctx);
-    }
-    LSENS_CHECK_MSG(IsSubset(a.attrs(), b.attrs()),
+    const CountedRelation& covered = a.has_default() ? a : b;
+    const CountedRelation& covering = a.has_default() ? b : a;
+    LSENS_CHECK_MSG(IsSubset(covered.attrs(), covering.attrs()),
                     "defaulted side must be attribute-covered by the other");
-    return JoinWithDefault(b, a, ctx);
+    return CoveringJoin(covering, covered, ctx);
   }
 
   JoinLayout layout = MakeLayout(a, b);
   if (layout.key.empty()) return CrossProduct(a, b, ctx);
+  if (options.algorithm == JoinAlgorithm::kAuto) {
+    if (const CountedRelation* covering = CoveringSide(a, b)) {
+      return CoveringJoin(*covering, covering == &a ? b : a, ctx);
+    }
+  }
   if (options.algorithm == JoinAlgorithm::kSortMerge) {
     return SortMergeJoin(a, b, layout, known_rows,
                          RowsSortedBy(a, layout.a_key_cols),
@@ -468,7 +519,9 @@ JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
                                   const CountedRelation& b, ExecContext* ctx) {
   if (a.has_default() || b.has_default()) return JoinAlgorithm::kHash;
   JoinLayout layout = MakeLayout(a, b);
-  if (layout.key.empty()) return JoinAlgorithm::kHash;
+  if (layout.key.empty() || CoveringSide(a, b) != nullptr) {
+    return JoinAlgorithm::kHash;
+  }
   return PickAuto(a, b, layout, [&] {
            return CountJoinRows(a, b, layout, ResolveExecContext(ctx), 0);
          }).algorithm;

@@ -7,14 +7,19 @@ namespace lsens {
 
 class ExecContext;
 
-// Natural-join algorithm selection. kAuto runs the cost-based picker
-// (ChooseJoinAlgorithm): it weighs hash build/probe against sort-merge,
-// crediting sides that are already ordered on the join key (a sorted merge
-// needs no sort at all), and consults the exact output size from the
-// estimator only when that size can change the pick. kHash / kSortMerge
-// force one kernel; both produce identical normalized outputs (the paper
-// describes its algorithms with sort-merge joins, so that kernel is also
-// the cross-check oracle).
+// Natural-join algorithm selection. kAuto runs a covering join whenever
+// one side's attributes contain the other's (the shape of every
+// topjoin/botjoin and multiplicity-table join: an atom's projection with
+// a table grouped on its link attributes): one filter-and-scale pass over
+// the covering side, with no size count and no second probe. Other keyed
+// joins go to the cost-based picker (ChooseJoinAlgorithm): it weighs hash
+// build/probe against sort-merge, crediting sides that are already
+// ordered on the join key (a sorted merge needs no sort at all), and
+// consults the exact output size from the estimator only when that size
+// can change the pick. kHash / kSortMerge force one kernel; every kernel
+// produces the same normalized output (the paper describes its
+// algorithms with sort-merge joins, so that kernel is also the
+// cross-check oracle).
 enum class JoinAlgorithm { kAuto, kHash, kSortMerge };
 
 struct JoinOptions {
@@ -43,21 +48,32 @@ inline JoinOptions WorkerJoinOptions(const JoinOptions& base,
 
 // The paper's r⋈ operator: natural join on the shared attributes with
 // multiplicity (cnt) propagation by product. Output attributes are the
-// sorted union; an empty intersection yields a cross product.
+// sorted union; an empty intersection yields a cross product. The output
+// is always normalized.
+//
+// Covering joins — a non-empty key with one side's attributes covering
+// the other's — run under kAuto as one pass over the covering side (with
+// equal attributes, the smaller side): each of its rows is kept, in
+// order, with its count times its match count on the covered side, so a
+// normalized covering side needs no Normalize. The match comes from a
+// merge walk when the key leads the covering side and both sides are
+// normalized, and otherwise from a flat group table built on the smaller
+// side. Recorded as "join.covering".
 //
 // Defaulted (top-k truncated) inputs: at most one side may carry a
 // default_count, and that side's attributes must be covered by the other
-// side's (so unmatched rows of the covering side pick up the default
-// multiplier and no unbounded row set needs materializing). Violations
-// CHECK-fail; callers arrange join orders accordingly.
+// side's, so unmatched rows of the covering side pick up the default
+// multiplier and no unbounded row set needs materializing. Such joins run
+// the covering kernel under every algorithm. Violations CHECK-fail;
+// callers arrange join orders accordingly.
 CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
                             const JoinOptions& options = {});
 
 // NaturalJoin(a, b, options) for a caller that already holds the join's
 // exact size, which it then does not count again. Precondition:
-// `known_rows` == EstimateJoinRows(a, b) (ignored by joins with a
-// defaulted side or no shared attribute). FoldJoin passes the count its
-// greedy order computed.
+// `known_rows` == EstimateJoinRows(a, b) (ignored by covering joins,
+// defaulted sides and joins with no shared attribute). FoldJoin passes
+// the count its greedy order computed.
 CountedRelation NaturalJoinSized(const CountedRelation& a,
                                  const CountedRelation& b, size_t known_rows,
                                  const JoinOptions& options = {});
@@ -68,8 +84,9 @@ CountedRelation NaturalJoinSized(const CountedRelation& a,
 // margin only grows with the output size, so when sort-merge wins at zero
 // output rows the estimate is skipped; NaturalJoin decides by the same
 // code. Exposed for tests and explain output. Joins that never reach the
-// hash/sort-merge decision — defaulted sides and empty join keys — report
-// kHash (their dedicated paths ignore the picker).
+// hash/sort-merge decision — covering pairs, defaulted sides and empty
+// join keys — report kHash without counting (their dedicated kernels
+// ignore the picker).
 JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
                                   const CountedRelation& b,
                                   ExecContext* ctx = nullptr);
@@ -78,9 +95,10 @@ JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
 // O(|a| + |b|) with a flat hash-group table on the smaller side (key
 // verification included, so the count is exact even under hash
 // collisions). Used by FoldJoin's greedy join order when more than one
-// candidate can win, and by the cost-based picker when sort-merge does not
-// win regardless of output size. `threads` > 1 chunk-sums large probe
-// sides on the global pool (the count is unchanged).
+// candidate can win, and by the cost-based picker of a non-covering join
+// when sort-merge does not win regardless of output size; covering joins
+// never count. `threads` > 1 chunk-sums large probe sides on the global
+// pool (the count is unchanged).
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
                         ExecContext* ctx = nullptr, int threads = 0);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -31,7 +32,11 @@ namespace lsens {
 //
 // — the exact multiset of saturating products the from-scratch FoldJoin +
 // GroupBySum pipeline sums, which is why repaired tables are bit-identical
-// (saturating + and · are order-independent over a fixed multiset). Where
+// (saturating + and · are order-independent over a fixed multiset). Repair
+// applies this per changed driver row instead of re-summing the group:
+// out[g] += new term − old term, with each changed key's pre-pass count
+// recorded where the pass changes it; when any count involved saturates,
+// the delta is not exact and the group re-aggregates as above. Where
 // no single relation covers a fold — multi-atom GHD bags, multiplicity-
 // table components whose pieces share attributes, the per-tree root folds
 // behind the §5.4 cross-tree totals — a join node materializes the fold
@@ -49,8 +54,8 @@ namespace lsens {
 //
 // One delta pass (SyncStore) repairs the whole store: it applies the
 // relations' row deltas to the source nodes, then walks the fold nodes in
-// creation order (children always precede parents) re-aggregating only
-// groups (or join rows) reachable from a changed key; newly joinable rows
+// creation order (children always precede parents) repairing only groups
+// (or join rows) reachable from a changed key; newly joinable rows
 // of a join node are enumerated by extending each changed piece key
 // through the other pieces' secondary indexes. Per-piece max/argmax
 // trackers — registered on the node by every dependent entry — maintain
@@ -218,8 +223,15 @@ struct SharedNode {
   uint64_t last_used = 0;  // LRU tick for the spill policy
   size_t accounted_bytes = 0;  // last MemoryBytes charged to state_bytes
 
-  // Per delta pass: output keys whose count changed, for the parents.
+  // Per delta pass: output keys whose count changed, for the parents,
+  // sorted and unique, and each key's count before the pass.
   std::vector<std::vector<Value>> changed;
+  std::vector<Count> changed_old;
+
+  void ClearChanged() {
+    changed.clear();
+    changed_old.clear();
+  }
 };
 
 // Marks a node unrepairable and cascades to every dependent fold node (a
@@ -393,6 +405,76 @@ void SortUnique(std::vector<std::vector<Value>>* keys) {
   keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
 }
 
+// Sorts a source's changed keys (recorded once per adjustment, in
+// adjustment order) and drops repeats, keeping each key's first recorded
+// old count: its count before the pass.
+void SortChanged(SharedNode* node) {
+  std::vector<uint32_t> perm(node->changed.size());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
+    return node->changed[x] < node->changed[y];
+  });
+  std::vector<std::vector<Value>> keys;
+  std::vector<Count> olds;
+  for (uint32_t p : perm) {
+    if (!keys.empty() && keys.back() == node->changed[p]) continue;
+    keys.push_back(std::move(node->changed[p]));
+    olds.push_back(node->changed_old[p]);
+  }
+  node->changed.swap(keys);
+  node->changed_old.swap(olds);
+}
+
+// `key`'s count in `node`'s table before the current pass: the recorded
+// old count if the pass changed it, its current count otherwise.
+Count CountBeforePass(const SharedNode& node, std::span<const Value> key) {
+  auto it = std::lower_bound(
+      node.changed.begin(), node.changed.end(), key,
+      [](const std::vector<Value>& x, std::span<const Value> y) {
+        return std::lexicographical_compare(x.begin(), x.end(), y.begin(),
+                                            y.end());
+      });
+  if (it != node.changed.end() && std::equal(it->begin(), it->end(),
+                                             key.begin(), key.end())) {
+    return node.changed_old[static_cast<size_t>(it - node.changed.begin())];
+  }
+  return node.table.Get(key);
+}
+
+// A group node's new count for group `group` from its current one and the
+// terms of `rows` — the driver rows whose term (driver count × input
+// counts) the pass changed: out[g] − Σ old terms + Σ new terms. nullopt
+// when a value saturates (the delta is then not exact; the caller
+// re-aggregates the group instead).
+std::optional<Count> DeltaGroupCount(const SharedNode& node,
+                                     std::span<const Value> group,
+                                     std::span<const std::vector<Value>> rows,
+                                     std::vector<Value>& key) {
+  const SharedNode& driver = *node.driver;
+  Count sum_old = Count::Zero();
+  Count sum_new = Count::Zero();
+  for (const std::vector<Value>& row : rows) {
+    Count term_old = CountBeforePass(driver, row);
+    Count term_new = driver.table.Get(row);
+    for (const SharedNode::Input& input : node.inputs) {
+      if (term_old.IsZero() && term_new.IsZero()) break;
+      Project(row, input.driver_cols, &key);
+      if (!term_old.IsZero()) term_old *= CountBeforePass(*input.node, key);
+      if (!term_new.IsZero()) term_new *= input.node->table.Get(key);
+    }
+    sum_old += term_old;
+    sum_new += term_new;
+  }
+  const Count old = node.table.Get(group);
+  if (old.IsSaturated() || sum_old.IsSaturated() || sum_new.IsSaturated() ||
+      old < sum_old) {
+    return std::nullopt;
+  }
+  const Count updated = old.SaturatingSub(sum_old) + sum_new;
+  if (updated.IsSaturated()) return std::nullopt;
+  return updated;
+}
+
 }  // namespace
 
 // The canonical-signature node store: one shared_ptr per live node. The
@@ -406,6 +488,7 @@ struct NodeStore {
 }  // namespace incremental_detail
 
 using incremental_detail::CanonicalAttrs;
+using incremental_detail::DeltaGroupCount;
 using incremental_detail::ColsOf;
 using incremental_detail::KeyShard;
 using incremental_detail::MakePlan;
@@ -416,6 +499,7 @@ using incremental_detail::Project;
 using incremental_detail::RepairState;
 using incremental_detail::RescanTracker;
 using incremental_detail::SharedNode;
+using incremental_detail::SortChanged;
 using incremental_detail::SortUnique;
 using incremental_detail::Tracker;
 using incremental_detail::UpdateTracker;
@@ -1224,8 +1308,8 @@ SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
 // canonical-subtree sharing. Stage 1 pulls each source node's pending
 // change-log window and applies the row deltas; stage 2 walks the fold
 // nodes in creation order (children precede parents by construction,
-// across entries too) re-aggregating only keys reachable from a changed
-// child key. Attached trackers and §5.4 running totals are maintained in
+// across entries too) repairing only keys reachable from a changed child
+// key. Attached trackers and §5.4 running totals are maintained in
 // the same sweep. Nodes that cannot be repaired — unanswerable log, a
 // delta over the global gate, saturation — are marked stale (cascading to
 // dependents) and skipped; the pass itself never aborts.
@@ -1233,7 +1317,7 @@ SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
 // `threads` > 1 shards the pass over the global thread pool (via
 // ParallelApply on `ctx`): change-log entries and affected join-key groups
 // are hash-partitioned into per-worker shards, the pure read-only work
-// (predicate filtering, key projection, group re-aggregation) fans out,
+// (predicate filtering, key projection, group repair) fans out,
 // and every table mutation and tracker update applies serially in a
 // scheduling-independent order, so repaired state, results, and all
 // counters are bit-identical to the serial pass at any thread count.
@@ -1255,7 +1339,7 @@ void SensitivityCache::SyncStore(Database& db, int threads,
             [](const SharedNode* a, const SharedNode* b) {
               return a->seq < b->seq;
             });
-  for (SharedNode* node : nodes) node->changed.clear();
+  for (SharedNode* node : nodes) node->ClearChanged();
 
   // Pre-pass: poison checks and the global delta gate. The gate compares
   // the total pending changes across all live sources against the total
@@ -1338,10 +1422,12 @@ void SensitivityCache::SyncStore(Database& db, int threads,
     };
     auto apply_shard = [&](std::vector<ProjectedRowChange>& shard) {
       for (ProjectedRowChange& pc : shard) {
-        if (!src->table.Adjust(pc.key, Count::One(), pc.insert)) {
+        Count old;
+        if (!src->table.Adjust(pc.key, Count::One(), pc.insert, &old)) {
           return false;
         }
         src->changed.push_back(std::move(pc.key));
+        src->changed_old.push_back(old);
       }
       return true;
     };
@@ -1363,11 +1449,11 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       // Inexact adjustment (saturation / stale log): the table is poisoned
       // and everything downstream with it. The rest of the pass continues.
       MarkStale(src, SharedNode::StaleReason::kSaturated);
-      src->changed.clear();
+      src->ClearChanged();
       continue;
     }
     src->version = rel->version();
-    SortUnique(&src->changed);
+    SortChanged(src);
     // Trackers sitting directly on this S table (single-piece multiplicity
     // components): fold in each changed key's final value.
     for (const std::vector<Value>& changed : src->changed) {
@@ -1381,12 +1467,15 @@ void SensitivityCache::SyncStore(Database& db, int threads,
   // keys, then recompute each from the current (already-repaired) upstream
   // tables.
   //
-  // Group nodes collect groups directly from driver changes and via
-  // driver-index lookups from changed input keys, and re-aggregate each
-  // group. Join nodes collect, per changed piece key, the existing output
-  // rows matching it (the piece's out index) plus the newly joinable scope
-  // tuples (expansion through the other pieces' indexes), and recompute
-  // each row's count as the product of point lookups.
+  // Group nodes collect the driver rows whose term changed — the driver's
+  // changed keys, plus the rows a changed input key reaches through the
+  // driver's index — grouped by output key, and move each group's count by
+  // those rows' term deltas (DeltaGroupCount), re-aggregating the group
+  // only when a count saturates. Join nodes collect, per changed piece
+  // key, the existing output rows matching it (the piece's out index) plus
+  // the newly joinable scope tuples (expansion through the other pieces'
+  // indexes), and recompute each row's count as the product of point
+  // lookups.
   //
   // Either way the recomputation reads only upstream state, so the
   // affected keys — disjoint work — fan out over key-hash shards; the
@@ -1397,24 +1486,39 @@ void SensitivityCache::SyncStore(Database& db, int threads,
   for (SharedNode* node : nodes) {
     if (node->kind == SharedNode::Kind::kSource) continue;
     if (node->stale != SharedNode::StaleReason::kNone) continue;
+    // Affected output keys, sorted and unique. For a group node, group g's
+    // changed driver rows are drivers[run[g] .. run[g + 1]).
     std::vector<std::vector<Value>> affected;
+    std::vector<std::vector<Value>> drivers;
+    std::vector<size_t> run;
     if (node->kind == SharedNode::Kind::kGroup) {
       const DynTable& driver = node->driver->table;
+      std::vector<std::pair<std::vector<Value>, std::vector<Value>>> pairs;
+      auto add = [&](std::span<const Value> row) {
+        Project(row, node->group_cols, &key);
+        pairs.emplace_back(key, std::vector<Value>(row.begin(), row.end()));
+      };
       for (const std::vector<Value>& changed : node->driver->changed) {
-        Project(changed, node->group_cols, &key);
-        affected.push_back(key);
+        add(changed);
       }
       for (const SharedNode::Input& input : node->inputs) {
         for (const std::vector<Value>& changed : input.node->changed) {
           rows.clear();
           driver.LookupIndex(input.driver_index, changed, &rows);
           rows_touched += rows.size();
-          for (uint32_t r : rows) {
-            Project(driver.RowValues(r), node->group_cols, &key);
-            affected.push_back(key);
-          }
+          for (uint32_t r : rows) add(driver.RowValues(r));
         }
       }
+      std::sort(pairs.begin(), pairs.end());
+      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+      for (auto& [group, row] : pairs) {
+        if (affected.empty() || affected.back() != group) {
+          affected.push_back(std::move(group));
+          run.push_back(drivers.size());
+        }
+        drivers.push_back(std::move(row));
+      }
+      run.push_back(drivers.size());
     } else {
       std::vector<std::vector<Value>> frontier;
       std::vector<std::vector<Value>> next;
@@ -1466,8 +1570,8 @@ void SensitivityCache::SyncStore(Database& db, int threads,
           }
         }
       }
+      SortUnique(&affected);
     }
-    SortUnique(&affected);
     if (affected.empty()) continue;
     const size_t node_shards =
         num_shards > 1 && affected.size() > kShardMinWork ? num_shards : 1;
@@ -1487,6 +1591,15 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       for (size_t g = 0; g < affected.size(); ++g) {
         if (node_shards > 1 && shard_of[g] != s) continue;
         if (node->kind == SharedNode::Kind::kGroup) {
+          const std::span<const std::vector<Value>> changed_rows(
+              drivers.data() + run[g], run[g + 1] - run[g]);
+          touched += changed_rows.size() + 1;
+          const std::optional<Count> delta =
+              DeltaGroupCount(*node, affected[g], changed_rows, lookup_key);
+          if (delta.has_value()) {
+            sums[g] = *delta;
+            continue;
+          }
           const DynTable& driver = node->driver->table;
           group_rows.clear();
           driver.LookupIndex(node->driver_group_index, affected[g],
@@ -1525,6 +1638,7 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       Count old = node->table.Set(affected[g], sums[g]);
       if (old == sums[g]) continue;
       node->changed.push_back(affected[g]);
+      node->changed_old.push_back(old);
       for (Tracker* t : node->trackers) {
         UpdateTracker(*t, affected[g], sums[g]);
       }
@@ -1544,7 +1658,7 @@ void SensitivityCache::SyncStore(Database& db, int threads,
     if (ok && node->table.saturated()) ok = false;
     if (!ok) {
       MarkStale(node, SharedNode::StaleReason::kSaturated);
-      node->changed.clear();
+      node->ClearChanged();
       continue;
     }
     if (!node->changed.empty()) ++nodes_patched;

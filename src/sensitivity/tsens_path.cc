@@ -1,6 +1,7 @@
 #include "sensitivity/tsens_path.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "exec/exec_context.h"
@@ -127,12 +128,14 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
   const bool truncation_applied = chain_truncated[0] || chain_truncated[1];
 
   // Per-distance δ_i computations: every position reads only the shared
-  // ⊤/⊥ chains (filtering its own copies) and writes its own atom slot, so
-  // they fan out one task per position; the winner reduction afterwards
-  // walks positions in chain order, matching the serial tie-breaking.
+  // ⊤/⊥ chains (copying a part only to filter it) and writes its own atom
+  // slot, so they fan out one task per position; the winner reduction
+  // afterwards walks positions in chain order, matching the serial
+  // tie-breaking.
   SensitivityResult result;
   result.local_sensitivity = Count::Zero();
   result.atoms.resize(static_cast<size_t>(q.num_atoms()));
+  const CountedRelation unit = CountedRelation::Unit();
   auto compute_position = [&](size_t i) {
     const int atom_index = order[i];
     AtomSensitivity& out = result.atoms[static_cast<size_t>(atom_index)];
@@ -148,28 +151,30 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
     }
 
     // δ_i = max ⊤ · max ⊥, with predicate filtering on the link values:
-    // an inserted tuple must itself satisfy the atom's predicates.
-    CountedRelation top_part =
-        (i == 0) ? CountedRelation::Unit() : topjoin[i];
-    CountedRelation bot_part =
-        (i + 1 == m) ? CountedRelation::Unit() : botjoin[i + 1];
-    {
-      const Atom& atom = q.atom(atom_index);
-      for (CountedRelation* part : {&top_part, &bot_part}) {
-        std::vector<std::pair<int, Predicate>> checks;
-        for (const Predicate& p : atom.predicates) {
-          int col = part->ColumnOf(p.var);
-          if (col >= 0) checks.emplace_back(col, p);
-        }
-        if (checks.empty()) continue;
-        part->Filter([&](std::span<const Value> row) {
-          for (const auto& [col, pred] : checks) {
-            if (!pred.Eval(row[static_cast<size_t>(col)])) return false;
-          }
-          return true;
-        });
+    // an inserted tuple must itself satisfy the atom's predicates. Both
+    // parts are read in place; only a part a predicate filters is copied.
+    const CountedRelation* parts[2] = {
+        i == 0 ? &unit : &topjoin[i], i + 1 == m ? &unit : &botjoin[i + 1]};
+    std::optional<CountedRelation> filtered[2];
+    const Atom& atom = q.atom(atom_index);
+    for (size_t p = 0; p < 2; ++p) {
+      std::vector<std::pair<int, Predicate>> checks;
+      for (const Predicate& pred : atom.predicates) {
+        int col = parts[p]->ColumnOf(pred.var);
+        if (col >= 0) checks.emplace_back(col, pred);
       }
+      if (checks.empty()) continue;
+      filtered[p] = *parts[p];
+      filtered[p]->Filter([&](std::span<const Value> row) {
+        for (const auto& [col, pred] : checks) {
+          if (!pred.Eval(row[static_cast<size_t>(col)])) return false;
+        }
+        return true;
+      });
+      parts[p] = &*filtered[p];
     }
+    const CountedRelation& top_part = *parts[0];
+    const CountedRelation& bot_part = *parts[1];
 
     Count top_max = top_part.MaxCount();
     Count bot_max = bot_part.MaxCount();

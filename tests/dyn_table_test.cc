@@ -199,7 +199,9 @@ TEST_P(DynTableDifferentialTest, MatchesMapModelThroughLongStreams) {
         bool add = rng.NextBounded(2) == 0;
         Count old = model.Get(key);
         if (!add && old < c) add = true;  // stay unpoisoned
-        ASSERT_TRUE(table.Adjust(key, c, add)) << "step " << step;
+        Count reported;
+        ASSERT_TRUE(table.Adjust(key, c, add, &reported)) << "step " << step;
+        EXPECT_EQ(reported, old) << "step " << step;
         model.Set(key, add ? old + c : old.SaturatingSub(c));
         break;
       }
@@ -258,7 +260,10 @@ TEST(DynTableProbeStatsTest, SetAndAdjustHashExactlyOnce) {
   EXPECT_EQ(after.locates - before.locates, 1u);
 
   before = after;
-  EXPECT_TRUE(table.Adjust(std::vector<Value>{1, 10}, Count(2), true));
+  // Reporting the previous count rides on the same probe.
+  Count old;
+  EXPECT_TRUE(table.Adjust(std::vector<Value>{1, 10}, Count(2), true, &old));
+  EXPECT_EQ(old, Count(5));
   after = table.stats();
   EXPECT_EQ(after.key_hashes - before.key_hashes, 1u);
   EXPECT_EQ(after.locates - before.locates, 1u);

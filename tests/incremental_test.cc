@@ -1219,5 +1219,35 @@ TEST(IncrementalWorkTest, SingleRowRepairDoesAsymptoticallyLessWork) {
   ExpectResultsIdentical(*repaired, *fresh, "large instance repair");
 }
 
+// A group's count moves by its changed driver rows' term deltas; the
+// repair never re-reads the group's other rows. Here group C = 0 of
+// γ_C(P2 ⋈ γ_B(P1)) has 1,000 driver rows, and one P1 insert changes the
+// term of exactly one of them.
+TEST(IncrementalWorkTest, GroupRepairReadsOnlyChangedDriverRows) {
+  Database db;
+  Relation* p1 = db.AddRelation("P1", {"x", "y"});
+  Relation* p2 = db.AddRelation("P2", {"x", "y"});
+  Relation* p3 = db.AddRelation("P3", {"x", "y"});
+  for (Value i = 0; i < 50; ++i) p1->AppendRow({i, i % 5});
+  for (Value i = 0; i < 1000; ++i) p2->AppendRow({i, 0});
+  for (Value i = 0; i < 50; ++i) p3->AppendRow({0, i});
+  ConjunctiveQuery q;
+  q.AddAtom(db, "P1", {"A", "B"});
+  q.AddAtom(db, "P2", {"B", "C"});
+  q.AddAtom(db, "P3", {"C", "D"});
+
+  SensitivityCache cache;
+  ASSERT_TRUE(cache.Compute(q, db).ok());
+  const uint64_t build_rows = cache.stats().repair_rows;
+  p1->AppendRow({7, 3});
+  auto repaired = cache.Compute(q, db);
+  ASSERT_TRUE(repaired.ok());
+  ASSERT_EQ(cache.stats().repairs, 1u);
+  EXPECT_LT(cache.stats().repair_rows - build_rows, 100u) << build_rows;
+  auto fresh = ComputeLocalSensitivity(q, db);
+  ASSERT_TRUE(fresh.ok());
+  ExpectResultsIdentical(*repaired, *fresh, "one changed driver row");
+}
+
 }  // namespace
 }  // namespace lsens

@@ -113,26 +113,6 @@ TEST(JoinDifferentialTest, AllAlgorithmsMatchNestedLoopOracle) {
   }
 }
 
-TEST(JoinDifferentialTest, DefaultedSideMatchesManualExpansion) {
-  Rng rng(77);
-  for (int trial = 0; trial < 60; ++trial) {
-    CountedRelation a = MakeRandom(rng, {1, 2}, 20, 4);
-    CountedRelation b = MakeRandom(rng, {2}, 6, 4);
-    b.set_default_count(Count(1 + rng.NextBounded(5)));
-
-    CountedRelation joined = NaturalJoin(a, b);
-    // Manual expansion: every a-row times its match count or the default.
-    CountedRelation expected(a.attrs());
-    for (size_t i = 0; i < a.NumRows(); ++i) {
-      Value key[] = {a.Row(i)[1]};
-      Count c = a.CountAt(i) * b.Lookup(key);
-      if (!c.IsZero()) expected.AppendRow(a.Row(i), c);
-    }
-    expected.Normalize();
-    ExpectSameRelation(joined, expected, "defaulted join");
-  }
-}
-
 TEST(JoinDifferentialTest, EmptyKeyAndEmptyInputEdgeCases) {
   // Empty inputs under every algorithm, with and without a shared key.
   for (JoinAlgorithm algo :
@@ -154,6 +134,187 @@ TEST(JoinDifferentialTest, EmptyKeyAndEmptyInputEdgeCases) {
     // Unit is the neutral element regardless of algorithm.
     CountedRelation u = NaturalJoin(one, CountedRelation::Unit(), {algo});
     ExpectSameRelation(u, one, "unit join");
+  }
+}
+
+// --- Covering joins ---------------------------------------------------------
+
+// A random relation with counts drawn from near Count::Max() — their
+// products saturate, so every kernel's saturating arithmetic is compared.
+CountedRelation MakeHugeCounts(Rng& rng, AttributeSet attrs, size_t max_rows,
+                               uint64_t domain) {
+  const Count big(uint64_t{1} << 63);
+  const Count huge = Count(UINT64_MAX) * Count(UINT64_MAX);
+  const Count picks[] = {Count::One(), big, big * big, huge, Count::Max()};
+  CountedRelation r(std::move(attrs));
+  const size_t rows = rng.NextBounded(max_rows + 1);
+  std::vector<Value> row(r.arity());
+  for (size_t i = 0; i < rows; ++i) {
+    for (auto& v : row) v = static_cast<Value>(rng.NextBounded(domain));
+    r.AppendRow(row, picks[rng.NextBounded(5)]);
+  }
+  r.Normalize();
+  return r;
+}
+
+// Random rows appended with no Normalize: duplicates, arbitrary order and
+// zero counts included.
+CountedRelation MakeUnnormalized(Rng& rng, AttributeSet attrs,
+                                 size_t max_rows, uint64_t domain) {
+  CountedRelation r(std::move(attrs));
+  const size_t rows = 2 + rng.NextBounded(max_rows);
+  std::vector<Value> row(r.arity());
+  for (size_t i = 0; i < rows; ++i) {
+    for (auto& v : row) v = static_cast<Value>(rng.NextBounded(domain));
+    r.AppendRow(row, Count(rng.NextBounded(4)));
+  }
+  return r;
+}
+
+struct CoveringCase {
+  std::string label;
+  CountedRelation a;
+  CountedRelation b;
+};
+
+// One covering pair of every shape the kernel distinguishes: the key
+// leading or trailing on the covering side, equal attributes, a covered
+// side larger than the covering side, an unnormalized covering side,
+// empty sides, and counts near Count::Max(); the covered side is passed
+// second or first.
+std::vector<CoveringCase> MakeCoveringCases(Rng& rng, int trial) {
+  std::vector<CoveringCase> cases;
+  auto add = [&](std::string label, CountedRelation a, CountedRelation b) {
+    label += " trial " + std::to_string(trial);
+    if (trial % 2 == 1) std::swap(a, b);
+    cases.push_back({std::move(label), std::move(a), std::move(b)});
+  };
+  add("leading", MakeRandom(rng, {1, 2}, 300, 40),
+      MakeRandom(rng, {1}, 40, 50));
+  add("leading pair", MakeRandom(rng, {1, 2, 3}, 300, 8),
+      MakeRandom(rng, {1, 2}, 60, 9));
+  add("trailing", MakeRandom(rng, {1, 2}, 300, 40),
+      MakeRandom(rng, {2}, 40, 50));
+  add("middle", MakeRandom(rng, {1, 2, 3}, 300, 8),
+      MakeRandom(rng, {2}, 10, 9));
+  add("equal attrs", MakeRandom(rng, {1, 2}, 200, 12),
+      MakeRandom(rng, {1, 2}, 200, 12));
+  add("covered larger, leading", MakeRandom(rng, {1, 2}, 20, 300),
+      MakeRandom(rng, {1}, 300, 400));
+  add("covered larger, trailing", MakeRandom(rng, {1, 2}, 20, 300),
+      MakeRandom(rng, {2}, 300, 400));
+  add("unnormalized covering", MakeUnnormalized(rng, {1, 2}, 200, 20),
+      MakeRandom(rng, {1}, 30, 25));
+  add("unnormalized, covered larger", MakeUnnormalized(rng, {1, 2}, 20, 30),
+      MakeRandom(rng, {2}, 100, 40));
+  add("empty covering", CountedRelation({1, 2}), MakeRandom(rng, {2}, 30, 9));
+  add("empty covered", MakeRandom(rng, {1, 2}, 30, 9), CountedRelation({2}));
+  add("both empty", CountedRelation({1, 2}), CountedRelation({1}));
+  add("near max, leading", MakeHugeCounts(rng, {1, 2}, 200, 12),
+      MakeHugeCounts(rng, {1}, 12, 14));
+  add("near max, trailing", MakeHugeCounts(rng, {1, 2}, 30, 12),
+      MakeHugeCounts(rng, {2}, 100, 14));
+  return cases;
+}
+
+// join.covering's build_rows: none for the merge walk (the key leads the
+// covering side and both sides are normalized), else the smaller side's
+// rows — never the larger side's.
+uint64_t CoveringBuildRows(const CountedRelation& covering,
+                           const CountedRelation& covered) {
+  const bool merge = covering.normalized() && covered.normalized() &&
+                     std::equal(covered.attrs().begin(), covered.attrs().end(),
+                                covering.attrs().begin());
+  return merge ? 0 : std::min(covering.NumRows(), covered.NumRows());
+}
+
+TEST(CoveringJoinTest, MatchesForcedKernelsBitForBit) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 24; ++trial) {
+    for (const CoveringCase& c : MakeCoveringCases(rng, trial)) {
+      const char* label = c.label.c_str();
+      const CountedRelation& a = c.a;
+      const CountedRelation& b = c.b;
+      ExecContext ctx;
+      JoinOptions opts;
+      opts.ctx = &ctx;
+      const CountedRelation automatic = NaturalJoin(a, b, opts);
+      EXPECT_TRUE(automatic.normalized()) << label;
+      ExpectSameRelation(automatic, NaturalJoin(a, b, {JoinAlgorithm::kHash}),
+                         label);
+      ExpectSameRelation(automatic,
+                         NaturalJoin(a, b, {JoinAlgorithm::kSortMerge}),
+                         label);
+
+      // One covering pass: never counted, never hashed or merged by the
+      // general kernels, and never normalized when its inputs already are.
+      const OperatorStats* covering = ctx.FindStats("join.covering");
+      ASSERT_NE(covering, nullptr) << label;
+      EXPECT_EQ(covering->calls, 1u) << label;
+      EXPECT_EQ(covering->rows_out, automatic.NumRows()) << label;
+      EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr) << label;
+      EXPECT_EQ(ctx.FindStats("join.hash"), nullptr) << label;
+      EXPECT_EQ(ctx.FindStats("join.sort_merge"), nullptr) << label;
+      if (a.normalized() && b.normalized()) {
+        EXPECT_EQ(ctx.FindStats("normalize"), nullptr) << label;
+      }
+      EXPECT_EQ(ChooseJoinAlgorithm(a, b, &ctx), JoinAlgorithm::kHash)
+          << label;
+      EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr) << label;
+
+      // With equal attributes the smaller side covers.
+      const bool a_covers = IsSubset(b.attrs(), a.attrs()) &&
+                            (a.attrs() != b.attrs() ||
+                             a.NumRows() <= b.NumRows());
+      EXPECT_EQ(covering->build_rows,
+                a_covers ? CoveringBuildRows(a, b) : CoveringBuildRows(b, a))
+          << label;
+    }
+  }
+}
+
+TEST(JoinDifferentialTest, DefaultedSideMatchesManualExpansion) {
+  // A top-k defaulted covered side under every algorithm, passed first or
+  // second, leading and trailing, smaller and larger than the covering
+  // side: each covering row takes its match count or the default.
+  Rng rng(99);
+  const std::vector<std::pair<AttributeSet, AttributeSet>> shapes = {
+      {{1, 2}, {1}}, {{1, 2}, {2}}, {{1, 2, 3}, {1, 3}}, {{1, 2}, {1, 2}}};
+  for (int trial = 0; trial < 64; ++trial) {
+    const auto& [attrs_a, attrs_b] = shapes[trial % shapes.size()];
+    const bool covered_larger = trial % 3 == 0;
+    CountedRelation a = trial % 5 == 4
+                            ? MakeUnnormalized(rng, attrs_a, 30, 6)
+                            : MakeRandom(rng, attrs_a, covered_larger ? 6 : 60,
+                                         6);
+    CountedRelation b =
+        MakeRandom(rng, attrs_b, covered_larger ? 80 : 8, 6);
+    b.set_default_count(Count(1 + rng.NextBounded(5)));
+
+    CountedRelation expected(a.attrs());
+    std::vector<Value> key(b.arity());
+    for (size_t i = 0; i < a.NumRows(); ++i) {
+      for (size_t c = 0; c < b.arity(); ++c) {
+        key[c] = a.Row(i)[static_cast<size_t>(a.ColumnOf(b.attrs()[c]))];
+      }
+      const Count count = a.CountAt(i) * b.Lookup(key);
+      if (!count.IsZero()) expected.AppendRow(a.Row(i), count);
+    }
+    expected.Normalize();
+    const std::string label = "trial " + std::to_string(trial);
+    for (JoinAlgorithm algo : {JoinAlgorithm::kAuto, JoinAlgorithm::kHash,
+                               JoinAlgorithm::kSortMerge}) {
+      ExecContext ctx;
+      JoinOptions opts{algo, &ctx};
+      const CountedRelation joined =
+          trial % 2 == 0 ? NaturalJoin(a, b, opts) : NaturalJoin(b, a, opts);
+      EXPECT_TRUE(joined.normalized()) << label;
+      ExpectSameRelation(joined, expected, label.c_str());
+      const OperatorStats* covering = ctx.FindStats("join.covering");
+      ASSERT_NE(covering, nullptr) << label;
+      EXPECT_EQ(covering->build_rows, CoveringBuildRows(a, b)) << label;
+      EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr) << label;
+    }
   }
 }
 
