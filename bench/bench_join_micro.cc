@@ -2,7 +2,8 @@
 // primitives every TSens pass is built from — r⋈ under each join kernel
 // (including the pre-ExecContext legacy kernels kept here as the
 // comparison baseline, and the covering kernel kAuto runs when one side's
-// attributes cover the other's), FoldJoin's greedy order on a q2-shaped chain,
+// attributes cover the other's), FoldJoin's k-way covering fold and its
+// greedy order on a q2-shaped chain,
 // Normalize and γ group-by-sum on the packed sort kernel, and the
 // Yannakakis-style count evaluation on TPC-H q1.
 //
@@ -290,12 +291,12 @@ void BM_AutoJoinPresorted(benchmark::State& state) {
 BENCHMARK(BM_AutoJoinPresorted)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // kAuto on covering pairs — b.attrs ⊆ a.attrs, the shape of every
-// topjoin/botjoin step — which run as one filter-and-scale pass over `a`
+// topjoin/botjoin step — which run as one merge-walk pass over `a`
 // (join.covering), range(0) = rows of the larger side:
-//   leading        a(x, y) ⋈ b(x): merge walk, nothing built;
-//   trailing       a(x, y) ⋈ b(y): table on b, probed by a's rows;
-//   covered-larger a(x, y) ⋈ b(y) with |b| = 10 |a|: table on a, b's
-//                  counts scattered over its runs.
+//   leading        a(x, y) ⋈ b(x): the walk reads a's rows in order;
+//   trailing       a(x, y) ⋈ b(y): a's rows are packed-sorted on y first;
+//   covered-larger a(x, y) ⋈ b(y) with |b| = 10 |a|: the walk gallops
+//                  over b's unmatched runs.
 enum class CoveringShape { kLeading, kTrailing, kCoveredLarger };
 
 void BM_CoveringJoin(benchmark::State& state, CoveringShape shape) {
@@ -328,6 +329,48 @@ BENCHMARK_CAPTURE(BM_CoveringJoin, covered-larger,
                   CoveringShape::kCoveredLarger)
     ->Arg(10000)
     ->Arg(100000);
+
+// FoldJoin when one piece covers the rest, the shape of every q2 fold:
+// a driver S(x, y, z) of range(1) rows and range(0) covered ⊥/⊤-style
+// tables of range(1)/4 rows each, run as one k-way join.covering pass
+// (no join order, no counts, no intermediate relation). The leading fold's
+// sides sit on S's leading columns ({x}, {x, y}, then {x} again), so the
+// walk reads S in order; the trailing fold's sides ({z}, {y, z}, {z}) share
+// packed sorts of S on their key columns.
+void RunCoveringFold(benchmark::State& state, bool leading) {
+  Rng rng(12);
+  const size_t sides = static_cast<size_t>(state.range(0));
+  const size_t rows = static_cast<size_t>(state.range(1));
+  const uint64_t domain = rows / 8 + 1;
+  const std::vector<AttributeSet> keys =
+      leading ? std::vector<AttributeSet>{{1}, {1, 2}, {1}}
+              : std::vector<AttributeSet>{{3}, {2, 3}, {3}};
+  CountedRelation driver = MakeRandomCounted(rng, rows, {1, 2, 3}, domain);
+  std::vector<CountedRelation> covered;
+  for (size_t s = 0; s < sides; ++s) {
+    covered.push_back(
+        MakeRandomCounted(rng, rows / 4, keys[s % keys.size()], domain));
+  }
+  std::vector<const CountedRelation*> pieces = {&driver};
+  for (const CountedRelation& c : covered) pieces.push_back(&c);
+  ExecContext ctx;
+  JoinOptions opts{JoinAlgorithm::kAuto, &ctx};
+  for (auto _ : state) {
+    CountedRelation j = FoldJoin(pieces, opts);
+    benchmark::DoNotOptimize(j.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows + sides * (rows / 4)));
+}
+void BM_CoveringFold(benchmark::State& state) {
+  RunCoveringFold(state, /*leading=*/true);
+}
+void BM_CoveringFoldTrailing(benchmark::State& state) {
+  RunCoveringFold(state, /*leading=*/false);
+}
+BENCHMARK(BM_CoveringFold)->ArgsProduct({{2, 3}, {10000, 100000}});
+BENCHMARK(BM_CoveringFoldTrailing)->ArgsProduct({{2, 3}, {10000, 100000}});
 
 // FoldJoin over a TPC-H q2-shaped foreign-key chain, range(0) = lineitem
 // rows: Supplier(NK, SK), Part(PK), Partsupp(SK, PK) with four suppliers

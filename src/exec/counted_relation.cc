@@ -207,6 +207,31 @@ void CountedRelation::Filter(
   counts_ = std::move(new_counts);
 }
 
+CountedRelation CountedRelation::FilterScale(
+    std::span<const Count> factors) const {
+  LSENS_CHECK(factors.size() == NumRows());
+  const size_t n = NumRows();
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    kept += !counts_[i].IsZero() && !factors[i].IsZero();
+  }
+  CountedRelation out(attrs_);
+  const size_t k = arity();
+  out.data_.resize(kept * k);
+  out.counts_.resize(kept);
+  Value* dst = out.data_.data();
+  Count* cnt = out.counts_.data();
+  for (size_t i = 0; i < n; ++i) {
+    const Count c = counts_[i] * factors[i];
+    if (c.IsZero()) continue;
+    std::copy_n(data_.data() + i * k, k, dst);
+    dst += k;
+    *cnt++ = c;
+  }
+  out.normalized_ = normalized_;
+  return out;
+}
+
 void CountedRelation::ScaleCounts(Count factor, ExecContext* ctx) {
   for (Count& c : counts_) c *= factor;
   default_count_ *= factor;

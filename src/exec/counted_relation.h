@@ -103,14 +103,14 @@ class CountedRelation {
   // Drops rows for which `keep` returns false. Preserves normalization.
   void Filter(const std::function<bool(std::span<const Value>)>& keep);
 
-  // Row i with count CountAt(i) × factor(i), rows in order, zero products
-  // dropped: the one-pass filter-and-scale behind covering joins
-  // (exec/join.cc). The output keeps this relation's attrs and its
-  // normalization — a subsequence of sorted unique rows stays sorted and
-  // unique — so a normalized input needs no Normalize afterwards. The
-  // default is not carried over.
-  template <typename FactorFn>
-  CountedRelation FilterScale(FactorFn&& factor) const;
+  // Row i with count CountAt(i) × factors[i], rows in order, zero products
+  // dropped: the one output pass of a covering join (exec/join.cc). The
+  // output is sized once and written in place. It keeps this relation's
+  // attrs and its normalization — a subsequence of sorted unique rows
+  // stays sorted and unique — so a normalized input needs no Normalize
+  // afterwards. The default is not carried over. `factors` has one entry
+  // per row.
+  CountedRelation FilterScale(std::span<const Count> factors) const;
 
   // Multiplies every count (and the default) by `factor`, saturating.
   // A zero factor triggers a Normalize (zero-count rows must drop), whose
@@ -135,22 +135,6 @@ class CountedRelation {
   Count default_count_ = Count::Zero();
   bool normalized_ = true;  // vacuously true while empty
 };
-
-template <typename FactorFn>
-CountedRelation CountedRelation::FilterScale(FactorFn&& factor) const {
-  CountedRelation out(attrs_);
-  const size_t k = arity();
-  out.Reserve(NumRows());
-  for (size_t i = 0; i < NumRows(); ++i) {
-    const Count c = counts_[i] * factor(i);
-    if (c.IsZero()) continue;
-    const auto row = data_.begin() + static_cast<ptrdiff_t>(i * k);
-    out.data_.insert(out.data_.end(), row, row + static_cast<ptrdiff_t>(k));
-    out.counts_.push_back(c);
-  }
-  out.normalized_ = normalized_;
-  return out;
-}
 
 // Lexicographic row comparison helpers shared by join/group-by.
 // CompareRows asserts a.size() == b.size() on every call; the Unchecked

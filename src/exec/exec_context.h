@@ -20,7 +20,9 @@ class ExecContextPool;
 // Aggregate counters for one operator kind. The exec layer records:
 //   join.covering, join.hash, join.sort_merge, join.cross — NaturalJoin
 //     kernels (join.covering: one side's attributes cover the other's,
-//     or a top-k defaulted side; its build_rows is 0 for a merge walk);
+//     or a top-k defaulted side; also one call per FoldJoin with a
+//     covering driver, rows_in summed over its pieces; it builds no
+//     table, so its build_rows is 0);
 //     estimate_join_rows — the exact join-size pass, run only where its
 //     count can change a decision (the kAuto pick of a non-covering
 //     join, FoldJoin's greedy order) or sizes a hash join's output;
@@ -45,7 +47,9 @@ struct OperatorStats {
 // Execution state threaded through the exec and sensitivity layers: owns
 // the reusable arenas (sort-merge permutations, the packed sort words and
 // their radix ping-pong buffer, row/key scratch, the flat hash group
-// table, normalize rebuild buffers) so hot operators allocate O(1) times
+// table of the hash join, the join-size count, GroupMax and the semijoin,
+// normalize rebuild buffers and a covering join's per-row multipliers,
+// both in count_buf) so hot operators allocate O(1) times
 // per context instead of per invocation, collects per-operator stats, and
 // carries execution knobs.
 //
@@ -95,7 +99,6 @@ class ExecContext {
   std::vector<uint32_t>& sel_buf() { return sel_buf_; }
   std::vector<uint64_t>& hash_buf() { return hash_buf_; }
   std::vector<Value>& gather_buf() { return gather_buf_; }
-  std::vector<uint8_t>& flag_buf() { return flag_buf_; }
   FlatGroupTable& group_table() { return group_table_; }
 
   // --- Stats -------------------------------------------------------------
@@ -134,7 +137,6 @@ class ExecContext {
   std::vector<uint32_t> sel_buf_;
   std::vector<uint64_t> hash_buf_;
   std::vector<Value> gather_buf_;
-  std::vector<uint8_t> flag_buf_;
   FlatGroupTable group_table_;
   std::vector<OperatorStats> stats_;  // small: one entry per operator kind
   bool is_pool_worker_ = false;

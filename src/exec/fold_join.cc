@@ -88,6 +88,22 @@ CountedRelation GreedyFold(std::vector<const CountedRelation*>& remaining,
   return acc;
 }
 
+// The piece FoldJoin drives as one k-way CoveringJoin: the smallest
+// non-defaulted piece (the earliest on ties) whose attributes are the union
+// of all the pieces' attributes, or SIZE_MAX when no piece covers the rest.
+size_t CoveringDriver(const std::vector<const CountedRelation*>& pieces) {
+  AttributeSet all;
+  for (const CountedRelation* piece : pieces) all = Union(all, piece->attrs());
+  size_t driver = SIZE_MAX;
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    if (pieces[i]->has_default() || pieces[i]->attrs() != all) continue;
+    if (driver == SIZE_MAX || pieces[i]->NumRows() < pieces[driver]->NumRows()) {
+      driver = i;
+    }
+  }
+  return driver;
+}
+
 uint64_t TotalRows(const std::vector<const CountedRelation*>& pieces) {
   uint64_t rows = 0;
   for (const CountedRelation* piece : pieces) rows += piece->NumRows();
@@ -101,7 +117,18 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
   if (pieces.empty()) return CountedRelation::Unit();
   ExecContext& ctx = ResolveExecContext(options.ctx);
   OpTimer op(ctx, "fold_join", TotalRows(pieces));
-  CountedRelation acc = GreedyFold(pieces, /*keep=*/0, options);
+  const size_t driver = options.algorithm == JoinAlgorithm::kAuto &&
+                                pieces.size() >= 2
+                            ? CoveringDriver(pieces)
+                            : SIZE_MAX;
+  CountedRelation acc(AttributeSet{});
+  if (driver != SIZE_MAX) {
+    const CountedRelation& covering = *pieces[driver];
+    pieces.erase(pieces.begin() + static_cast<ptrdiff_t>(driver));
+    acc = CoveringJoin(covering, pieces, &ctx);
+  } else {
+    acc = GreedyFold(pieces, /*keep=*/0, options);
+  }
   op.set_rows_out(acc.NumRows());
   return acc;
 }

@@ -63,82 +63,169 @@ void EmitRow(const JoinLayout& layout, std::span<const Value> ra,
   out->AppendRow(scratch, count);
 }
 
-// Covering join: b.attrs ⊆ a.attrs, so the key is all of b and the output
-// is `a` filtered and scaled: row i of `a` is kept, in a's order, with
-// count a.CountAt(i) × its match on `b` (b.default_count() when none,
-// zero unless `b` is top-k truncated). One pass, no count, and no
-// Normalize when `a` is normalized. The match comes from
-//   - a merge walk when the key is a's leading columns and both sides
-//     are normalized (nothing is built);
-//   - else the flat group table on the smaller side: built on `b` and
-//     probed by a's rows, or built on `a` with b's counts scattered over
-//     its runs (build_rows = min(|a|, |b|) either way).
-CountedRelation CoveringJoin(const CountedRelation& a, const CountedRelation& b,
-                             ExecContext& ctx) {
-  LSENS_CHECK(IsSubset(b.attrs(), a.attrs()));
-  OpTimer op(ctx, "join.covering", a.NumRows() + b.NumRows());
-  const size_t k = b.arity();
-  // a's columns carrying the key, in b's column order.
-  std::vector<int> a_key(k);
-  bool leading = true;
-  for (size_t c = 0; c < k; ++c) {
-    a_key[c] = a.ColumnOf(b.attrs()[c]);
-    leading = leading && a_key[c] == static_cast<int>(c);
-  }
-  const Count unmatched = b.default_count();
-  const size_t nb = b.NumRows();
-
-  CountedRelation out(AttributeSet{});
-  if (leading && a.normalized() && b.normalized()) {
-    size_t j = 0;
-    out = a.FilterScale([&](size_t i) {
-      const std::span<const Value> key = a.Row(i).first(k);
-      int cmp = 1;
-      while (j < nb && (cmp = CompareRowsUnchecked(b.Row(j), key)) < 0) ++j;
-      return j < nb && cmp == 0 ? b.CountAt(j) : unmatched;
+// A covered side as its key runs in key order: the side itself when it is
+// normalized, else its rows ordered by SortRowsBy with each run of equal
+// rows summed into one entry (a present run matches with its sum, even a
+// zero one; an absent key takes the side's default).
+class CoveredRuns {
+ public:
+  CoveredRuns(const CountedRelation& r, ExecContext& ctx) : rel_(r) {
+    if (r.normalized()) return;
+    std::vector<int> cols(r.arity());
+    std::iota(cols.begin(), cols.end(), 0);
+    std::vector<uint32_t> perm;
+    SortRowsBy(r, cols, perm, ctx);
+    ForEachSortedGroup(r, cols, perm, [&](size_t begin, size_t end) {
+      Count sum = Count::Zero();
+      for (size_t p = begin; p < end; ++p) sum += r.CountAt(perm[p]);
+      first_.push_back(perm[begin]);
+      sums_.push_back(sum);
     });
-  } else {
-    std::vector<int>& b_cols = ctx.col_buf();
-    b_cols.resize(k);
-    std::iota(b_cols.begin(), b_cols.end(), 0);
-    FlatGroupTable& table = ctx.group_table();
-    std::vector<uint64_t>& hashes = ctx.hash_buf();
-    if (nb <= a.NumRows()) {
-      op.set_build_rows(nb);
-      table.Build(b, b_cols);
-      HashRowKeysBatch(a, a_key, ctx.gather_buf(), hashes);
-      out = a.FilterScale([&](size_t i) {
-        const std::span<const uint32_t> run =
-            table.Probe(a.Row(i), a_key, hashes[i]);
-        if (run.empty()) return unmatched;
-        Count m = Count::Zero();
-        for (uint32_t r : run) m += b.CountAt(r);
-        return m;
-      });
+  }
+
+  size_t size() const {
+    return rel_.normalized() ? rel_.NumRows() : sums_.size();
+  }
+  std::span<const Value> Row(size_t g) const {
+    return rel_.Row(rel_.normalized() ? g : first_[g]);
+  }
+  Count CountAt(size_t g) const {
+    return rel_.normalized() ? rel_.CountAt(g) : sums_[g];
+  }
+  Count unmatched() const { return rel_.default_count(); }
+
+ private:
+  const CountedRelation& rel_;
+  std::vector<uint32_t> first_;
+  std::vector<Count> sums_;
+};
+
+// The first index in [j, n) at which `below` is false, for a predicate
+// that holds on a prefix of the range: an exponential then a binary search,
+// so a cursor advancing over a much larger side skips its unmatched runs
+// in O(log gap) compares, and a one-step advance costs two.
+template <typename Below>
+size_t GallopPast(size_t j, size_t n, Below&& below) {
+  size_t lo = j;
+  size_t hi = j;
+  for (size_t step = 1; hi < n && below(hi); step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  hi = std::min(hi, n);
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (below(mid)) {
+      lo = mid + 1;
     } else {
-      op.set_build_rows(a.NumRows());
-      table.Build(a, a_key);
-      HashRowKeysBatch(b, b_cols, ctx.gather_buf(), hashes);
-      std::vector<Count>& mult = ctx.count_buf();
-      mult.assign(a.NumRows(), Count::Zero());
-      // Matched rows, tracked only when unmatched ones take a default.
-      std::vector<uint8_t>& matched = ctx.flag_buf();
-      matched.assign(b.has_default() ? a.NumRows() : 0, 0);
-      for (size_t j = 0; j < nb; ++j) {
-        for (uint32_t i : table.Probe(b.Row(j), b_cols, hashes[j])) {
-          mult[i] += b.CountAt(j);
-          if (!matched.empty()) matched[i] = 1;
-        }
-      }
-      out = a.FilterScale([&](size_t i) {
-        return matched.empty() || matched[i] != 0 ? mult[i] : unmatched;
-      });
+      hi = mid;
     }
   }
+  return lo;
+}
+
+// The covered sides that sit on the same columns of the covering side.
+struct KeyGroup {
+  std::vector<int> cols;      // covering-side columns, in key order
+  std::vector<size_t> sides;  // indices into the covered sides
+};
+
+// Multiplies mult[r], for every row r of `a`, by the product of r's matches
+// on the sides of `group`. Each side is merge-walked in key order with its
+// own cursor: over a's rows directly when the key leads a's columns and `a`
+// is normalized, else over the key groups of one PackedSort of `a` shared
+// by all the group's sides. Rows already at zero are skipped.
+void ApplyKeyGroup(const CountedRelation& a, const KeyGroup& group,
+                   const std::vector<CoveredRuns>& runs,
+                   std::vector<Count>& mult, ExecContext& ctx) {
+  const std::vector<int>& cols = group.cols;
+  std::vector<size_t> cursor(group.sides.size(), 0);
+  // Three-way comparison of a covered side's key run with a's row.
+  auto compare = [&cols](std::span<const Value> rb, std::span<const Value> ra) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const Value va = ra[static_cast<size_t>(cols[c])];
+      if (rb[c] < va) return -1;
+      if (rb[c] > va) return 1;
+    }
+    return 0;
+  };
+  auto match = [&](std::span<const Value> ra) {
+    Count m = Count::One();
+    for (size_t s = 0; s < group.sides.size() && !m.IsZero(); ++s) {
+      const CoveredRuns& side = runs[group.sides[s]];
+      size_t& j = cursor[s];
+      j = GallopPast(j, side.size(), [&](size_t x) {
+        return compare(side.Row(x), ra) < 0;
+      });
+      m *= j < side.size() && compare(side.Row(j), ra) == 0 ? side.CountAt(j)
+                                                            : side.unmatched();
+    }
+    return m;
+  };
+
+  bool leading = true;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    leading = leading && cols[c] == static_cast<int>(c);
+  }
+  if (leading && a.normalized()) {
+    for (size_t i = 0; i < a.NumRows(); ++i) {
+      if (!mult[i].IsZero()) mult[i] *= match(a.Row(i));
+    }
+    return;
+  }
+  const PackedSort sorted(a, cols, ctx);
+  sorted.ForEachGroup([&](size_t begin, size_t end) {
+    while (begin < end && mult[sorted.RowAt(begin)].IsZero()) ++begin;
+    if (begin == end) return;
+    const Count m = match(a.Row(sorted.RowAt(begin)));
+    for (size_t p = begin; p < end; ++p) mult[sorted.RowAt(p)] *= m;
+  });
+}
+
+}  // namespace
+
+CountedRelation CoveringJoin(const CountedRelation& a,
+                             std::span<const CountedRelation* const> covered,
+                             ExecContext* ctx_in) {
+  ExecContext& ctx = ResolveExecContext(ctx_in);
+  LSENS_CHECK_MSG(!a.has_default(), "the covering side cannot be defaulted");
+  uint64_t rows_in = a.NumRows();
+  for (const CountedRelation* b : covered) {
+    LSENS_CHECK(IsSubset(b->attrs(), a.attrs()));
+    rows_in += b->NumRows();
+  }
+  OpTimer op(ctx, "join.covering", rows_in);
+
+  // Every side's runs first: an unnormalized side's SortRowsBy would
+  // otherwise overwrite the sort words a PackedSort of `a` is reading.
+  std::vector<CoveredRuns> runs;
+  runs.reserve(covered.size());
+  std::vector<KeyGroup> groups;
+  for (size_t s = 0; s < covered.size(); ++s) {
+    const CountedRelation& b = *covered[s];
+    runs.emplace_back(b, ctx);
+    std::vector<int> cols;
+    cols.reserve(b.arity());
+    for (AttrId attr : b.attrs()) cols.push_back(a.ColumnOf(attr));
+    auto it = std::find_if(groups.begin(), groups.end(),
+                           [&](const KeyGroup& g) { return g.cols == cols; });
+    if (it == groups.end()) {
+      groups.push_back({std::move(cols), {}});
+      it = groups.end() - 1;
+    }
+    it->sides.push_back(s);
+  }
+
+  std::vector<Count>& mult = ctx.count_buf();
+  mult.assign(a.NumRows(), Count::One());
+  for (const KeyGroup& group : groups) ApplyKeyGroup(a, group, runs, mult, ctx);
+  CountedRelation out = a.FilterScale(mult);
   if (!out.normalized()) out.Normalize(&ctx);
   op.set_rows_out(out.NumRows());
   return out;
 }
+
+namespace {
 
 CountedRelation CrossProduct(const CountedRelation& a,
                              const CountedRelation& b, ExecContext& ctx) {
@@ -460,14 +547,16 @@ CountedRelation JoinImpl(const CountedRelation& a, const CountedRelation& b,
     const CountedRelation& covering = a.has_default() ? b : a;
     LSENS_CHECK_MSG(IsSubset(covered.attrs(), covering.attrs()),
                     "defaulted side must be attribute-covered by the other");
-    return CoveringJoin(covering, covered, ctx);
+    const CountedRelation* sides[] = {&covered};
+    return CoveringJoin(covering, sides, &ctx);
   }
 
   JoinLayout layout = MakeLayout(a, b);
   if (layout.key.empty()) return CrossProduct(a, b, ctx);
   if (options.algorithm == JoinAlgorithm::kAuto) {
     if (const CountedRelation* covering = CoveringSide(a, b)) {
-      return CoveringJoin(*covering, covering == &a ? b : a, ctx);
+      const CountedRelation* sides[] = {covering == &a ? &b : &a};
+      return CoveringJoin(*covering, sides, &ctx);
     }
   }
   if (options.algorithm == JoinAlgorithm::kSortMerge) {

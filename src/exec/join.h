@@ -1,6 +1,8 @@
 #ifndef LSENS_EXEC_JOIN_H_
 #define LSENS_EXEC_JOIN_H_
 
+#include <span>
+
 #include "exec/counted_relation.h"
 
 namespace lsens {
@@ -10,16 +12,16 @@ class ExecContext;
 // Natural-join algorithm selection. kAuto runs a covering join whenever
 // one side's attributes contain the other's (the shape of every
 // topjoin/botjoin and multiplicity-table join: an atom's projection with
-// a table grouped on its link attributes): one filter-and-scale pass over
-// the covering side, with no size count and no second probe. Other keyed
-// joins go to the cost-based picker (ChooseJoinAlgorithm): it weighs hash
-// build/probe against sort-merge, crediting sides that are already
-// ordered on the join key (a sorted merge needs no sort at all), and
-// consults the exact output size from the estimator only when that size
-// can change the pick. kHash / kSortMerge force one kernel; every kernel
-// produces the same normalized output (the paper describes its
-// algorithms with sort-merge joins, so that kernel is also the
-// cross-check oracle).
+// a table grouped on its link attributes): one merge-walk pass over the
+// covering side, with no size count, no hash table and no second probe
+// (CoveringJoin below). Other keyed joins go to the cost-based picker
+// (ChooseJoinAlgorithm): it weighs hash build/probe against sort-merge,
+// crediting sides that are already ordered on the join key (a sorted
+// merge needs no sort at all), and consults the exact output size from
+// the estimator only when that size can change the pick. kHash /
+// kSortMerge force one kernel; every kernel produces the same normalized
+// output (the paper describes its algorithms with sort-merge joins, so
+// that kernel is also the cross-check oracle).
 enum class JoinAlgorithm { kAuto, kHash, kSortMerge };
 
 struct JoinOptions {
@@ -52,13 +54,8 @@ inline JoinOptions WorkerJoinOptions(const JoinOptions& base,
 // is always normalized.
 //
 // Covering joins — a non-empty key with one side's attributes covering
-// the other's — run under kAuto as one pass over the covering side (with
-// equal attributes, the smaller side): each of its rows is kept, in
-// order, with its count times its match count on the covered side, so a
-// normalized covering side needs no Normalize. The match comes from a
-// merge walk when the key leads the covering side and both sides are
-// normalized, and otherwise from a flat group table built on the smaller
-// side. Recorded as "join.covering".
+// the other's — run under kAuto as CoveringJoin(covering, {covered}) (with
+// equal attributes, the smaller side covers).
 //
 // Defaulted (top-k truncated) inputs: at most one side may carry a
 // default_count, and that side's attributes must be covered by the other
@@ -68,6 +65,26 @@ inline JoinOptions WorkerJoinOptions(const JoinOptions& base,
 // callers arrange join orders accordingly.
 CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
                             const JoinOptions& options = {});
+
+// The natural join of `covering` with every relation in `covered`, each
+// of whose attributes are a subset of covering's: covering's rows, in
+// order, each with its count times its match on every covered side (a
+// side's default_count() when the row's key is absent there, zero unless
+// the side is top-k truncated). One multiplier per covering row takes each
+// side's match in turn, rows already at zero are skipped, and one
+// FilterScale writes the output, so a normalized covering side needs no
+// Normalize. Each side is matched by a merge walk: directly over
+// covering's rows when its key leads covering's columns and covering is
+// normalized, else over one PackedSort of covering's rows on that key,
+// shared by every side on the same key columns. An unnormalized covered
+// side is first ordered with SortRowsBy and its runs summed. No hash
+// table is built and nothing is counted. `covering` must not be
+// defaulted. The output is normalized; it is the pairwise fold of the
+// same relations, bit for bit. Recorded as one "join.covering" call
+// (build_rows 0).
+CountedRelation CoveringJoin(const CountedRelation& covering,
+                             std::span<const CountedRelation* const> covered,
+                             ExecContext* ctx = nullptr);
 
 // NaturalJoin(a, b, options) for a caller that already holds the join's
 // exact size, which it then does not count again. Precondition:

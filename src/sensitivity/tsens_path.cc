@@ -67,15 +67,16 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
   });
 
   // The ⊤ and ⊥ recursions are each a sequential chain (J[i] needs
-  // J[i-1]), but the two chains share nothing except the read-only S_i —
-  // they run as two concurrent tasks. Truncation flags are per-chain so
-  // the tasks never write shared state.
-  bool chain_truncated[2] = {false, false};
-  auto maybe_truncate = [&](CountedRelation* r, ExecContext& cctx,
-                            size_t chain) {
+  // J[i-1]). They run one after the other on `ctx`, so their joins keep
+  // the join layer's own parallelism. Running the two chains as two
+  // concurrent tasks measured slower than serial on TPC-H q1 at sf 0.1
+  // on a 4-vCPU host (bench_fig7_runtime, threads 4 against 0: 0.94x with
+  // the region, 1.10x without it, medians of 10 alternating runs each).
+  bool truncation_applied = false;
+  auto maybe_truncate = [&](CountedRelation* r) {
     if (options.top_k > 0 && r->NumRows() > options.top_k) {
-      r->TruncateTopK(options.top_k, &cctx);
-      chain_truncated[chain] = true;
+      r->TruncateTopK(options.top_k, &ctx);
+      truncation_applied = true;
     }
   };
 
@@ -85,47 +86,30 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
   topjoin.reserve(m);
   topjoin.emplace_back(AttributeSet{});  // J[0] placeholder, unused
   for (size_t i = 1; i < m; ++i) topjoin.emplace_back(AttributeSet{});
-  auto run_topjoins = [&](ExecContext& cctx, const JoinOptions& jopts) {
-    for (size_t i = 1; i < m; ++i) {
-      AttributeSet group{link[i - 1]};
-      CountedRelation j =
-          (i == 1) ? GroupBySum(s[0], group, &cctx)
-                   : GroupBySum(NaturalJoin(s[i - 1], topjoin[i - 1], jopts),
-                                group, &cctx);
-      maybe_truncate(&j, cctx, 0);
-      topjoin[i] = std::move(j);
-    }
-  };
+  for (size_t i = 1; i < m; ++i) {
+    AttributeSet group{link[i - 1]};
+    CountedRelation j =
+        (i == 1) ? GroupBySum(s[0], group, &ctx)
+                 : GroupBySum(
+                       NaturalJoin(s[i - 1], topjoin[i - 1], options.join),
+                       group, &ctx);
+    maybe_truncate(&j);
+    topjoin[i] = std::move(j);
+  }
 
   // Botjoins: K[i] = γ_{link[i-1]} r⋈(K[i+1], S_i); K[m-1] = γ(S_{m-1}).
   // (K[i] defined for i in [1, m-1], keyed on link[i-1].)
   std::vector<CountedRelation> botjoin(m, CountedRelation(AttributeSet{}));
-  auto run_botjoins = [&](ExecContext& cctx, const JoinOptions& jopts) {
-    for (size_t i = m; i-- > 1;) {
-      AttributeSet group{link[i - 1]};
-      CountedRelation k =
-          (i == m - 1)
-              ? GroupBySum(s[m - 1], group, &cctx)
-              : GroupBySum(NaturalJoin(s[i], botjoin[i + 1], jopts), group,
-                           &cctx);
-      maybe_truncate(&k, cctx, 1);
-      botjoin[i] = std::move(k);
-    }
-  };
-  if (ShouldRunParallel(threads, 2)) {
-    ParallelApply(ctx, threads, 2, [&](size_t chain, ExecContext& wctx) {
-      const JoinOptions jopts = WorkerJoinOptions(options.join, wctx);
-      if (chain == 0) {
-        run_topjoins(wctx, jopts);
-      } else {
-        run_botjoins(wctx, jopts);
-      }
-    });
-  } else {
-    run_topjoins(ctx, options.join);
-    run_botjoins(ctx, options.join);
+  for (size_t i = m; i-- > 1;) {
+    AttributeSet group{link[i - 1]};
+    CountedRelation k =
+        (i == m - 1)
+            ? GroupBySum(s[m - 1], group, &ctx)
+            : GroupBySum(NaturalJoin(s[i], botjoin[i + 1], options.join),
+                         group, &ctx);
+    maybe_truncate(&k);
+    botjoin[i] = std::move(k);
   }
-  const bool truncation_applied = chain_truncated[0] || chain_truncated[1];
 
   // Per-distance δ_i computations: every position reads only the shared
   // ⊤/⊥ chains (copying a part only to filter it) and writes its own atom

@@ -16,6 +16,7 @@
 
 #include "common/rng.h"
 #include "exec/exec_context.h"
+#include "exec/fold_join.h"
 #include "exec/join.h"
 #include "exec/row_sort.h"
 #include "query/explain.h"
@@ -217,15 +218,20 @@ std::vector<CoveringCase> MakeCoveringCases(Rng& rng, int trial) {
   return cases;
 }
 
-// join.covering's build_rows: none for the merge walk (the key leads the
-// covering side and both sides are normalized), else the smaller side's
-// rows — never the larger side's.
-uint64_t CoveringBuildRows(const CountedRelation& covering,
-                           const CountedRelation& covered) {
-  const bool merge = covering.normalized() && covered.normalized() &&
-                     std::equal(covered.attrs().begin(), covered.attrs().end(),
-                                covering.attrs().begin());
-  return merge ? 0 : std::min(covering.NumRows(), covered.NumRows());
+// join.covering builds no table (build_rows 0), and with a normalized
+// covered side it sorts at most the covering side: ordered on a key that
+// does not lead it, or (unnormalized) its output's Normalize. So the sort
+// words of a fresh context never exceed the covering side's rows — a
+// larger covered side is merge-walked, never sorted or built on.
+void ExpectCoveringWork(ExecContext& ctx, const CountedRelation& covering,
+                        const CountedRelation& covered, const char* label) {
+  const OperatorStats* stats = ctx.FindStats("join.covering");
+  ASSERT_NE(stats, nullptr) << label;
+  EXPECT_EQ(stats->build_rows, 0u) << label;
+  if (covered.normalized()) {
+    EXPECT_LE(ctx.sort_words().size(), covering.NumRows()) << label;
+    EXPECT_LE(ctx.sort_words_tmp().size(), covering.NumRows()) << label;
+  }
 }
 
 TEST(CoveringJoinTest, MatchesForcedKernelsBitForBit) {
@@ -266,9 +272,7 @@ TEST(CoveringJoinTest, MatchesForcedKernelsBitForBit) {
       const bool a_covers = IsSubset(b.attrs(), a.attrs()) &&
                             (a.attrs() != b.attrs() ||
                              a.NumRows() <= b.NumRows());
-      EXPECT_EQ(covering->build_rows,
-                a_covers ? CoveringBuildRows(a, b) : CoveringBuildRows(b, a))
-          << label;
+      ExpectCoveringWork(ctx, a_covers ? a : b, a_covers ? b : a, label);
     }
   }
 }
@@ -310,11 +314,154 @@ TEST(JoinDifferentialTest, DefaultedSideMatchesManualExpansion) {
           trial % 2 == 0 ? NaturalJoin(a, b, opts) : NaturalJoin(b, a, opts);
       EXPECT_TRUE(joined.normalized()) << label;
       ExpectSameRelation(joined, expected, label.c_str());
-      const OperatorStats* covering = ctx.FindStats("join.covering");
-      ASSERT_NE(covering, nullptr) << label;
-      EXPECT_EQ(covering->build_rows, CoveringBuildRows(a, b)) << label;
+      ExpectCoveringWork(ctx, a, b, label.c_str());
       EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr) << label;
     }
+  }
+}
+
+// --- k-way covering joins --------------------------------------------------
+
+// The covered sides of one k-way case: 1–4 sides over subsets of the
+// driver's attributes {1, 2, 3} — leading keys ({1}, {1, 2}), keys that do
+// not lead ({2}, {3}, {1, 3}, {2, 3}), the driver's own attributes and the
+// empty key; a repeated shape shares its key's sort. Some sides are
+// unnormalized, empty, top-k defaulted (at most one, normalized), or carry
+// counts near Count::Max().
+std::vector<CountedRelation> MakeCoveredSides(Rng& rng, int trial) {
+  const std::vector<AttributeSet> shapes = {{1},    {1, 2}, {2},       {3},
+                                            {1, 3}, {2, 3}, {1, 2, 3}, {}};
+  const size_t num_sides = 1 + static_cast<size_t>(trial) % 4;
+  std::vector<CountedRelation> sides;
+  bool defaulted = false;
+  for (size_t s = 0; s < num_sides; ++s) {
+    // Every third trial repeats its first shape, so two sides share a key.
+    const AttributeSet& attrs =
+        trial % 3 == 0 && s > 0 ? sides[0].attrs()
+                                : shapes[rng.NextBounded(shapes.size())];
+    const uint64_t kind = rng.NextBounded(8);
+    if (kind == 0) {
+      sides.push_back(MakeUnnormalized(rng, attrs, 40, 6));
+    } else if (kind == 1) {
+      sides.emplace_back(attrs);
+    } else if (kind == 2) {
+      sides.push_back(MakeHugeCounts(rng, attrs, 30, 6));
+    } else {
+      sides.push_back(MakeRandom(rng, attrs, kind == 3 ? 200 : 30, 6));
+      if (kind == 4 && !defaulted && sides.back().NumRows() > 2) {
+        sides.back().TruncateTopK(2);
+        defaulted = true;
+      }
+    }
+  }
+  return sides;
+}
+
+// The pairwise fold from the driver, one forced-kernel join at a time.
+CountedRelation PairwiseFold(const CountedRelation& driver,
+                             const std::vector<CountedRelation>& sides,
+                             JoinAlgorithm algorithm) {
+  CountedRelation acc = NaturalJoin(driver, sides[0], {algorithm});
+  for (size_t s = 1; s < sides.size(); ++s) {
+    acc = NaturalJoin(acc, sides[s], {algorithm});
+  }
+  return acc;
+}
+
+TEST(CoveringJoinTest, KWayMatchesPairwiseForcedFolds) {
+  Rng rng(1717);
+  for (int trial = 0; trial < 160; ++trial) {
+    const std::string label = "trial " + std::to_string(trial);
+    CountedRelation driver =
+        trial % 5 == 0   ? MakeUnnormalized(rng, {1, 2, 3}, 300, 6)
+        : trial % 5 == 1 ? MakeHugeCounts(rng, {1, 2, 3}, 150, 6)
+        : trial % 11 == 2 ? CountedRelation({1, 2, 3})
+                          : MakeRandom(rng, {1, 2, 3}, 300, 6);
+    const std::vector<CountedRelation> sides = MakeCoveredSides(rng, trial);
+    std::vector<const CountedRelation*> covered;
+    uint64_t rows_in = driver.NumRows();
+    bool all_normalized = driver.normalized();
+    for (const CountedRelation& side : sides) {
+      covered.push_back(&side);
+      rows_in += side.NumRows();
+      all_normalized = all_normalized && side.normalized();
+    }
+
+    ExecContext ctx;
+    const CountedRelation joined = CoveringJoin(driver, covered, &ctx);
+    EXPECT_TRUE(joined.normalized()) << label;
+    EXPECT_FALSE(joined.has_default()) << label;
+    for (JoinAlgorithm algo :
+         {JoinAlgorithm::kHash, JoinAlgorithm::kSortMerge}) {
+      ExpectSameRelation(joined, PairwiseFold(driver, sides, algo),
+                         label.c_str());
+      std::vector<const CountedRelation*> pieces = covered;
+      pieces.push_back(&driver);
+      ExpectSameRelation(joined, FoldJoin(pieces, {algo}), label.c_str());
+    }
+
+    // One pass: one call, no table, no count, no general kernel, and no
+    // Normalize when every input is already normalized.
+    const OperatorStats* stats = ctx.FindStats("join.covering");
+    ASSERT_NE(stats, nullptr) << label;
+    EXPECT_EQ(stats->calls, 1u) << label;
+    EXPECT_EQ(stats->rows_in, rows_in) << label;
+    EXPECT_EQ(stats->rows_out, joined.NumRows()) << label;
+    EXPECT_EQ(stats->build_rows, 0u) << label;
+    EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr) << label;
+    EXPECT_EQ(ctx.FindStats("join.hash"), nullptr) << label;
+    EXPECT_EQ(ctx.FindStats("join.sort_merge"), nullptr) << label;
+    if (all_normalized) {
+      EXPECT_EQ(ctx.FindStats("normalize"), nullptr) << label;
+    }
+  }
+}
+
+TEST(CoveringJoinTest, FoldJoinWithCoveringDriverEqualsGreedyLoop) {
+  // The shape of a TSens fold: an atom projection S(x, y, z) with ⊥/⊤
+  // tables on its link attributes (one top-k truncated), a co-atom
+  // projection T(y, z), and a second piece over all of S's attributes —
+  // the smaller of the two covering pieces drives. kAuto runs it as one
+  // k-way CoveringJoin; the greedy loop (forced kernels, and kAuto's
+  // FoldJoinButLast joined with its last piece) gives the same relation.
+  Rng rng(77);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::string label = "trial " + std::to_string(trial);
+    CountedRelation s = MakeRandom(rng, {1, 2, 3}, 400, 8);
+    CountedRelation s2 = MakeRandom(rng, {1, 2, 3}, 400, 8);
+    CountedRelation bot_x = MakeRandom(rng, {1}, 8, 9);
+    CountedRelation top_z = MakeRandom(rng, {3}, 8, 9);
+    if (top_z.NumRows() > 3) top_z.TruncateTopK(3);
+    CountedRelation t = MakeRandom(rng, {2, 3}, 60, 8);
+    std::vector<const CountedRelation*> pieces = {&bot_x, &t, &s, &top_z};
+    if (trial % 2 == 1) pieces.push_back(&s2);
+
+    ExecContext ctx;
+    JoinOptions opts;
+    opts.ctx = &ctx;
+    const CountedRelation folded = FoldJoin(pieces, opts);
+    EXPECT_TRUE(folded.normalized()) << label;
+    const OperatorStats* covering = ctx.FindStats("join.covering");
+    ASSERT_NE(covering, nullptr) << label;
+    EXPECT_EQ(covering->calls, 1u) << label;
+    uint64_t rows_in = 0;
+    for (const CountedRelation* piece : pieces) rows_in += piece->NumRows();
+    EXPECT_EQ(covering->rows_in, rows_in) << label;
+    EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr) << label;
+    EXPECT_EQ(ctx.FindStats("join.hash"), nullptr) << label;
+    EXPECT_EQ(ctx.FindStats("join.sort_merge"), nullptr) << label;
+    const OperatorStats* fold = ctx.FindStats("fold_join");
+    ASSERT_NE(fold, nullptr) << label;
+    EXPECT_EQ(fold->calls, 1u) << label;
+    EXPECT_EQ(fold->rows_out, folded.NumRows()) << label;
+
+    for (JoinAlgorithm algo :
+         {JoinAlgorithm::kHash, JoinAlgorithm::kSortMerge}) {
+      ExpectSameRelation(folded, FoldJoin(pieces, {algo}), label.c_str());
+    }
+    FoldSplit split = FoldJoinButLast(pieces);
+    ExpectSameRelation(folded, NaturalJoin(split.prefix, *split.last),
+                       label.c_str());
   }
 }
 
