@@ -4,7 +4,8 @@
 // comparison baseline, and the covering kernel kAuto runs when one side's
 // attributes cover the other's), FoldJoin's k-way covering fold and its
 // greedy order on a q2-shaped chain,
-// Normalize and γ group-by-sum on the packed sort kernel, and the
+// Normalize and γ group-by-sum on the packed sort kernel and, for compact
+// key domains, its direct-addressed slot path, and the
 // Yannakakis-style count evaluation on TPC-H q1.
 //
 // Besides the console table, the run writes a machine-readable trajectory
@@ -521,6 +522,113 @@ void BM_GroupBySumTwoCols(benchmark::State& state) {
                           static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_GroupBySumTwoCols)->Arg(10000)->Arg(600000);
+
+// Compact key domains, shaped like Orders -> CK at TPC-H sf 0.1 (150k
+// orders over 15k customers): range(0) rows drawing their key from
+// range(0) / 10 values, so the key's whole range is smaller than the row
+// count and the kernels address it directly (sort.dense) instead of
+// sorting it. Column 1 is a unique row id, column 2 the compact key.
+CountedRelation MakeCompactKeyed(Rng& rng, size_t rows) {
+  CountedRelation rel({1, 2});
+  const uint64_t keys = rows / 10;
+  for (size_t i = 0; i < rows; ++i) {
+    rel.AppendRow({static_cast<Value>(i), static_cast<Value>(
+                                              1 + rng.NextBounded(keys))},
+                  Count::One());
+  }
+  return rel;
+}
+
+// Normalize of the unsorted projection onto the compact key.
+void BM_NormalizeCompact(benchmark::State& state) {
+  Rng rng(6);
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const uint64_t keys = rows / 10;
+  CountedRelation input({1});
+  for (size_t i = 0; i < rows; ++i) {
+    input.AppendRow({static_cast<Value>(1 + rng.NextBounded(keys))},
+                    Count::One());
+  }
+  ExecContext ctx;
+  for (auto _ : state) {
+    state.PauseTiming();
+    CountedRelation r = input;
+    state.ResumeTiming();
+    r.Normalize(&ctx);
+    benchmark::DoNotOptimize(r.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_NormalizeCompact)->Arg(10000)->Arg(150000);
+
+// γ onto the compact key, which does not lead the normalized input.
+void BM_GroupBySumCompact(benchmark::State& state) {
+  Rng rng(7);
+  const size_t rows = static_cast<size_t>(state.range(0));
+  CountedRelation r = MakeCompactKeyed(rng, rows);
+  r.Normalize();
+  ExecContext ctx;
+  for (auto _ : state) {
+    CountedRelation g = GroupBySum(r, {2}, &ctx);
+    benchmark::DoNotOptimize(g.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_GroupBySumCompact)->Arg(10000)->Arg(150000);
+
+// kAuto covering join on the compact key, trailing on the covering side:
+// a(id, key) ⋈ b(key) with one row of b per key.
+void BM_CoveringJoinCompactTrailing(benchmark::State& state) {
+  Rng rng(8);
+  const size_t rows = static_cast<size_t>(state.range(0));
+  CountedRelation a = MakeCompactKeyed(rng, rows);
+  a.Normalize();
+  CountedRelation b({2});
+  for (size_t k = 1; k <= rows / 10; ++k) {
+    b.AppendRow({static_cast<Value>(k)}, Count(1 + rng.NextBounded(3)));
+  }
+  b.Normalize();
+  ExecContext ctx;
+  JoinOptions opts{JoinAlgorithm::kAuto, &ctx};
+  for (auto _ : state) {
+    CountedRelation j = NaturalJoin(a, b, opts);
+    benchmark::DoNotOptimize(j.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(a.NumRows() + b.NumRows()));
+}
+BENCHMARK(BM_CoveringJoinCompactTrailing)->Arg(10000)->Arg(150000);
+
+// The same join with a covered side ten times the covering one (the q3
+// 38,492 ⋈ 300,000 shape): a has range(0) / 10 rows over range(0) / 100
+// keys, b one row for each of range(0) keys, so most of b's runs fall
+// outside a's key range.
+void BM_CoveringJoinCompactCoveredLarger(benchmark::State& state) {
+  Rng rng(10);
+  const size_t rows = static_cast<size_t>(state.range(0));
+  CountedRelation a = MakeCompactKeyed(rng, rows / 10);
+  a.Normalize();
+  CountedRelation b({2});
+  for (size_t k = 1; k <= rows; ++k) {
+    b.AppendRow({static_cast<Value>(k)}, Count(1 + rng.NextBounded(3)));
+  }
+  b.Normalize();
+  ExecContext ctx;
+  JoinOptions opts{JoinAlgorithm::kAuto, &ctx};
+  for (auto _ : state) {
+    CountedRelation j = NaturalJoin(a, b, opts);
+    benchmark::DoNotOptimize(j.NumRows());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(a.NumRows() + b.NumRows()));
+}
+BENCHMARK(BM_CoveringJoinCompactCoveredLarger)->Arg(10000)->Arg(150000);
 
 void BM_TopKTruncation(benchmark::State& state) {
   Rng rng(3);

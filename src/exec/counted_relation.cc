@@ -75,7 +75,21 @@ void CountedRelation::Normalize(ExecContext* ctx_in) {
   cols.resize(k);
   std::iota(cols.begin(), cols.end(), 0);
 
-  const PackedSort sorted(*this, cols, ctx);
+  const PackedSort sorted(*this, cols, ctx, DenseKeys::kSlots);
+  if (sorted.dense()) {
+    // Direct addressing: the slot table sits in count_buf, the keys come
+    // back from the slots, and the output is sized exactly.
+    if (!sorted.SumBySlot(counts_, ctx.count_buf())) {
+      std::vector<Value> data;
+      std::vector<Count> counts;
+      sorted.EmitSlots(ctx.count_buf(), data, counts);
+      data_.swap(data);
+      counts_.swap(counts);
+    }
+    normalized_ = true;
+    op.set_rows_out(NumRows());
+    return;
+  }
   if (sorted.presorted()) {
     // Already sorted: one verification pass; strictly increasing rows with
     // non-zero counts need no rebuild at all.
@@ -271,9 +285,16 @@ CountedRelation GroupBySum(const CountedRelation& in,
 
   // One packed sort over the input (shared machinery with Normalize; no
   // reorder when the group columns are a prefix of an already-normalized
-  // relation), groups emitted pre-merged and in order — the output is
-  // normalized by construction.
-  const PackedSort sorted(in, cols, ctx);
+  // relation), or for a dense key domain one slot table in count_buf;
+  // groups emitted pre-merged and in order — the output is normalized by
+  // construction.
+  const PackedSort sorted(in, cols, ctx, DenseKeys::kSlots);
+  if (sorted.dense()) {
+    sorted.SumBySlot(in.counts_, ctx.count_buf());
+    sorted.EmitSlots(ctx.count_buf(), out.data_, out.counts_);
+    op.set_rows_out(out.NumRows());
+    return out;
+  }
   sorted.ForEachGroup([&](size_t begin, size_t end) {
     const Count total = sorted.SumCounts(begin, end, in.counts_);
     if (total.IsZero()) return;

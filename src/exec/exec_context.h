@@ -30,7 +30,10 @@ class ExecContextPool;
 //   group_by_sum — γ; group_max — GroupMax, the max row of γ(A ⋈ B)
 //     without the join (rows_out 0 or 1; 0 also when it declines);
 //   normalize, truncate.top_k, semijoin; sort.fallback — a sort whose key
-//     did not fit the packed 64-bit word (row_sort.h), absent otherwise.
+//     did not fit the packed 64-bit word (row_sort.h), absent otherwise;
+//   sort.dense — a Normalize, GroupBySum or covering-join key grouped or
+//     matched by direct addressing instead of sorting (row_sort.h's slot
+//     path): rows_in the rows addressed, rows_out the slot table's size.
 // The sensitivity, cache and server layers add their own rows (tsens.*,
 // cache.*, serve.*). Wall times of nested operators overlap: a join's time
 // includes the time of the Normalize it runs on its output, which is also
@@ -48,10 +51,11 @@ struct OperatorStats {
 // the reusable arenas (sort-merge permutations, the packed sort words and
 // their radix ping-pong buffer, row/key scratch, the flat hash group
 // table of the hash join, the join-size count, GroupMax and the semijoin,
-// normalize rebuild buffers and a covering join's per-row multipliers,
-// both in count_buf) so hot operators allocate O(1) times
-// per context instead of per invocation, collects per-operator stats, and
-// carries execution knobs.
+// normalize rebuild buffers, a covering join's per-row multipliers and
+// the slot path's count table — all three in count_buf — and the covering
+// join's slot table of covered runs in perm_a) so hot operators allocate
+// O(1) times per context instead of per invocation, collects per-operator
+// stats, and carries execution knobs.
 //
 // Ownership rule under parallel execution:
 //   - A context is single-threaded state: one owner thread at a time,

@@ -131,10 +131,13 @@ struct KeyGroup {
 };
 
 // Multiplies mult[r], for every row r of `a`, by the product of r's matches
-// on the sides of `group`. Each side is merge-walked in key order with its
-// own cursor: over a's rows directly when the key leads a's columns and `a`
-// is normalized, else over the key groups of one PackedSort of `a` shared
-// by all the group's sides. Rows already at zero are skipped.
+// on the sides of `group`. When the key leads a's columns and `a` is
+// normalized, each side is merge-walked in key order with its own cursor
+// over a's rows. Otherwise one PackedSort of `a` on the key serves all the
+// group's sides: a dense key domain is addressed directly — per side, a
+// slot table of its runs, probed by each row of `a` — and any other is
+// sorted, each side merge-walked over its key groups. Rows already at zero
+// are skipped.
 void ApplyKeyGroup(const CountedRelation& a, const KeyGroup& group,
                    const std::vector<CoveredRuns>& runs,
                    std::vector<Count>& mult, ExecContext& ctx) {
@@ -173,7 +176,42 @@ void ApplyKeyGroup(const CountedRelation& a, const KeyGroup& group,
     }
     return;
   }
-  const PackedSort sorted(a, cols, ctx);
+  const PackedSort sorted(a, cols, ctx, DenseKeys::kSlots);
+  if (sorted.dense()) {
+    // Slot -> 1 + the index of the run with that key, 0 when none has it.
+    // perm_a is free here: only the sort-merge join uses it. Runs come in
+    // key order, so only those whose first key value lies within a's range
+    // can match; galloping to them keeps a larger side from being read in
+    // full. (An empty key has one slot, which its one run takes.)
+    std::vector<uint32_t>& table = ctx.perm_a();
+    for (size_t s : group.sides) {
+      const CoveredRuns& side = runs[s];
+      LSENS_CHECK(side.size() < UINT32_MAX);
+      table.assign(sorted.num_slots(), 0);
+      size_t first = 0;
+      size_t last = side.size();
+      if (!cols.empty()) {
+        first = GallopPast(0, last, [&](size_t x) {
+          return side.Row(x)[0] < sorted.KeyMin(0);
+        });
+        last = GallopPast(first, last, [&](size_t x) {
+          return side.Row(x)[0] <= sorted.KeyMax(0);
+        });
+      }
+      uint64_t slot = 0;
+      for (size_t j = first; j < last; ++j) {
+        if (sorted.FindSlot(side.Row(j), slot)) {
+          table[slot] = static_cast<uint32_t>(j + 1);
+        }
+      }
+      for (size_t i = 0; i < a.NumRows(); ++i) {
+        if (mult[i].IsZero()) continue;
+        const uint32_t run = table[sorted.SlotOf(i)];
+        mult[i] *= run != 0 ? side.CountAt(run - 1) : side.unmatched();
+      }
+    }
+    return;
+  }
   sorted.ForEachGroup([&](size_t begin, size_t end) {
     while (begin < end && mult[sorted.RowAt(begin)].IsZero()) ++begin;
     if (begin == end) return;

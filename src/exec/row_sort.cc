@@ -12,11 +12,6 @@ namespace lsens {
 
 namespace {
 
-// Order-preserving map from int64 to uint64 (flips the sign bit).
-inline uint64_t OrderedBits(Value v) {
-  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
-}
-
 constexpr int kDigitBits = 11;
 constexpr size_t kBuckets = size_t{1} << kDigitBits;
 constexpr int kMaxDigits = (64 + kDigitBits - 1) / kDigitBits;
@@ -60,14 +55,11 @@ bool RowsSortedBy(const CountedRelation& r, std::span<const int> cols) {
 }
 
 PackedSort::PackedSort(const CountedRelation& r, std::span<const int> cols,
-                       ExecContext& ctx)
+                       ExecContext& ctx, DenseKeys dense_keys)
     : rel_(r), cols_(cols) {
   const size_t n = r.NumRows();
   LSENS_CHECK_MSG(n <= UINT32_MAX, "sorts address rows with 32-bit indices");
   if (n == 0) return;
-  ctx.sort_words().resize(n);
-  idx_bits_ = static_cast<int>(std::bit_width(n - 1));
-  idx_mask_ = (uint64_t{1} << idx_bits_) - 1;
 
   // Column-at-a-time passes over the row-major data keep every loop's
   // accumulators in registers. First each key column's range on the
@@ -86,15 +78,88 @@ PackedSort::PackedSort(const CountedRelation& r, std::span<const int> cols,
       hi = std::max(hi, b);
     }
     const int width = static_cast<int>(std::bit_width(hi - lo));
-    fields_.push_back({c, 0, width, lo});
+    fields_.push_back({c, 0, width, lo, hi - lo + 1, 0});
     key_bits += width;
   }
+  // ...which also decide whether the keys are addressed, not sorted...
+  if (dense_keys == DenseKeys::kSlots && AssignSlots(n)) {
+    dense_ = true;
+    dense_op_.emplace(ctx, "sort.dense", n);
+    dense_op_->set_rows_out(num_slots_);
+    return;
+  }
+  ctx.sort_words().resize(n);
+  idx_bits_ = static_cast<int>(std::bit_width(n - 1));
+  idx_mask_ = (uint64_t{1} << idx_bits_) - 1;
   if (key_bits + idx_bits_ <= 64) {
     SortPacked(data, stride, key_bits, ctx);
   } else {
     SortFallback(ctx);
   }
   words_ = ctx.sort_words();
+}
+
+bool PackedSort::AssignSlots(size_t n) {
+  // Mixed radix, the last column weighing 1. A full-range column's range
+  // wrapped to 0 and never fits; `range > limit / slots` is the
+  // overflow-free form of `slots * range > limit`.
+  const uint64_t limit = kDenseSlotsPerRow * n;
+  uint64_t slots = 1;
+  for (auto f = fields_.rbegin(); f != fields_.rend(); ++f) {
+    if (f->range == 0 || f->range > limit / slots) return false;
+    f->stride = slots;
+    slots *= f->range;
+  }
+  num_slots_ = slots;
+  return true;
+}
+
+bool PackedSort::SumBySlot(std::span<const Count> counts,
+                           std::vector<Count>& table) const {
+  table.assign(num_slots_, Count::Zero());
+  bool normalized = true;
+  uint64_t next = 0;  // the least slot the next row may take, if ascending
+  const size_t n = counts.size();
+  auto add = [&](size_t i, uint64_t slot) {
+    normalized &= slot >= next && !counts[i].IsZero();
+    next = slot + 1;
+    table[slot] += counts[i];
+  };
+  if (fields_.size() == 1) {
+    // The common one-column key, without the per-row field loop: 10-35%
+    // faster than SlotOf on BM_NormalizeCompact and BM_GroupBySumCompact
+    // (7 alternating runs, 27 of 28 pairs won).
+    const Field& f = fields_[0];
+    const size_t stride = rel_.arity();
+    const Value* v = rel_.Row(0).data() + f.col;
+    for (size_t i = 0; i < n; ++i, v += stride) add(i, OrderedBits(*v) - f.min);
+  } else {
+    for (size_t i = 0; i < n; ++i) add(i, SlotOf(i));
+  }
+  return normalized;
+}
+
+void PackedSort::EmitSlots(std::span<const Count> table,
+                           std::vector<Value>& keys,
+                           std::vector<Count>& sums) const {
+  size_t groups = 0;
+  for (const Count& c : table) groups += !c.IsZero();
+  keys.clear();
+  sums.clear();
+  keys.reserve(groups * fields_.size());
+  sums.reserve(groups);
+  for (uint64_t s = 0; s < table.size(); ++s) {
+    if (table[s].IsZero()) continue;
+    uint64_t rest = s;
+    for (const Field& f : fields_) {
+      // Column 0 first: its field is the quotient by its stride. The last
+      // column's stride is 1, which needs no division.
+      const uint64_t field = f.stride == 1 ? rest : rest / f.stride;
+      rest -= field * f.stride;
+      keys.push_back(FromOrderedBits(f.min + field));
+    }
+    sums.push_back(table[s]);
+  }
 }
 
 void PackedSort::SortPacked(const Value* data, size_t stride, int key_bits,

@@ -100,25 +100,18 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   const size_t num_bags = ghd.bags.size();
   const int threads = options.join.threads;
 
-  // S_a: shared-variable projections with predicates applied. Relation
-  // lookups stay serial (Status propagation stays simple); the per-atom
-  // projection + normalize work fans out, each task on its own worker
-  // context.
-  std::vector<const Relation*> atom_rels(static_cast<size_t>(num_atoms));
+  // S_a: shared-variable projections with predicates applied, one atom at a
+  // time. Fanning the scans out over the pool was measured on q2
+  // (bench_fig7_runtime, 10 alternating runs per scale, threads 4 against 0,
+  // fanned out vs serial): sf 0.01 0.82x vs 0.94x, sf 0.03 0.98x vs 0.95x,
+  // sf 0.1 0.95x vs 0.96x — no scale where it measurably wins.
+  std::vector<CountedRelation> s;
+  s.reserve(static_cast<size_t>(num_atoms));
   for (int a = 0; a < num_atoms; ++a) {
     auto rel = db.Get(q.atom(a).relation);
     if (!rel.ok()) return rel.status();
-    atom_rels[static_cast<size_t>(a)] = *rel;
+    s.push_back(ScanAtom(**rel, q.atom(a), q.SharedVarsOf(a), &ctx));
   }
-  std::vector<CountedRelation> s;
-  s.reserve(static_cast<size_t>(num_atoms));
-  for (int a = 0; a < num_atoms; ++a) s.emplace_back(AttributeSet{});
-  ParallelApply(ctx, threads, static_cast<size_t>(num_atoms),
-                [&](size_t a, ExecContext& wctx) {
-                  const int ai = static_cast<int>(a);
-                  s[a] = ScanAtom(
-                      *atom_rels[a], q.atom(ai), q.SharedVarsOf(ai), &wctx);
-                });
 
   std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
   for (size_t v = 0; v < num_bags; ++v) {

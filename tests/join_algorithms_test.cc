@@ -172,6 +172,18 @@ CountedRelation MakeUnnormalized(Rng& rng, AttributeSet attrs,
   return r;
 }
 
+// `r` with every value lowered by `by`: the same order, so still normalized.
+CountedRelation ShiftedDown(const CountedRelation& r, Value by) {
+  CountedRelation out(r.attrs());
+  std::vector<Value> row(r.arity());
+  for (size_t i = 0; i < r.NumRows(); ++i) {
+    for (size_t c = 0; c < row.size(); ++c) row[c] = r.Row(i)[c] - by;
+    out.AppendRow(row, r.CountAt(i));
+  }
+  out.Normalize();
+  return out;
+}
+
 struct CoveringCase {
   std::string label;
   CountedRelation a;
@@ -215,14 +227,33 @@ std::vector<CoveringCase> MakeCoveringCases(Rng& rng, int trial) {
       MakeHugeCounts(rng, {1}, 12, 14));
   add("near max, trailing", MakeHugeCounts(rng, {1, 2}, 30, 12),
       MakeHugeCounts(rng, {2}, 100, 14));
+  // A dense key facing a larger covered side whose runs lie below, inside
+  // and above the covering side's key range.
+  add("dense, covered larger, trailing", MakeRandom(rng, {1, 2}, 60, 12),
+      ShiftedDown(MakeRandom(rng, {2}, 300, 40), 14));
+  // The small domains above are dense — their non-leading keys take the
+  // slot path — so these draw keys from 2^40 values, which the covering
+  // side must sort and walk.
+  constexpr uint64_t kSparse = uint64_t{1} << 40;
+  add("sparse trailing", MakeRandom(rng, {1, 2}, 300, kSparse),
+      MakeRandom(rng, {2}, 40, kSparse));
+  add("sparse middle", MakeRandom(rng, {1, 2, 3}, 300, kSparse),
+      MakeRandom(rng, {2}, 10, kSparse));
+  add("sparse, covered larger, trailing", MakeRandom(rng, {1, 2}, 20, kSparse),
+      MakeRandom(rng, {2}, 300, kSparse));
+  add("sparse, unnormalized covering",
+      MakeUnnormalized(rng, {1, 2}, 200, kSparse),
+      MakeRandom(rng, {2}, 30, kSparse));
   return cases;
 }
 
-// join.covering builds no table (build_rows 0), and with a normalized
+// join.covering builds no hash table (build_rows 0), and with a normalized
 // covered side it sorts at most the covering side: ordered on a key that
 // does not lead it, or (unnormalized) its output's Normalize. So the sort
 // words of a fresh context never exceed the covering side's rows — a
-// larger covered side is merge-walked, never sorted or built on.
+// larger covered side is merge-walked, never sorted or built on. A dense
+// key is addressed instead, each slot table (sort.dense rows_out) within
+// kDenseSlotsPerRow slots per covering row.
 void ExpectCoveringWork(ExecContext& ctx, const CountedRelation& covering,
                         const CountedRelation& covered, const char* label) {
   const OperatorStats* stats = ctx.FindStats("join.covering");
@@ -231,6 +262,11 @@ void ExpectCoveringWork(ExecContext& ctx, const CountedRelation& covering,
   if (covered.normalized()) {
     EXPECT_LE(ctx.sort_words().size(), covering.NumRows()) << label;
     EXPECT_LE(ctx.sort_words_tmp().size(), covering.NumRows()) << label;
+  }
+  if (const OperatorStats* dense = ctx.FindStats("sort.dense")) {
+    EXPECT_LE(dense->rows_out,
+              dense->calls * kDenseSlotsPerRow * covering.NumRows())
+        << label;
   }
 }
 
@@ -273,6 +309,14 @@ TEST(CoveringJoinTest, MatchesForcedKernelsBitForBit) {
                             (a.attrs() != b.attrs() ||
                              a.NumRows() <= b.NumRows());
       ExpectCoveringWork(ctx, a_covers ? a : b, a_covers ? b : a, label);
+      // A one-row covering side is dense whatever its key (range 1).
+      const size_t covering_rows = (a_covers ? a : b).NumRows();
+      if (c.label.starts_with("sparse") && covering_rows >= 2) {
+        EXPECT_EQ(ctx.FindStats("sort.dense"), nullptr) << label;
+      }
+      if (c.label.starts_with("dense") && covering_rows >= 12) {
+        EXPECT_NE(ctx.FindStats("sort.dense"), nullptr) << label;
+      }
     }
   }
 }
@@ -863,6 +907,168 @@ TEST(RowSortTest, NormalizeAndGroupBySumMatchMapOracle) {
     ExpectEqualsOracle(GroupBySum(r, group, &ctx), grouped, label + " raw γ");
     ExpectEqualsOracle(GroupBySum(normalized, group, &ctx), grouped,
                        label + " normalized γ");
+  }
+}
+
+// Calls recorded under "sort.dense" so far (0 if it never ran).
+uint64_t DenseCalls(const ExecContext& ctx) {
+  const OperatorStats* s = ctx.FindStats("sort.dense");
+  return s == nullptr ? 0 : s->calls;
+}
+
+// `product` split into `k` column ranges whose product it is: its prime
+// factors dealt round-robin, so a column may get range 1 (a constant).
+std::vector<uint64_t> SplitRanges(uint64_t product, size_t k) {
+  std::vector<uint64_t> ranges(k, 1);
+  size_t next = 0;
+  for (uint64_t p = 2; product > 1; ++p) {
+    if (p * p > product) p = product;
+    while (product % p == 0) {
+      ranges[next++ % k] *= p;
+      product /= p;
+    }
+  }
+  return ranges;
+}
+
+TEST(RowSortTest, SlotPathMatchesMapOracleAtTheDensityLimit) {
+  // Keys of 1–4 columns whose ranges multiply to exactly the density
+  // limit (slot path) and to one slot more (sort path), placed negative,
+  // straddling zero and hugging either end of int64; with zero counts
+  // (dropped), saturated counts, and presorted input. Normalize and
+  // GroupBySum must equal a std::map oracle either way, and exactly the
+  // keys within the limit take the slot path.
+  Rng rng(23);
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  for (int trial = 0; trial < 64; ++trial) {
+    const size_t arity = 1 + static_cast<size_t>(trial) % 4;
+    const bool dense = trial % 8 < 4;
+    const bool presorted = trial % 16 >= 8;
+    // Below and above the 256-row radix threshold.
+    const size_t rows = trial % 32 < 16 ? 90 : 1012;
+    const uint64_t limit = kDenseSlotsPerRow * rows;
+    const std::vector<uint64_t> ranges =
+        SplitRanges(dense ? limit : limit + 1, arity);
+    AttributeSet attrs;
+    std::vector<Value> lo(arity);
+    for (size_t c = 0; c < arity; ++c) {
+      attrs.push_back(static_cast<AttrId>(c + 1));
+      const Value span = static_cast<Value>(ranges[c] - 1);
+      const Value starts[] = {kMin, kMax - span, -span / 2, -span - 9};
+      lo[c] = starts[(c + static_cast<size_t>(trial)) % 4];
+    }
+    std::vector<std::pair<std::vector<Value>, Count>> input;
+    for (size_t i = 0; i < rows; ++i) {
+      std::vector<Value> row(arity);
+      for (size_t c = 0; c < arity; ++c) {
+        // Rows 0 and 1 pin each column's min and max, so its range is
+        // exactly ranges[c].
+        const uint64_t off = i == 0   ? 0
+                             : i == 1 ? ranges[c] - 1
+                                      : rng.NextBounded(ranges[c]);
+        row[c] = static_cast<Value>(static_cast<uint64_t>(lo[c]) + off);
+      }
+      Count count(1 + rng.NextBounded(5));
+      const uint64_t pick = rng.NextBounded(10);
+      if (pick == 0) count = Count::Zero();
+      if (pick == 1) count = Count::Max();
+      input.emplace_back(std::move(row), count);
+    }
+    if (presorted) std::sort(input.begin(), input.end());
+
+    CountedRelation r(attrs);
+    CountMap oracle;
+    for (const auto& [row, count] : input) {
+      r.AppendRow(row, count);
+      oracle[row] += count;
+    }
+    const std::string label = "trial " + std::to_string(trial) + " arity " +
+                              std::to_string(arity) +
+                              (dense ? " at the limit" : " one above");
+    ExecContext ctx;
+    CountedRelation normalized = r;
+    normalized.Normalize(&ctx);
+    EXPECT_TRUE(normalized.normalized()) << label;
+    ExpectEqualsOracle(normalized, oracle, label + " normalize");
+    EXPECT_EQ(DenseCalls(ctx), dense ? 1u : 0u) << label;
+    EXPECT_EQ(FallbackCalls(ctx), 0u) << label;
+    if (dense) {
+      EXPECT_EQ(ctx.FindStats("sort.dense")->rows_out, limit) << label;
+    }
+    const CountedRelation grouped = GroupBySum(r, attrs, &ctx);
+    ExpectEqualsOracle(grouped, oracle, label + " γ over every column");
+    EXPECT_EQ(DenseCalls(ctx), dense ? 2u : 0u) << label;
+
+    // γ over a random column subset, from the raw and the normalized
+    // input; a subset's ranges multiply to at most the full product.
+    AttributeSet group;
+    std::vector<size_t> group_cols;
+    for (size_t c = 0; c < arity; ++c) {
+      if (rng.NextBounded(2) == 0) {
+        group.push_back(attrs[c]);
+        group_cols.push_back(c);
+      }
+    }
+    CountMap by_group;
+    for (const auto& [row, count] : input) {
+      std::vector<Value> key;
+      for (size_t c : group_cols) key.push_back(row[c]);
+      by_group[key] += count;
+    }
+    ExpectEqualsOracle(GroupBySum(r, group, &ctx), by_group, label + " raw γ");
+    ExpectEqualsOracle(GroupBySum(normalized, group, &ctx), by_group,
+                       label + " normalized γ");
+  }
+}
+
+TEST(RowSortTest, FullRangeColumnNeverTakesTheSlotPath) {
+  // A column holding both INT64_MIN and INT64_MAX has a range of 2^64,
+  // which wraps to 0 in uint64: it must sort (here through the fallback,
+  // the key being 64 bits wide), however few distinct values it holds.
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  CountedRelation r({1, 2});
+  CountMap oracle;
+  for (int i = 0; i < 40; ++i) {
+    const std::vector<Value> row = {i % 3 == 0 ? kMax : kMin, i % 2};
+    r.AppendRow(row, Count(1 + static_cast<uint64_t>(i % 4)));
+    oracle[row] += Count(1 + static_cast<uint64_t>(i % 4));
+  }
+  ExecContext ctx;
+  CountedRelation normalized = r;
+  normalized.Normalize(&ctx);
+  ExpectEqualsOracle(normalized, oracle, "normalize");
+  CountMap first;
+  for (const auto& [row, count] : oracle) first[{row[0]}] += count;
+  ExpectEqualsOracle(GroupBySum(r, {1}, &ctx), first, "γ on the full range");
+  EXPECT_EQ(DenseCalls(ctx), 0u);
+  EXPECT_EQ(FallbackCalls(ctx), 2u);
+  // The narrow column alone is dense.
+  CountMap second;
+  for (const auto& [row, count] : oracle) second[{row[1]}] += count;
+  ExpectEqualsOracle(GroupBySum(r, {2}, &ctx), second, "γ on the narrow");
+  EXPECT_EQ(DenseCalls(ctx), 1u);
+}
+
+TEST(RowSortTest, SlotPathKeepsOnlyCleanPresortedInput) {
+  // Strictly ascending dense keys are already normalized unless a count
+  // is zero: the zero row must still be dropped.
+  ExecContext ctx;
+  CountedRelation clean({1});
+  CountedRelation zero({1});
+  for (Value v = -4; v < 60; v += 2) {
+    clean.AppendRow({v}, Count(3));
+    zero.AppendRow({v}, v == 10 ? Count::Zero() : Count(3));
+  }
+  clean.Normalize(&ctx);
+  zero.Normalize(&ctx);
+  EXPECT_EQ(DenseCalls(ctx), 2u);
+  EXPECT_EQ(clean.NumRows(), 32u);
+  ASSERT_EQ(zero.NumRows(), 31u);
+  for (size_t i = 0; i < zero.NumRows(); ++i) {
+    EXPECT_NE(zero.Row(i)[0], 10) << i;
+    EXPECT_EQ(zero.CountAt(i), Count(3)) << i;
   }
 }
 
