@@ -59,12 +59,9 @@ void RunOne(const WorkloadQuery& w, const Database& db, double scale,
   // Elastic preprocessing (max-frequency scans) happens once per database
   // in the paper's setup; measure analysis time with a warm provider.
   DataMaxFreqProvider mf(w.query, db);
-  std::vector<int> order;
-  if (w.ghd_ptr() != nullptr) {
-    order = PlanOrderFromGhd(*w.ghd_ptr());
-  } else {
-    order = PlanOrderFromForest(*BuildJoinForestGYO(w.query));
-  }
+  auto decomposition = ResolveDecomposition(w.query, w.ghd_ptr());
+  LSENS_CHECK(decomposition.ok());
+  const std::vector<int> order = PlanOrderFromGhd(decomposition->ghd());
   (void)ElasticSensitivity(w.query, order, mf,
                            ElasticMode::kFlexFaithful);  // warm the caches
   double elastic_s = TimeBest(reps, [&] {

@@ -38,10 +38,8 @@ class Count {
     return r;
   }
   Count operator*(Count o) const {
-    if (v_ == 0 || o.v_ == 0) return Zero();
     Count r;
-    r.v_ = v_ * o.v_;
-    if (r.v_ / v_ != o.v_) return Max();  // wrapped
+    if (__builtin_mul_overflow(v_, o.v_, &r.v_)) return Max();
     return r;
   }
   Count& operator+=(Count o) { return *this = *this + o; }

@@ -10,7 +10,7 @@
 #include "dp/svt.h"
 #include "dp/truncation.h"
 #include "query/eval.h"
-#include "query/join_tree.h"
+#include "query/ghd.h"
 #include "sensitivity/elastic.h"
 
 namespace lsens {
@@ -48,7 +48,10 @@ StatusOr<DpRunResult> RunPrivSql(const ConjunctiveQuery& q, const Database& db,
   WallTimer timer;
   Rng rng(options.seed);
 
-  auto full = CountQuery(q, db, options.join, options.ghd);
+  auto decomposition = ResolveDecomposition(q, options.ghd);
+  if (!decomposition.ok()) return decomposition.status();
+  const Ghd& ghd = decomposition->ghd();
+  auto full = CountQuery(q, db, options.join, &ghd);
   if (!full.ok()) return full.status();
   const double q_full = full->ToDouble();
 
@@ -92,14 +95,6 @@ StatusOr<DpRunResult> RunPrivSql(const ConjunctiveQuery& q, const Database& db,
   }
 
   // 2. Static global sensitivity: elastic analysis with the learned caps.
-  std::vector<int> order;
-  if (options.ghd != nullptr) {
-    order = PlanOrderFromGhd(*options.ghd);
-  } else {
-    auto forest = BuildJoinForestGYO(q);
-    if (!forest.ok()) return forest.status();
-    order = PlanOrderFromForest(*forest);
-  }
   DataMaxFreqProvider data_mf(q, db);
   ClampedMaxFreqProvider mf(data_mf, caps);
   // PrivateSQL's static view-sensitivity analysis composes one-sided
@@ -107,14 +102,15 @@ StatusOr<DpRunResult> RunPrivSql(const ConjunctiveQuery& q, const Database& db,
   // mode is the right model here (the tightened mode is our improvement,
   // benchmarked separately).
   auto elastic =
-      ElasticSensitivity(q, order, mf, ElasticMode::kFlexFaithful);
+      ElasticSensitivity(q, PlanOrderFromGhd(ghd), mf,
+                         ElasticMode::kFlexFaithful);
   if (!elastic.ok()) return elastic.status();
   const double gs =
       elastic->per_atom_bound[static_cast<size_t>(policy.private_atom)]
           .ToDouble();
 
   // 3. Answer on the truncated database.
-  auto truncated = CountQuery(q, work, options.join, options.ghd);
+  auto truncated = CountQuery(q, work, options.join, &ghd);
   if (!truncated.ok()) return truncated.status();
 
   DpRunResult out;

@@ -45,7 +45,7 @@ struct PrivSqlOptions {
   double threshold_fraction = 0.5;  // budget share for threshold learning
   uint64_t seed = 1;
   JoinOptions join;
-  const Ghd* ghd = nullptr;  // evaluation plan for cyclic queries
+  const Ghd* ghd = nullptr;  // plan; null: ResolveDecomposition's choice
 };
 
 StatusOr<DpRunResult> RunPrivSql(const ConjunctiveQuery& q, const Database& db,

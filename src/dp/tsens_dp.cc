@@ -9,7 +9,7 @@
 #include "dp/laplace.h"
 #include "dp/svt.h"
 #include "query/eval.h"
-#include "query/join_tree.h"
+#include "query/ghd.h"
 #include "sensitivity/tsens_engine.h"
 
 namespace lsens {
@@ -25,15 +25,9 @@ StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,
   WallTimer timer;
   Rng rng(options.seed);
 
-  // Decomposition (provided GHD for cyclic queries, GYO otherwise).
-  Ghd ghd;
-  if (options.ghd != nullptr) {
-    ghd = *options.ghd;
-  } else {
-    auto forest = BuildJoinForestGYO(q);
-    if (!forest.ok()) return forest.status();
-    ghd = MakeTrivialGhd(q, *forest);
-  }
+  auto decomposition = ResolveDecomposition(q, options.ghd);
+  if (!decomposition.ok()) return decomposition.status();
+  const Ghd& ghd = decomposition->ghd();
 
   // Tuple sensitivities of the primary private relation.
   TSensOptions topts;

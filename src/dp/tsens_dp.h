@@ -47,7 +47,7 @@ struct TSensDpOptions {
   uint64_t ell = 100;               // assumed max tuple sensitivity ℓ
   uint64_t seed = 1;
   JoinOptions join;
-  const Ghd* ghd = nullptr;           // for cyclic queries
+  const Ghd* ghd = nullptr;           // null: ResolveDecomposition's
   std::vector<int> skip_atoms;        // forwarded to TSens
 };
 

@@ -25,7 +25,8 @@ StatusOr<CountedRelation> EnumerateJoin(const ConjunctiveQuery& q,
                                         const JoinOptions& options = {},
                                         size_t max_rows = 50'000'000);
 
-// Facade: GYO for acyclic queries, GHD search otherwise.
+// Facade: enumerates over ResolveDecomposition(q): GYO for acyclic
+// queries, GHD search otherwise.
 StatusOr<CountedRelation> EnumerateQuery(const ConjunctiveQuery& q,
                                          const Database& db,
                                          const JoinOptions& options = {},

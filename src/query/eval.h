@@ -10,23 +10,16 @@
 
 namespace lsens {
 
-// |Q(D)| under bag semantics for an acyclic query, evaluated Yannakakis-
-// style on the join forest: one bottom-up botjoin pass per tree (counts
-// aggregate through the tree, near-linear in the input, never in the
-// output), multiplied across connected components.
-StatusOr<Count> CountJoinForest(const ConjunctiveQuery& q,
-                                const JoinForest& forest, const Database& db,
-                                const JoinOptions& options = {});
-
 // |Q(D)| for a (possibly cyclic) query via a generalized hypertree
 // decomposition: bags are folded together with their children's botjoins
 // (greedy join order — bag-internal cross products are deferred until
-// selective pieces have pruned the accumulator).
+// selective pieces have pruned the accumulator); Yannakakis-style over an
+// acyclic query's trivial GHD.
 StatusOr<Count> CountGhd(const ConjunctiveQuery& q, const Ghd& ghd,
                          const Database& db, const JoinOptions& options = {});
 
-// Facade: validates, decomposes (GYO, falling back to GHD search for cyclic
-// queries), and counts.
+// Facade: validates, decomposes (ResolveDecomposition: `ghd`, else GYO,
+// else GHD search), and counts.
 StatusOr<Count> CountQuery(const ConjunctiveQuery& q, const Database& db,
                            const JoinOptions& options = {},
                            const Ghd* ghd = nullptr);

@@ -60,51 +60,6 @@ std::string RenderGhdTree(const ConjunctiveQuery& q,
   return out;
 }
 
-std::string ExplainQuery(const ConjunctiveQuery& q,
-                         const AttributeCatalog& attrs, const Ghd* ghd) {
-  std::string out = "query: " + q.ToString(attrs) + "\n";
-
-  auto forest = BuildJoinForestGYO(q);
-  if (forest.ok()) {
-    out += "structure: acyclic (GYO)\n";
-    Ghd trivial = MakeTrivialGhd(q, *forest);
-    JoinTreeAnalysis analysis = AnalyzeJoinTree(q, *forest);
-    out += "join tree (max degree " + std::to_string(analysis.max_degree);
-    if (analysis.path_query) out += ", path query";
-    if (analysis.doubly_acyclic) out += ", doubly acyclic";
-    out += "):\n";
-    out += RenderGhdTree(q, attrs, trivial);
-    if (analysis.path_query) {
-      out += "algorithm: TSensPath (Algorithm 1, O(n log n))\n";
-    } else {
-      out += "algorithm: TSensOverGhd (Algorithm 2 over the GYO tree)\n";
-    }
-    return out;
-  }
-
-  out += "structure: cyclic\n";
-  Ghd searched;
-  const Ghd* use = ghd;
-  if (use == nullptr) {
-    auto found = SearchGhd(q, q.num_atoms());
-    if (!found.ok()) {
-      out += "no atom-partition GHD found: " + found.status().ToString() +
-             "\n";
-      return out;
-    }
-    searched = std::move(found).value();
-    use = &searched;
-    out += "decomposition: searched (width " +
-           std::to_string(searched.Width()) + ")\n";
-  } else {
-    out += "decomposition: user-supplied (width " +
-           std::to_string(use->Width()) + ")\n";
-  }
-  out += RenderGhdTree(q, attrs, *use);
-  out += "algorithm: TSensOverGhd (§5.4 GHD extension)\n";
-  return out;
-}
-
 std::string RenderExecStats(const ExecContext& ctx) {
   if (ctx.stats().empty()) return "operator stats: (none collected)\n";
   // Stable presentation: heaviest operators first.

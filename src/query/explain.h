@@ -5,23 +5,13 @@
 
 #include "query/conjunctive_query.h"
 #include "query/ghd.h"
-#include "query/join_tree.h"
 #include "storage/catalog.h"
 
 namespace lsens {
 
 class ExecContext;
 
-// Human-readable report of how a query will be processed: its datalog form,
-// acyclicity, the join forest or GHD (ASCII tree with link attributes), the
-// Theorem 5.1 complexity parameters (max degree, doubly-acyclic, path), and
-// which algorithm the TSens facade would pick. Intended for logs, examples,
-// and debugging decompositions.
-std::string ExplainQuery(const ConjunctiveQuery& q,
-                         const AttributeCatalog& attrs,
-                         const Ghd* ghd = nullptr);
-
-// Just the ASCII tree for a decomposition.
+// The ASCII tree for a decomposition (ExplainQuery is in sensitivity/tsens.h).
 std::string RenderGhdTree(const ConjunctiveQuery& q,
                           const AttributeCatalog& attrs, const Ghd& ghd);
 

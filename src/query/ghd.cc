@@ -145,6 +145,35 @@ Ghd MakeTrivialGhd(const ConjunctiveQuery& q, const JoinForest& forest) {
   return ghd;
 }
 
+const char* DecompositionSourceName(DecompositionSource source) {
+  switch (source) {
+    case DecompositionSource::kUser: return "user-supplied";
+    case DecompositionSource::kGyo: return "GYO";
+    case DecompositionSource::kSearched: return "searched";
+  }
+  return "?";
+}
+
+StatusOr<Decomposition> ResolveDecomposition(const ConjunctiveQuery& q,
+                                             const Ghd* user) {
+  Decomposition d;
+  if (user != nullptr) {
+    d.source = DecompositionSource::kUser;
+    d.user = user;
+    return d;
+  }
+  auto forest = BuildJoinForestGYO(q);
+  if (forest.ok()) {
+    d.owned = MakeTrivialGhd(q, *forest);
+    return d;
+  }
+  auto searched = SearchGhd(q, q.num_atoms());
+  if (!searched.ok()) return searched.status();
+  d.source = DecompositionSource::kSearched;
+  d.owned = *std::move(searched);
+  return d;
+}
+
 int BagOf(const Ghd& ghd, int atom) {
   for (size_t i = 0; i < ghd.bags.size(); ++i) {
     for (int a : ghd.bags[i].atom_indices) {

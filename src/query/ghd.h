@@ -46,6 +46,25 @@ StatusOr<Ghd> SearchGhd(const ConjunctiveQuery& q, int max_width,
 // execution/sensitivity engine.
 Ghd MakeTrivialGhd(const ConjunctiveQuery& q, const JoinForest& forest);
 
+// Where a query's decomposition came from.
+enum class DecompositionSource { kUser, kGyo, kSearched };
+
+const char* DecompositionSourceName(DecompositionSource source);
+
+// A caller's GHD is held by pointer (it must outlive this); others owned.
+struct Decomposition {
+  DecompositionSource source = DecompositionSource::kGyo;
+  const Ghd* user = nullptr;  // kUser
+  Ghd owned;                  // kGyo, kSearched
+
+  const Ghd& ghd() const { return user != nullptr ? *user : owned; }
+};
+
+// The one decomposition rule of every entry point: `user` when non-null,
+// else the GYO forest as the trivial GHD, else SearchGhd's minimum width.
+StatusOr<Decomposition> ResolveDecomposition(const ConjunctiveQuery& q,
+                                             const Ghd* user = nullptr);
+
 // Bag index containing `atom`, or -1.
 int BagOf(const Ghd& ghd, int atom);
 

@@ -168,30 +168,11 @@ StatusOr<ElasticResult> ElasticSensitivity(const ConjunctiveQuery& q,
                                            const Database& db, const Ghd* ghd,
                                            ElasticMode mode) {
   LSENS_RETURN_IF_ERROR(q.Validate(db));
-  std::vector<int> order;
-  if (ghd != nullptr) {
-    order = PlanOrderFromGhd(*ghd);
-  } else {
-    auto forest = BuildJoinForestGYO(q);
-    if (forest.ok()) {
-      order = PlanOrderFromForest(*forest);
-    } else {
-      auto searched = SearchGhd(q, q.num_atoms());
-      if (!searched.ok()) return searched.status();
-      order = PlanOrderFromGhd(*searched);
-    }
-  }
+  auto decomposition = ResolveDecomposition(q, ghd);
+  if (!decomposition.ok()) return decomposition.status();
   DataMaxFreqProvider mf(q, db);
-  return ElasticSensitivity(q, order, mf, mode);
-}
-
-std::vector<int> PlanOrderFromForest(const JoinForest& forest) {
-  std::vector<int> order;
-  for (const auto& tree : forest.trees) {
-    std::vector<int> post = tree.PostOrder();
-    order.insert(order.end(), post.begin(), post.end());
-  }
-  return order;
+  return ElasticSensitivity(q, PlanOrderFromGhd(decomposition->ghd()), mf,
+                            mode);
 }
 
 std::vector<int> PlanOrderFromGhd(const Ghd& ghd) {

@@ -83,19 +83,20 @@ enum class ElasticMode { kTightened, kFlexFaithful };
 
 // Left-deep binary join plan order: the atoms joined in sequence
 // (the paper: "extend Elastic ... to take the join plan as input"; plans
-// come from PlanOrderFromForest/Ghd, a post-order traversal).
+// come from PlanOrderFromGhd, a post-order traversal).
 StatusOr<ElasticResult> ElasticSensitivity(
     const ConjunctiveQuery& q, const std::vector<int>& join_order,
     const MaxFreqProvider& mf, ElasticMode mode = ElasticMode::kTightened);
 
-// Convenience: derives the plan order and uses data max-frequencies.
+// Convenience: takes the plan order of ResolveDecomposition(q, ghd) — the
+// decomposition TSens runs over — and uses data max-frequencies.
 StatusOr<ElasticResult> ElasticSensitivity(
     const ConjunctiveQuery& q, const Database& db, const Ghd* ghd = nullptr,
     ElasticMode mode = ElasticMode::kTightened);
 
-// Post-order atom sequences ("we define the join order as a post-traversal
-// of the join plan").
-std::vector<int> PlanOrderFromForest(const JoinForest& forest);
+// Post-order atom sequence ("we define the join order as a post-traversal
+// of the join plan"); over an acyclic query's trivial GHD, the post-order
+// of its join forest.
 std::vector<int> PlanOrderFromGhd(const Ghd& ghd);
 
 // ---- Distance-k / smooth elastic sensitivity (the full Flex mechanism) --

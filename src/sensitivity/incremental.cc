@@ -277,70 +277,26 @@ struct RepairState {
   std::vector<int> assembly_tree;  // tree per assembly unit
 };
 
-// The execution plan the facade would pick, from the cache's perspective.
-struct Plan {
-  RepairState::Mode mode = RepairState::Mode::kConstant;
-  bool supported = false;
-  std::string reason;      // when !supported
-  std::vector<int> order;  // kPath
-  std::optional<Ghd> ghd;  // kGhd
-};
-
 namespace {
 
-// Mirrors the facade dispatch in tsens.cc ComputeLocalSensitivity exactly,
-// so the capture run below executes the same engine over the same
-// decomposition the facade would pick and BuildState consumes matching
-// tables. Only top_k and keep_tables remain unsupported: both change what
-// the engines compute (truncated tables / retained T_a's) in ways the
-// maintained state deliberately does not model, so they stay
-// version-memoized fallbacks.
-Plan MakePlan(const ConjunctiveQuery& q, const TSensComputeOptions& options) {
-  Plan plan;
-  auto unsupported = [&](std::string reason) {
-    plan.supported = false;
-    plan.reason = std::move(reason);
-    return plan;
-  };
-  if (options.top_k > 0) return unsupported("top-k approximation");
-  if (options.keep_tables) return unsupported("keep_tables requested");
-  if (options.ghd != nullptr) {
-    plan.mode = RepairState::Mode::kGhd;
-    plan.ghd = *options.ghd;
-    plan.supported = true;
-    return plan;
-  }
-  auto forest = BuildJoinForestGYO(q);
-  if (forest.ok()) {
-    if (options.prefer_path_algorithm) {
-      std::vector<int> order = PathOrder(q);
-      if (order.size() >= 2) {
-        plan.mode = RepairState::Mode::kPath;
-        plan.order = std::move(order);
-        plan.supported = true;
-        return plan;
-      }
-    }
-    if (q.num_atoms() == 1) {
-      // A single-atom query's sensitivity is data-independent (inserting
-      // one matching tuple always changes the count by exactly 1).
-      plan.mode = RepairState::Mode::kConstant;
-      plan.supported = true;
-      return plan;
-    }
-    plan.mode = RepairState::Mode::kGhd;
-    plan.ghd = MakeTrivialGhd(q, *forest);
-    plan.supported = true;
-    return plan;
-  }
-  // Cyclic: the facade searches a GHD once per call; the cache searches it
-  // once per fingerprint and pins the result in the plan.
-  auto searched = SearchGhd(q, q.num_atoms());
-  if (!searched.ok()) return unsupported("cyclic query (GHD search failed)");
-  plan.mode = RepairState::Mode::kGhd;
-  plan.ghd = *std::move(searched);
-  plan.supported = true;
-  return plan;
+// The cache's policy on top of the facade's plan (PlanSensitivity): top_k
+// and keep_tables change what the engines compute (truncated tables /
+// retained T_a's) in ways the maintained state deliberately does not
+// model, so they stay version-memoized fallbacks. Empty when repairable.
+std::string UnsupportedReason(const TSensComputeOptions& options) {
+  if (options.top_k > 0) return "top-k approximation";
+  if (options.keep_tables) return "keep_tables requested";
+  return "";
+}
+
+// The repair state a repairable plan maintains. A single-atom query's
+// sensitivity is data-independent (inserting one matching tuple always
+// changes the count by exactly 1), so it keeps none.
+RepairState::Mode RepairModeOf(const ConjunctiveQuery& q,
+                               const SensitivityPlan& plan) {
+  if (q.num_atoms() == 1) return RepairState::Mode::kConstant;
+  return plan.engine == SensitivityEngine::kPath ? RepairState::Mode::kPath
+                                                 : RepairState::Mode::kGhd;
 }
 
 // Full recomputation of a tracker from its table (also the initial fill).
@@ -491,17 +447,17 @@ using incremental_detail::CanonicalAttrs;
 using incremental_detail::DeltaGroupCount;
 using incremental_detail::ColsOf;
 using incremental_detail::KeyShard;
-using incremental_detail::MakePlan;
 using incremental_detail::MarkStale;
 using incremental_detail::NodeStore;
-using incremental_detail::Plan;
 using incremental_detail::Project;
+using incremental_detail::RepairModeOf;
 using incremental_detail::RepairState;
 using incremental_detail::RescanTracker;
 using incremental_detail::SharedNode;
 using incremental_detail::SortChanged;
 using incremental_detail::SortUnique;
 using incremental_detail::Tracker;
+using incremental_detail::UnsupportedReason;
 using incremental_detail::UpdateTracker;
 
 struct SensitivityCache::Store {
@@ -513,8 +469,9 @@ struct SensitivityCache::Entry {
   std::vector<std::string> relations;  // atom order (unique: no self-joins)
   std::vector<uint64_t> versions;      // parallel to `relations`
   SensitivityResult result;
+  // The plan every full compute of this entry runs (GHD owned).
+  SensitivityPlan plan;
   std::unique_ptr<RepairState> state;  // null: memoize-only entry
-  std::string unsupported_reason;      // when state is null
   uint64_t last_used = 0;
 };
 
@@ -656,9 +613,13 @@ std::string SensitivityCache::Fingerprint(const ConjunctiveQuery& q,
 bool SensitivityCache::RepairSupported(const ConjunctiveQuery& q,
                                        const TSensComputeOptions& options,
                                        std::string* reason) {
-  Plan plan = MakePlan(q, options);
-  if (!plan.supported && reason != nullptr) *reason = plan.reason;
-  return plan.supported;
+  std::string why = UnsupportedReason(options);
+  if (why.empty()) {
+    auto plan = PlanSensitivity(q, options);
+    if (!plan.ok()) why = "no decomposition: " + plan.status().ToString();
+  }
+  if (reason != nullptr) *reason = why;
+  return why.empty();
 }
 
 namespace {
@@ -904,21 +865,20 @@ struct StateBuilder {
   }
 };
 
-// Builds the repairable state for a supported plan from the engine capture
-// (the exact tables the from-scratch answer was computed from), acquiring
-// every table through the shared store.
+// Builds the repairable state for a plan of a path or GHD repair mode from
+// the engine capture (the exact tables the from-scratch answer was computed
+// from), acquiring every table through the shared store.
 std::unique_ptr<RepairState> BuildState(
-    const ConjunctiveQuery& q, const Plan& plan, TSensCapture capture,
-    const std::vector<int>& skip_atoms, const Database& db, NodeStore& ns,
-    SensitivityCacheStats& stats, uint64_t tick, uint64_t* rows_touched) {
+    const ConjunctiveQuery& q, const SensitivityPlan& plan,
+    TSensCapture capture, const std::vector<int>& skip_atoms,
+    const Database& db, NodeStore& ns, SensitivityCacheStats& stats,
+    uint64_t tick, uint64_t* rows_touched) {
   auto state = std::make_unique<RepairState>();
-  state->mode = plan.mode;
-  if (plan.mode == RepairState::Mode::kConstant) return state;
-
+  state->mode = RepairModeOf(q, plan);
   StateBuilder b{q, db, ns, stats, tick, *state, {}, {}, 0};
 
-  if (plan.mode == RepairState::Mode::kPath) {
-    const std::vector<int>& order = plan.order;
+  if (state->mode == RepairState::Mode::kPath) {
+    const std::vector<int>& order = plan.path_order;
     const size_t m = order.size();
     std::vector<AttrId> link(m - 1, kInvalidAttr);
     for (size_t i = 0; i + 1 < m; ++i) {
@@ -973,7 +933,7 @@ std::unique_ptr<RepairState> BuildState(
           b.MakeTracker(order[i], i + 1 == m ? TableRef{} : bot_node[i + 1]));
     }
   } else {
-    const Ghd& ghd = *plan.ghd;
+    const Ghd& ghd = plan.decomposition.ghd();
     const int num_atoms = q.num_atoms();
     const size_t num_bags = ghd.bags.size();
     const size_t num_trees = ghd.forest.trees.size();
@@ -1829,16 +1789,32 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
   }
 
   // Full compute (first sight, or fallback), capturing repairable state
-  // when the plan supports it. The store syncs *before* the engine runs,
-  // so every non-stale shared node is current when BuildState attaches to
-  // it against the fresh capture.
-  Plan plan = MakePlan(q, options);
+  // when the options allow it. A fallback runs the plan stored with the
+  // entry; first sight plans here, once. The store syncs *before* the
+  // engine runs, so every non-stale shared node is current when BuildState
+  // attaches to it against the fresh capture.
+  std::optional<SensitivityPlan> fresh_plan;
+  if (entry == nullptr) {
+    LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
+    auto planned = PlanSensitivity(q, options);
+    if (!planned.ok()) return planned.status();
+    fresh_plan = *std::move(planned);
+    // The entry outlives the caller's GHD: keep a copy.
+    Decomposition& d = fresh_plan->decomposition;
+    if (d.user != nullptr) {
+      d.owned = *d.user;
+      d.user = nullptr;
+    }
+  }
+  const SensitivityPlan& plan = entry != nullptr ? entry->plan : *fresh_plan;
+  const bool repairable = UnsupportedReason(options).empty();
   std::unique_ptr<RepairState> state;
   uint64_t build_rows = 0;
   auto run_full = [&]() -> StatusOr<SensitivityResult> {
-    if (!plan.supported || plan.mode == RepairState::Mode::kConstant) {
-      auto r = ComputeLocalSensitivity(q, db, options);
-      if (r.ok() && plan.supported) {
+    if (!repairable ||
+        RepairModeOf(q, plan) == RepairState::Mode::kConstant) {
+      auto r = RunSensitivityPlan(q, plan, db, options);
+      if (r.ok() && repairable) {
         state = std::make_unique<RepairState>();  // kConstant
       }
       return r;
@@ -1847,10 +1823,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
     TSensCapture capture;
     TSensComputeOptions run = options;
     run.capture = &capture;
-    StatusOr<SensitivityResult> r =
-        plan.mode == RepairState::Mode::kPath
-            ? TSensPath(q, plan.order, db, run)
-            : TSensOverGhd(q, *plan.ghd, db, run);
+    StatusOr<SensitivityResult> r = RunSensitivityPlan(q, plan, db, run);
     if (r.ok()) {
       // Install change logs first so the acquired sources start from a
       // loggable version.
@@ -1880,6 +1853,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
     entries_.push_back(std::make_unique<Entry>());
     entry = entries_.back().get();
     entry->key = key;
+    entry->plan = *std::move(fresh_plan);
     entry->last_used = ++tick_;
     if (entries_.size() > config_.max_entries) {
       size_t evict = 0;
@@ -1897,7 +1871,6 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
   entry->versions = *std::move(versions);
   entry->result = *std::move(computed);
   entry->state = std::move(state);  // old state's nodes released below
-  entry->unsupported_reason = plan.supported ? "" : plan.reason;
   stats_.repair_rows += build_rows;
   SweepStore();
 

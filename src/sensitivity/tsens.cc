@@ -4,35 +4,81 @@
 #include <utility>
 
 #include "exec/exec_context.h"
+#include "query/explain.h"
 #include "query/join_tree.h"
 
 namespace lsens {
+
+StatusOr<SensitivityPlan> PlanSensitivity(const ConjunctiveQuery& q,
+                                          const TSensComputeOptions& options) {
+  auto decomposition = ResolveDecomposition(q, options.ghd);
+  if (!decomposition.ok()) return decomposition.status();
+  SensitivityPlan plan;
+  plan.decomposition = *std::move(decomposition);
+  if (plan.decomposition.source == DecompositionSource::kGyo &&
+      options.prefer_path_algorithm && !options.keep_tables) {
+    std::vector<int> order = PathOrder(q);
+    if (order.size() >= 2) {
+      plan.engine = SensitivityEngine::kPath;
+      plan.path_order = std::move(order);
+    }
+  }
+  return plan;
+}
+
+StatusOr<SensitivityResult> RunSensitivityPlan(const ConjunctiveQuery& q,
+                                               const SensitivityPlan& plan,
+                                               const Database& db,
+                                               const TSensOptions& options) {
+  if (plan.engine == SensitivityEngine::kPath) {
+    return TSensPath(q, plan.path_order, db, options);
+  }
+  return TSensOverGhd(q, plan.decomposition.ghd(), db, options);
+}
 
 StatusOr<SensitivityResult> ComputeLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options) {
   LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
-  // Times the facade end-to-end (dispatch included) so the stats report
+  // Times the facade end-to-end (planning included) so the stats report
   // shows total sensitivity wall time next to the per-operator rows.
   OpTimer op(ResolveExecContext(options.join.ctx), "tsens.compute",
              db.TotalRows());
+  auto plan = PlanSensitivity(q, options);
+  if (!plan.ok()) return plan.status();
+  return RunSensitivityPlan(q, *plan, db, options);
+}
 
-  if (options.ghd != nullptr) {
-    return TSensOverGhd(q, *options.ghd, db, options);
+std::string ExplainQuery(const ConjunctiveQuery& q,
+                         const AttributeCatalog& attrs,
+                         const TSensComputeOptions& options) {
+  std::string out = "query: " + q.ToString(attrs) + "\n";
+  out += IsAcyclic(q) ? "structure: acyclic (GYO)\n" : "structure: cyclic\n";
+  auto plan = PlanSensitivity(q, options);
+  if (!plan.ok()) {
+    return out + "no atom-partition GHD found: " + plan.status().ToString() +
+           "\n";
   }
-
-  auto forest = BuildJoinForestGYO(q);
-  if (forest.ok()) {
-    if (options.prefer_path_algorithm && !options.keep_tables) {
-      std::vector<int> order = PathOrder(q);
-      if (order.size() >= 2) return TSensPath(q, order, db, options);
-    }
-    return TSensOverGhd(q, MakeTrivialGhd(q, *forest), db, options);
+  const Decomposition& d = plan->decomposition;
+  if (d.source == DecompositionSource::kGyo) {
+    JoinTreeAnalysis analysis = AnalyzeJoinTree(q, d.ghd().forest);
+    out += "join tree (max degree " + std::to_string(analysis.max_degree);
+    if (analysis.path_query) out += ", path query";
+    if (analysis.doubly_acyclic) out += ", doubly acyclic";
+    out += "):\n";
+  } else {
+    out += std::string("decomposition: ") +
+           DecompositionSourceName(d.source) + " (width " +
+           std::to_string(d.ghd().Width()) + "):\n";
   }
-
-  auto searched = SearchGhd(q, q.num_atoms());
-  if (!searched.ok()) return searched.status();
-  return TSensOverGhd(q, *searched, db, options);
+  out += RenderGhdTree(q, attrs, d.ghd());
+  if (plan->engine == SensitivityEngine::kPath) {
+    return out + "algorithm: TSensPath (Algorithm 1, O(n log n))\n";
+  }
+  if (d.source == DecompositionSource::kGyo) {
+    return out + "algorithm: TSensOverGhd (Algorithm 2 over the GYO tree)\n";
+  }
+  return out + "algorithm: TSensOverGhd (§5.4 GHD extension)\n";
 }
 
 StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
@@ -44,7 +90,6 @@ StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
   }
   TSensComputeOptions engine_options = options;
   engine_options.keep_tables = true;
-  engine_options.prefer_path_algorithm = false;
   auto full = ComputeLocalSensitivity(q, db, engine_options);
   if (!full.ok()) return full.status();
 

@@ -1,12 +1,14 @@
 #ifndef LSENS_SENSITIVITY_TSENS_H_
 #define LSENS_SENSITIVITY_TSENS_H_
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "query/ghd.h"
 #include "sensitivity/result.h"
+#include "storage/catalog.h"
 #include "sensitivity/tsens_engine.h"
 #include "sensitivity/tsens_path.h"
 #include "storage/database.h"
@@ -19,19 +21,53 @@ struct TSensComputeOptions : TSensOptions {
   // (ignored when keep_tables is set — Algorithm 1 does not build tables).
   bool prefer_path_algorithm = true;
 
-  // Decomposition for cyclic queries. When null and the query is cyclic,
-  // SearchGhd() finds a minimum-width atom-partition GHD (small queries
-  // only). Acyclic queries ignore this and use their GYO join forest.
+  // Decomposition to run over, held by pointer (never copied). When null,
+  // ResolveDecomposition picks the GYO join forest, or for a cyclic query
+  // SearchGhd's minimum-width atom-partition GHD (small queries only).
   const Ghd* ghd = nullptr;
 };
 
+// The engines of the facade.
+enum class SensitivityEngine {
+  kPath,  // TSensPath: Algorithm 1 over `path_order`
+  kGhd,   // TSensOverGhd: Algorithm 2 / §5.4 over the decomposition
+};
+
+// What the facade runs, chosen only by PlanSensitivity; the facade, the
+// SensitivityCache and ExplainQuery all execute or render this one plan.
+struct SensitivityPlan {
+  SensitivityEngine engine = SensitivityEngine::kGhd;
+  std::vector<int> path_order;  // kPath: the chain from PathOrder()
+  Decomposition decomposition;  // always resolved, even for kPath
+};
+
+// ResolveDecomposition(q, options.ghd), then Algorithm 1 for the GYO forest
+// of a path query of >= 2 atoms when prefer_path_algorithm is set and
+// keep_tables is not, else Algorithm 2 over the decomposition.
+StatusOr<SensitivityPlan> PlanSensitivity(
+    const ConjunctiveQuery& q, const TSensComputeOptions& options = {});
+
+// Runs the plan's engine (no planning, no facade timer).
+StatusOr<SensitivityResult> RunSensitivityPlan(const ConjunctiveQuery& q,
+                                               const SensitivityPlan& plan,
+                                               const Database& db,
+                                               const TSensOptions& options);
+
 // Entry point for the local sensitivity problem (Definition 2.3): computes
-// LS(Q, D) and a most sensitive tuple. Dispatches between Algorithm 1
-// (path queries), Algorithm 2 (acyclic queries via GYO join trees), and the
-// §5.4 GHD extension (cyclic queries).
+// LS(Q, D) and a most sensitive tuple. Validates, plans (PlanSensitivity)
+// and runs the plan: Algorithm 1 (path queries), Algorithm 2 (acyclic
+// queries via GYO join trees) or the §5.4 GHD extension (cyclic queries).
 StatusOr<SensitivityResult> ComputeLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options = {});
+
+// Renders PlanSensitivity(q, options): the query, its structure, the
+// decomposition (GYO join tree with the Theorem 5.1 parameters, or a
+// searched / user-supplied GHD and its width) as an ASCII tree, and the
+// engine the facade will run.
+std::string ExplainQuery(const ConjunctiveQuery& q,
+                         const AttributeCatalog& attrs,
+                         const TSensComputeOptions& options = {});
 
 // Turns the result's most sensitive tuple into a concrete row insertable
 // into its relation: bound attributes take the argmax values; free

@@ -72,10 +72,10 @@ struct TSensCapture {
 // Options shared by all TSens algorithm variants.
 struct TSensOptions {
   // Join kernel selection, stats context, and parallelism: join.threads > 1
-  // lets the engine fan its independent subproblems (per-atom multiplicity
-  // tables, the path algorithm's two fold chains, per-tuple lookups) and
-  // large hash-join probes out over the process-wide thread pool. Results
-  // are bit-identical to serial at any thread count.
+  // lets the engine fan its independent subproblems (TSensOverGhd's
+  // per-atom multiplicity tables, per-tuple lookups) and large hash-join
+  // probes out over the process-wide thread pool. Results are bit-identical
+  // to serial at any thread count.
   JoinOptions join;
 
   // §5.4 "Efficient approximations": when > 0, botjoins and topjoins keep

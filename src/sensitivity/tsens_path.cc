@@ -38,15 +38,15 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
   }
 
   // S_i: counted projections onto the link attributes (predicates
-  // applied). Relation lookups and chain validation stay serial (Status
-  // propagation); the projections fan out per position.
-  std::vector<const Relation*> chain_rels(m);
+  // applied).
+  ExecContext& ctx = ResolveExecContext(options.join.ctx);
+  std::vector<CountedRelation> s;
+  s.reserve(m);
   std::vector<AttributeSet> keeps(m);
   for (size_t i = 0; i < m; ++i) {
     const Atom& atom = q.atom(order[i]);
     auto rel = db.Get(atom.relation);
     if (!rel.ok()) return rel.status();
-    chain_rels[i] = *rel;
     AttributeSet keep;
     if (i > 0) keep.push_back(link[i - 1]);
     if (i + 1 < m) keep.push_back(link[i]);
@@ -54,24 +54,15 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
     if (!IsSubset(keep, atom.VarSet())) {
       return Status::InvalidArgument("order is not a chain over the atoms");
     }
+    s.push_back(ScanAtom(**rel, atom, keep, &ctx));
     keeps[i] = std::move(keep);
   }
-  ExecContext& ctx = ResolveExecContext(options.join.ctx);
-  const int threads = options.join.threads;
-  std::vector<CountedRelation> s;
-  s.reserve(m);
-  for (size_t i = 0; i < m; ++i) s.emplace_back(AttributeSet{});
-  ParallelApply(ctx, threads, m, [&](size_t i, ExecContext& wctx) {
-    s[i] = ScanAtom(*chain_rels[i], q.atom(order[i]),
-                                     keeps[i], &wctx);
-  });
 
-  // The ⊤ and ⊥ recursions are each a sequential chain (J[i] needs
-  // J[i-1]). They run one after the other on `ctx`, so their joins keep
-  // the join layer's own parallelism. Running the two chains as two
-  // concurrent tasks measured slower than serial on TPC-H q1 at sf 0.1
-  // on a 4-vCPU host (bench_fig7_runtime, threads 4 against 0: 0.94x with
-  // the region, 1.10x without it, medians of 10 alternating runs each).
+  // The engine runs serially on `ctx`; its joins keep the join layer's own
+  // parallelism. Fanning out the S_i scans, the ⊤/⊥ chains or the
+  // per-position δ_i computations all measured slower than serial on
+  // TPC-H q1 at threads 4 on a 4-vCPU host (bench_fig7_runtime, medians of
+  // alternating runs; ROADMAP item 4 has the numbers).
   bool truncation_applied = false;
   auto maybe_truncate = [&](CountedRelation* r) {
     if (options.top_k > 0 && r->NumRows() > options.top_k) {
@@ -111,11 +102,9 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
     botjoin[i] = std::move(k);
   }
 
-  // Per-distance δ_i computations: every position reads only the shared
-  // ⊤/⊥ chains (copying a part only to filter it) and writes its own atom
-  // slot, so they fan out one task per position; the winner reduction
-  // afterwards walks positions in chain order, matching the serial
-  // tie-breaking.
+  // Per-position δ_i computations: each reads the shared ⊤/⊥ chains
+  // (copying a part only to filter it) and writes its own atom slot; the
+  // winner reduction afterwards walks positions in chain order.
   SensitivityResult result;
   result.local_sensitivity = Count::Zero();
   result.atoms.resize(static_cast<size_t>(q.num_atoms()));
@@ -189,8 +178,7 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
     }
   };
 
-  ParallelApply(ctx, threads, m,
-                [&](size_t i, ExecContext&) { compute_position(i); });
+  for (size_t i = 0; i < m; ++i) compute_position(i);
 
   for (size_t i = 0; i < m; ++i) {
     const int atom_index = order[i];

@@ -72,6 +72,19 @@ TEST(CountTest, SaturatingMultiplication) {
   // Saturation is sticky.
   EXPECT_TRUE((d * Count(2)).IsSaturated());
   EXPECT_TRUE((d + Count::One()).IsSaturated());
+  EXPECT_EQ(Count::Max() * Count::One(), Count::Max());
+  EXPECT_EQ(Count::Max() * Count::Zero(), Count::Zero());
+  // Boundary products around 2^128.
+  const Count two64 = Count(uint64_t{1} << 32) * Count(uint64_t{1} << 32);
+  EXPECT_FALSE(two64.IsSaturated());
+  EXPECT_EQ(two64.ToString(), "18446744073709551616");
+  EXPECT_TRUE((two64 * two64).IsSaturated());
+  const Count two127 = two64 * Count(uint64_t{1} << 63);
+  EXPECT_EQ(two127.ToString(), "170141183460469231731687303715884105728");
+  EXPECT_FALSE((two127 * Count::One()).IsSaturated());
+  EXPECT_EQ(two127 * Count::One(), two127);
+  EXPECT_TRUE((two127 * Count(2)).IsSaturated());
+  EXPECT_EQ(c.ToString(), "340282366920938463426481119284349108225");
 }
 
 TEST(CountTest, SaturatingAddition) {

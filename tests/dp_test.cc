@@ -219,6 +219,44 @@ TEST(TSensDpTest, AdditiveTruncatedCountsOnTriangles) {
   }
 }
 
+// Without a GHD, both mechanisms decompose a cyclic query as CountQuery
+// does (ResolveDecomposition searches one) and answer exactly as with the
+// searched GHD passed in.
+TEST(DpDecompositionTest, CyclicQueryWithoutGhdSearchesOne) {
+  SocialOptions sopts;
+  sopts.num_nodes = 40;
+  sopts.num_circles = 60;
+  sopts.target_directed_edges = 500;
+  Database db = MakeSocialDatabase(sopts);
+  WorkloadQuery tri = MakeFacebookTriangle(db);
+  auto searched = SearchGhd(tri.query, tri.query.num_atoms());
+  ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+  auto expect_same = [](const StatusOr<DpRunResult>& a,
+                        const StatusOr<DpRunResult>& b) {
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(a->true_answer, b->true_answer);
+    EXPECT_EQ(a->truncated_answer, b->truncated_answer);
+    EXPECT_EQ(a->noisy_answer, b->noisy_answer);
+    EXPECT_EQ(a->learned_threshold, b->learned_threshold);
+    EXPECT_EQ(a->global_sensitivity, b->global_sensitivity);
+  };
+
+  TSensDpOptions dopts;
+  dopts.seed = 3;
+  auto tsens_dp = RunTSensDp(tri.query, db, tri.private_atom, dopts);
+  dopts.ghd = &*searched;
+  expect_same(tsens_dp, RunTSensDp(tri.query, db, tri.private_atom, dopts));
+
+  PrivSqlPolicy policy;
+  policy.private_atom = tri.private_atom;
+  PrivSqlOptions popts;
+  popts.seed = 3;
+  auto privsql = RunPrivSql(tri.query, db, policy, popts);
+  popts.ghd = &*searched;
+  expect_same(privsql, RunPrivSql(tri.query, db, policy, popts));
+}
+
 TEST(TSensDpTest, HighBudgetGivesAccurateAnswers) {
   TpchOptions topts;
   topts.scale = 0.001;

@@ -146,8 +146,8 @@ TEST(ElasticTest, FaithfulModeAlsoUpperBoundsExactLS) {
 TEST(ElasticDistanceTest, BoundsGrowWithDistance) {
   auto ex = MakeFigure3Example();
   DataMaxFreqProvider mf(ex.query, ex.db);
-  auto forest = BuildJoinForestGYO(ex.query);
-  std::vector<int> order = PlanOrderFromForest(*forest);
+  std::vector<int> order =
+      PlanOrderFromGhd(ResolveDecomposition(ex.query)->ghd());
   Count prev = Count::Zero();
   for (uint64_t k : {0, 1, 2, 5, 10}) {
     auto at_k = ElasticSensitivityAtDistance(ex.query, order, mf, k);
@@ -160,8 +160,8 @@ TEST(ElasticDistanceTest, BoundsGrowWithDistance) {
 TEST(ElasticDistanceTest, DistanceZeroMatchesPlain) {
   auto ex = MakeFigure1Example();
   DataMaxFreqProvider mf(ex.query, ex.db);
-  auto forest = BuildJoinForestGYO(ex.query);
-  std::vector<int> order = PlanOrderFromForest(*forest);
+  std::vector<int> order =
+      PlanOrderFromGhd(ResolveDecomposition(ex.query)->ghd());
   auto plain = ElasticSensitivity(ex.query, order, mf);
   auto at_zero = ElasticSensitivityAtDistance(ex.query, order, mf, 0);
   ASSERT_TRUE(plain.ok());
@@ -173,8 +173,8 @@ TEST(ElasticDistanceTest, DistanceZeroMatchesPlain) {
 TEST(SmoothElasticTest, DominatesDistanceZeroAndShrinksWithBeta) {
   auto ex = MakeFigure3Example();
   DataMaxFreqProvider mf(ex.query, ex.db);
-  auto forest = BuildJoinForestGYO(ex.query);
-  std::vector<int> order = PlanOrderFromForest(*forest);
+  std::vector<int> order =
+      PlanOrderFromGhd(ResolveDecomposition(ex.query)->ghd());
   auto base = ElasticSensitivity(ex.query, order, mf);
   ASSERT_TRUE(base.ok());
   double prev = 1e300;
@@ -199,8 +199,8 @@ TEST(SmoothElasticTest, DominatesDistanceZeroAndShrinksWithBeta) {
 TEST(SmoothElasticTest, ValidatesArguments) {
   auto ex = MakeFigure3Example();
   DataMaxFreqProvider mf(ex.query, ex.db);
-  auto forest = BuildJoinForestGYO(ex.query);
-  std::vector<int> order = PlanOrderFromForest(*forest);
+  std::vector<int> order =
+      PlanOrderFromGhd(ResolveDecomposition(ex.query)->ghd());
   EXPECT_FALSE(
       SmoothElasticSensitivity(ex.query, order, mf, -1.0, 0).ok());
   EXPECT_FALSE(

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "query/explain.h"
 #include "query/parser.h"
 #include "sensitivity/tsens.h"
 #include "test_util.h"
@@ -112,9 +111,57 @@ TEST(ExplainTest, CyclicReportShowsDecomposition) {
 
   auto ghd = BuildGhd(q, {{0, 1}, {2}});
   ASSERT_TRUE(ghd.ok());
-  std::string supplied = ExplainQuery(q, db.attrs(), &*ghd);
+  TSensComputeOptions options;
+  options.ghd = &*ghd;
+  std::string supplied = ExplainQuery(q, db.attrs(), options);
   EXPECT_NE(supplied.find("user-supplied (width 2)"), std::string::npos);
   EXPECT_NE(supplied.find("E0+E1"), std::string::npos);
+}
+
+// The engine line of a report.
+std::string ExplainedEngine(const std::string& report) {
+  size_t at = report.find("algorithm: ");
+  if (at == std::string::npos) return "";
+  at += 11;
+  return report.substr(at, report.find(' ', at) - at);
+}
+
+TEST(ExplainTest, ReportsTheEngineTheFacadeRuns) {
+  // Single atom: PathOrder returns {0}, but the facade runs TSensOverGhd.
+  Database db;
+  db.AddRelation("R", {"A", "B"});
+  ConjunctiveQuery single;
+  single.AddAtom(db, "R", {"A", "B"});
+  EXPECT_EQ(ExplainedEngine(ExplainQuery(single, db.attrs())),
+            "TSensOverGhd");
+
+  auto ex = testing::MakeFigure3Example();  // a path query
+  EXPECT_EQ(ExplainedEngine(ExplainQuery(ex.query, ex.db.attrs())),
+            "TSensPath");
+  TSensComputeOptions no_path;
+  no_path.prefer_path_algorithm = false;
+  EXPECT_EQ(ExplainedEngine(ExplainQuery(ex.query, ex.db.attrs(), no_path)),
+            "TSensOverGhd");
+  TSensComputeOptions keep;
+  keep.keep_tables = true;
+  EXPECT_EQ(ExplainedEngine(ExplainQuery(ex.query, ex.db.attrs(), keep)),
+            "TSensOverGhd");
+}
+
+TEST(ExplainTest, AcyclicQueryWithUserGhdIsExplainedAsSupplied) {
+  auto ex = testing::MakeFigure3Example();
+  std::vector<std::vector<int>> bags;
+  for (int a = 0; a < ex.query.num_atoms(); ++a) bags.push_back({a});
+  auto ghd = BuildGhd(ex.query, bags);
+  ASSERT_TRUE(ghd.ok()) << ghd.status().ToString();
+  TSensComputeOptions options;
+  options.ghd = &*ghd;
+  std::string report = ExplainQuery(ex.query, ex.db.attrs(), options);
+  EXPECT_NE(report.find("acyclic (GYO)"), std::string::npos) << report;
+  EXPECT_NE(report.find("decomposition: user-supplied (width 1)"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(ExplainedEngine(report), "TSensOverGhd") << report;
 }
 
 TEST(ExplainTest, DisconnectedQueryRendersComponents) {

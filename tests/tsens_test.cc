@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "query/eval.h"
 #include "query/ghd.h"
 #include "query/join_tree.h"
+#include "sensitivity/incremental.h"
 #include "sensitivity/naive.h"
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
@@ -88,6 +92,130 @@ TEST(TSensTest, Figure3PathAndEngineAgree) {
     EXPECT_EQ(path->atoms[i].max_sensitivity,
               engine->atoms[i].max_sensitivity)
         << "atom " << i;
+  }
+}
+
+// Every field of two results, multiplicity tables included.
+void ExpectBitIdentical(const SensitivityResult& a, const SensitivityResult& b,
+                        const std::string& context) {
+  EXPECT_EQ(a.local_sensitivity, b.local_sensitivity) << context;
+  EXPECT_EQ(a.argmax_atom, b.argmax_atom) << context;
+  ASSERT_EQ(a.atoms.size(), b.atoms.size()) << context;
+  for (size_t i = 0; i < a.atoms.size(); ++i) {
+    const AtomSensitivity& x = a.atoms[i];
+    const AtomSensitivity& y = b.atoms[i];
+    const std::string at = context + " atom " + std::to_string(i);
+    EXPECT_EQ(x.atom_index, y.atom_index) << at;
+    EXPECT_EQ(x.relation, y.relation) << at;
+    EXPECT_EQ(x.table_attrs, y.table_attrs) << at;
+    EXPECT_EQ(x.free_vars, y.free_vars) << at;
+    EXPECT_EQ(x.max_sensitivity, y.max_sensitivity) << at;
+    EXPECT_EQ(x.argmax, y.argmax) << at;
+    EXPECT_EQ(x.skipped, y.skipped) << at;
+    EXPECT_EQ(x.approximate, y.approximate) << at;
+    ASSERT_EQ(x.table.has_value(), y.table.has_value()) << at;
+    if (!x.table.has_value()) continue;
+    ASSERT_EQ(x.table->NumRows(), y.table->NumRows()) << at;
+    for (size_t r = 0; r < x.table->NumRows(); ++r) {
+      EXPECT_EQ(CompareRows(x.table->Row(r), y.table->Row(r)), 0) << at;
+      EXPECT_EQ(x.table->CountAt(r), y.table->CountAt(r)) << at;
+    }
+  }
+}
+
+// The facade, the cache and a direct engine call agree on every query
+// shape: ComputeLocalSensitivity runs exactly PlanSensitivity's engine,
+// SensitivityCache returns the same result, and RepairSupported follows
+// the plan and the cache's own policy.
+TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
+  struct Case {
+    std::string name;
+    testing::PaperExample ex;
+    std::optional<Ghd> ghd;
+    DecompositionSource source = DecompositionSource::kGyo;
+    bool path = false;
+  };
+  std::vector<Case> cases;
+
+  Case single{"single-atom", {}, std::nullopt};
+  Relation* r = single.ex.db.AddRelation("R", {"A", "B"});
+  for (Value v : {1, 2, 3}) r->AppendRow({v, v % 2});
+  single.ex.query.AddAtom(single.ex.db, "R", {"A", "B"});
+  cases.push_back(std::move(single));
+
+  cases.push_back({"path", MakeFigure3Example(), std::nullopt,
+                   DecompositionSource::kGyo, true});
+  cases.push_back({"tree", MakeFigure1Example(), std::nullopt});
+
+  Case disconnected{"disconnected", {}, std::nullopt};
+  Database& db = disconnected.ex.db;
+  Relation* rr = db.AddRelation("R", {"A", "B"});
+  Relation* ss = db.AddRelation("S", {"B", "C"});
+  Relation* tt = db.AddRelation("T", {"X"});
+  for (Value v : {1, 2, 3}) {
+    rr->AppendRow({v, v % 2});
+    ss->AppendRow({v % 2, v});
+    tt->AppendRow({v});
+  }
+  disconnected.ex.query.AddAtom(db, "R", {"A", "B"});
+  disconnected.ex.query.AddAtom(db, "S", {"B", "C"});
+  disconnected.ex.query.AddAtom(db, "T", {"X"});
+  cases.push_back(std::move(disconnected));
+
+  Rng rng(11);
+  cases.push_back({"searched-cyclic", testing::MakeRandomTriangleInstance(
+                                          rng, 6, 3),
+                   std::nullopt, DecompositionSource::kSearched});
+  Case user_cyclic{"user-ghd-cyclic",
+                   testing::MakeRandomTriangleInstance(rng, 6, 3),
+                   std::nullopt, DecompositionSource::kUser};
+  user_cyclic.ghd = *BuildGhd(user_cyclic.ex.query, {{0, 1}, {2}});
+  cases.push_back(std::move(user_cyclic));
+  Case user_acyclic{"user-ghd-acyclic", MakeFigure3Example(), std::nullopt,
+                    DecompositionSource::kUser};
+  user_acyclic.ghd = *BuildGhd(user_acyclic.ex.query, {{0}, {1}, {2}, {3}});
+  cases.push_back(std::move(user_acyclic));
+
+  for (Case& c : cases) {
+    TSensComputeOptions base;
+    base.ghd = c.ghd ? &*c.ghd : nullptr;
+    TSensComputeOptions no_path = base;
+    no_path.prefer_path_algorithm = false;
+    TSensComputeOptions keep = base;
+    keep.keep_tables = true;
+    TSensComputeOptions top_k = base;
+    top_k.top_k = 1;
+    const std::vector<std::pair<std::string, TSensComputeOptions>> variants =
+        {{"default", base}, {"no-path", no_path}, {"keep", keep},
+         {"top-k", top_k}};
+    for (const auto& [variant, options] : variants) {
+      const std::string context = c.name + "/" + variant;
+      const ConjunctiveQuery& q = c.ex.query;
+      auto plan = PlanSensitivity(q, options);
+      ASSERT_TRUE(plan.ok()) << context << ": " << plan.status().ToString();
+      EXPECT_EQ(plan->decomposition.source, c.source) << context;
+      const bool path = c.path && options.prefer_path_algorithm &&
+                        !options.keep_tables;
+      EXPECT_EQ(plan->engine == SensitivityEngine::kPath, path) << context;
+
+      auto direct =
+          plan->engine == SensitivityEngine::kPath
+              ? TSensPath(q, plan->path_order, c.ex.db, options)
+              : TSensOverGhd(q, plan->decomposition.ghd(), c.ex.db, options);
+      auto facade = ComputeLocalSensitivity(q, c.ex.db, options);
+      ASSERT_TRUE(direct.ok()) << context << direct.status().ToString();
+      ASSERT_TRUE(facade.ok()) << context << facade.status().ToString();
+      ExpectBitIdentical(*facade, *direct, context);
+
+      std::string reason;
+      EXPECT_EQ(SensitivityCache::RepairSupported(q, options, &reason),
+                options.top_k == 0 && !options.keep_tables)
+          << context << " " << reason;
+      SensitivityCache cache;
+      auto cached = cache.Compute(q, c.ex.db, options);
+      ASSERT_TRUE(cached.ok()) << context << cached.status().ToString();
+      ExpectBitIdentical(*cached, *facade, context + " cache");
+    }
   }
 }
 
