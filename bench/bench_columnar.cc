@@ -155,54 +155,44 @@ uint64_t PerRowProbe(const FlatGroupTable& table, const CountedRelation& a,
   return matched;
 }
 
-// --- Repair: projected sharded change collection vs project-after --------
+// --- Repair: projected change collection vs project-after ---------------
 
-uint64_t FoldProjected(
-    const std::vector<std::vector<ProjectedRowChange>>& shards) {
+uint64_t FoldProjected(const std::vector<ProjectedRowChange>& changes) {
   uint64_t checksum = kValueHashSeed;
-  for (const auto& shard : shards) {
-    for (const ProjectedRowChange& pc : shard) {
-      checksum = HashValueFold(checksum, pc.insert ? 1 : 0);
-      for (Value v : pc.key) checksum = HashValueFold(checksum, v);
-    }
+  for (const ProjectedRowChange& pc : changes) {
+    checksum = HashValueFold(checksum, pc.insert ? 1 : 0);
+    for (Value v : pc.key) checksum = HashValueFold(checksum, v);
   }
   return checksum;
 }
 
 uint64_t ColumnarRepairCollect(const Relation& rel, uint64_t since,
-                               std::span<const size_t> key_cols,
-                               size_t num_shards) {
-  std::vector<std::vector<ProjectedRowChange>> shards(num_shards);
+                               std::span<const size_t> key_cols) {
+  std::vector<ProjectedRowChange> changes;
   auto filter = [](const RowChange& ch) { return ch.row[1] >= 0; };
   size_t num_changes = 0;
-  if (!rel.CollectProjectedChangesShardedSince(since, key_cols, num_shards,
-                                               filter, &shards,
-                                               &num_changes)) {
+  if (!rel.CollectProjectedChangesSince(since, key_cols, filter, &changes,
+                                        &num_changes)) {
     return 0;
   }
-  return FoldProjected(shards);
+  return FoldProjected(changes);
 }
 
 uint64_t RowMajorRepairCollect(const Relation& rel, uint64_t since,
-                               std::span<const size_t> key_cols,
-                               size_t num_shards) {
-  // The pre-columnar shape: collect whole-row changes per shard, then
-  // filter and slice the key columns out of each row.
-  std::vector<std::vector<RowChange>> raw(num_shards);
-  if (!rel.CollectChangesShardedSince(since, key_cols, num_shards, &raw)) {
-    return 0;
+                               std::span<const size_t> key_cols) {
+  // The pre-columnar shape: collect whole-row changes, then filter and
+  // slice the key columns out of each row.
+  std::vector<RowChange> raw;
+  if (!rel.CollectChangesSince(since, &raw)) return 0;
+  std::vector<ProjectedRowChange> changes;
+  for (const RowChange& ch : raw) {
+    if (ch.row[1] < 0) continue;
+    ProjectedRowChange pc;
+    pc.insert = ch.insert;
+    for (size_t col : key_cols) pc.key.push_back(ch.row[col]);
+    changes.push_back(std::move(pc));
   }
-  std::vector<std::vector<ProjectedRowChange>> shards(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    for (const RowChange& ch : raw[s]) {
-      if (ch.row[1] < 0) continue;
-      ProjectedRowChange pc;
-      pc.insert = ch.insert;
-      for (size_t col : key_cols) pc.key.push_back(ch.row[col]);
-      shards[s].push_back(std::move(pc));
-    }
-  }
-  return FoldProjected(shards);
+  return FoldProjected(changes);
 }
 
 // --- Footprint: dictionary-encoded column vs per-row std::string ----------
@@ -348,8 +338,8 @@ int main() {
   }
   const std::vector<size_t> key_cols = {0, 2};
   run_family("repair",
-             [&] { return ColumnarRepairCollect(logged, since, key_cols, 8); },
-             [&] { return RowMajorRepairCollect(logged, since, key_cols, 8); });
+             [&] { return ColumnarRepairCollect(logged, since, key_cols); },
+             [&] { return RowMajorRepairCollect(logged, since, key_cols); });
 
   // Footprint: one dictionary-encoded label column plus two int columns,
   // against per-row std::string storage of the same data.

@@ -1,9 +1,7 @@
 // Incremental sensitivity maintenance under update streams: replays
 // randomized single-row insert/delete streams over the path, acyclic-tree,
 // TPC-H q1, cyclic-triangle (searched GHD), and disconnected-forest
-// workloads — once per LSENS_THREADS entry, on identically rebuilt
-// databases, so serial and sharded repair are compared on the same stream
-// — checking a SensitivityCache repair against a from-scratch
+// workloads, checking a SensitivityCache repair against a from-scratch
 // ComputeLocalSensitivity along the way. Also runs the repair-index
 // microbench: the flat open-addressing DynTable against the
 // unordered_multimap-indexed layout it replaced, on the same op stream.
@@ -25,7 +23,6 @@
 //   LSENS_INC_UPDATES       stream length                 (default 200)
 //   LSENS_INC_CHECK_EVERY   full-recompute cadence        (default 25)
 //   LSENS_INC_TPCH_SCALE    TPC-H scale factor            (default 0.02)
-//   LSENS_THREADS           repair thread counts          (default 0,2)
 //   LSENS_INC_MAX_ROW_RATIO rows-touched ratio ceiling    (default 0.05)
 //   LSENS_INC_INDEX_ROWS    microbench table rows         (default 100000)
 //   LSENS_INC_INDEX_OPS     microbench op-stream length   (default 300000)
@@ -58,7 +55,6 @@ struct StreamResult {
   std::string name;
   size_t rows = 0;
   long updates = 0;
-  long threads = 0;
   double repair_ns = 0;       // median wall per repaired update
   double full_ns = 0;         // median wall per from-scratch compute
   double repair_rows = 0;     // median rows processed per repaired update
@@ -66,7 +62,6 @@ struct StreamResult {
   uint64_t repairs = 0;
   uint64_t fallbacks = 0;
   uint64_t fallback_unsupported = 0;  // must stay 0: every shape repairs
-  uint64_t final_ls = 0;      // last repaired LS (thread-count invariant)
 };
 
 uint64_t TotalRows(const ExecContext& ctx) {
@@ -92,19 +87,16 @@ void MutateOne(Rng& rng, const ConjunctiveQuery& q, Database& db) {
 
 StreamResult ReplayStream(const std::string& name, const ConjunctiveQuery& q,
                           Database& db, const TSensComputeOptions& options,
-                          long updates, long check_every, long threads,
-                          Rng rng) {
+                          long updates, long check_every, Rng rng) {
   StreamResult out;
   out.name = name;
   for (const Atom& atom : q.atoms()) {
     out.rows += db.Find(atom.relation)->NumRows();
   }
   out.updates = updates;
-  out.threads = threads;
 
   SensitivityCache cache;
   TSensComputeOptions cached_options = options;
-  cached_options.join.threads = static_cast<int>(threads);
 
   // Baseline: one from-scratch compute with stats, for the row count.
   {
@@ -129,7 +121,6 @@ StreamResult ReplayStream(const std::string& name, const ConjunctiveQuery& q,
     auto repaired = cache.Compute(q, db, cached_options);
     double elapsed = timer.ElapsedSeconds();
     LSENS_CHECK(repaired.ok());
-    out.final_ls = repaired->local_sensitivity.ToUint64Saturated();
     repair_ns.push_back(elapsed * 1e9);
     repair_rows.push_back(static_cast<double>(TotalRows(ctx)));
     if (u % check_every == 0) {
@@ -180,10 +171,10 @@ Database MakeSyntheticDb(Rng& rng, const std::vector<std::string>& names,
 
 void PrintResult(const StreamResult& r) {
   std::printf(
-      "%-12s t=%ld %9zu rows  repair %10.0f ns/update  full %12.0f ns  "
+      "%-12s %9zu rows  repair %10.0f ns/update  full %12.0f ns  "
       "speedup %8.1fx  rows %7.0f vs %9.0f (%.3f%%)  repairs %" PRIu64
       "  fallbacks %" PRIu64 "\n",
-      r.name.c_str(), r.threads, r.rows, r.repair_ns, r.full_ns,
+      r.name.c_str(), r.rows, r.repair_ns, r.full_ns,
       r.repair_ns > 0 ? r.full_ns / r.repair_ns : 0.0, r.repair_rows,
       r.full_rows,
       r.full_rows > 0 ? 100.0 * r.repair_rows / r.full_rows : 0.0, r.repairs,
@@ -477,13 +468,12 @@ bool WriteJson(const std::vector<StreamResult>& results,
     std::fprintf(
         f,
         "  {\"name\": \"%s\", \"rows\": %zu, \"updates\": %ld, "
-        "\"threads\": %ld, "
         "\"repair_ns_per_update\": %.1f, \"full_ns\": %.1f, "
         "\"speedup\": %.2f, \"repair_rows_per_update\": %.1f, "
         "\"full_rows\": %.1f, \"row_ratio\": %.6f, \"repairs\": %" PRIu64
         ", \"fallbacks\": %" PRIu64 ", \"fallback_unsupported\": %" PRIu64
         "},\n",
-        r.name.c_str(), r.rows, r.updates, r.threads, r.repair_ns, r.full_ns,
+        r.name.c_str(), r.rows, r.updates, r.repair_ns, r.full_ns,
         r.repair_ns > 0 ? r.full_ns / r.repair_ns : 0.0, r.repair_rows,
         r.full_rows, r.full_rows > 0 ? r.repair_rows / r.full_rows : 0.0,
         r.repairs, r.fallbacks, r.fallback_unsupported);
@@ -512,10 +502,6 @@ int Run() {
                                              {0.02})[0];
   const double max_row_ratio =
       bench::EnvScales("LSENS_INC_MAX_ROW_RATIO", {0.05})[0];
-  std::vector<long> threads_axis;
-  for (double t : bench::EnvScales("LSENS_THREADS", {0, 2})) {
-    threads_axis.push_back(static_cast<long>(t));
-  }
   const long index_rows = bench::EnvInt("LSENS_INC_INDEX_ROWS", 100000);
   const long index_ops = bench::EnvInt("LSENS_INC_INDEX_OPS", 300000);
   const long index_domain = bench::EnvInt("LSENS_INC_INDEX_DOMAIN", 400);
@@ -523,12 +509,12 @@ int Run() {
 
   bench::Banner("BENCH incremental",
                 "sensitivity maintenance under randomized insert/delete"
-                " streams: cache repair (serial + sharded) vs from-scratch"
+                " streams: cache repair vs from-scratch"
                 " recompute, plus the flat-vs-multimap repair-index"
                 " microbench");
   std::vector<StreamResult> results;
 
-  for (long t : threads_axis) {
+  {
     // 4-atom path query (Algorithm 1 / path repair mode).
     Rng rng(20200712);
     Database db = MakeSyntheticDb(
@@ -540,10 +526,10 @@ int Run() {
     q.AddAtom(db, "P3", {"C", "D"});
     q.AddAtom(db, "P4", {"D", "E"});
     results.push_back(ReplayStream("path4", q, db, {}, updates, check_every,
-                                   t, Rng(417001)));
+                                   Rng(417001)));
     PrintResult(results.back());
   }
-  for (long t : threads_axis) {
+  {
     // Caterpillar join tree with distinct links per node: tree repair mode
     // (the TSensOverGhd ⊥/⊤ tables, not the path chains).
     Rng rng(20200713);
@@ -556,10 +542,10 @@ int Run() {
     q.AddAtom(db, "T3", {"C", "D"});
     q.AddAtom(db, "T4", {"F", "G"});
     results.push_back(ReplayStream("acyclic", q, db, {}, updates,
-                                   check_every, t, Rng(417002)));
+                                   check_every, Rng(417002)));
     PrintResult(results.back());
   }
-  for (long t : threads_axis) {
+  {
     // TPC-H q1 (the paper's path workload) at the configured scale.
     TpchOptions topt;
     topt.scale = tpch_scale;
@@ -568,10 +554,10 @@ int Run() {
     TSensComputeOptions options;
     options.skip_atoms = wq.skip_atoms;
     results.push_back(ReplayStream("tpch-q1", wq.query, db, options, updates,
-                                   check_every, t, Rng(417003)));
+                                   check_every, Rng(417003)));
     PrintResult(results.back());
   }
-  for (long t : threads_axis) {
+  {
     // Triangle (cyclic): repaired through the searched GHD's bag tables.
     // One bag joins two atoms, so a full compute materializes a quadratic
     // bag join — smaller relations keep the baseline affordable.
@@ -584,10 +570,10 @@ int Run() {
     q.AddAtom(db, "C2", {"B", "C"});
     q.AddAtom(db, "C3", {"C", "A"});
     results.push_back(ReplayStream("triangle", q, db, {}, updates,
-                                   check_every, t, Rng(417004)));
+                                   check_every, Rng(417004)));
     PrintResult(results.back());
   }
-  for (long t : threads_axis) {
+  {
     // Disconnected forest (two 2-atom trees): repairs in one tree
     // re-multiply the other tree's scale factor from its maintained total.
     Rng rng(20200715);
@@ -600,16 +586,8 @@ int Run() {
     q.AddAtom(db, "F3", {"X", "Y"});
     q.AddAtom(db, "F4", {"Y", "Z"});
     results.push_back(ReplayStream("disconnected", q, db, {}, updates,
-                                   check_every, t, Rng(417005)));
+                                   check_every, Rng(417005)));
     PrintResult(results.back());
-  }
-
-  // Cross-thread-count invariant: identical streams must end on identical
-  // sensitivities regardless of repair sharding.
-  for (const StreamResult& r : results) {
-    for (const StreamResult& o : results) {
-      if (r.name == o.name) LSENS_CHECK(r.final_ls == o.final_ls);
-    }
   }
 
   IndexMicroResult micro =
@@ -630,9 +608,9 @@ int Run() {
     const double ratio = r.repair_rows / r.full_rows;
     if (ratio > max_row_ratio) {
       std::fprintf(stderr,
-                   "FAIL: %s (threads %ld) repair touches %.4f%% of full"
+                   "FAIL: %s repair touches %.4f%% of full"
                    " rows, over the pinned %.4f%% ceiling\n",
-                   r.name.c_str(), r.threads, 100.0 * ratio,
+                   r.name.c_str(), 100.0 * ratio,
                    100.0 * max_row_ratio);
       ok = false;
     }
@@ -644,10 +622,10 @@ int Run() {
   for (const StreamResult& r : results) {
     if (r.fallback_unsupported != 0) {
       std::fprintf(stderr,
-                   "FAIL: %s (threads %ld) hit %" PRIu64
+                   "FAIL: %s hit %" PRIu64
                    " unsupported-shape fallbacks; every bench shape must"
                    " repair\n",
-                   r.name.c_str(), r.threads, r.fallback_unsupported);
+                   r.name.c_str(), r.fallback_unsupported);
       ok = false;
     }
   }

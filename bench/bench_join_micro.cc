@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/rng.h"
 #include "exec/counted_relation.h"
 #include "exec/exec_context.h"
@@ -235,29 +234,6 @@ void BM_NaturalJoin(benchmark::State& state, JoinAlgorithm algo) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(2 * rows));
 }
-
-// The threads axis of the partitioned-probe hash join: range(0) = rows,
-// range(1) = JoinOptions::threads (0 = the serial kernel). Entries land in
-// BENCH_parallel.json via the "threads" counter.
-void BM_HashJoinThreads(benchmark::State& state) {
-  Rng rng(1);
-  size_t rows = static_cast<size_t>(state.range(0));
-  int threads = static_cast<int>(state.range(1));
-  CountedRelation a = MakeRandomCounted(rng, rows, {1, 2}, rows / 4 + 1);
-  CountedRelation b = MakeRandomCounted(rng, rows, {2, 3}, rows / 4 + 1);
-  ExecContext ctx;
-  JoinOptions opts{JoinAlgorithm::kHash, &ctx, threads};
-  for (auto _ : state) {
-    CountedRelation j = NaturalJoin(a, b, opts);
-    benchmark::DoNotOptimize(j.NumRows());
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-  state.counters["threads"] = static_cast<double>(threads);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * rows));
-}
-BENCHMARK(BM_HashJoinThreads)
-    ->ArgsProduct({{10000, 100000}, {0, 2, 4, 8}});
 
 void BM_HashJoin(benchmark::State& state) {
   BM_NaturalJoin(state, JoinAlgorithm::kHash);
@@ -667,8 +643,6 @@ struct BenchEntry {
   std::string name;
   double rows = 0;
   double ns_per_op = 0;
-  long threads = 0;
-  bool has_threads = false;  // ran on the threads axis (BM_*Threads)
 };
 
 // A console reporter that additionally records every run for the JSON
@@ -684,11 +658,6 @@ class CompactJsonReporter : public benchmark::ConsoleReporter {
       e.name = run.benchmark_name();
       auto it = run.counters.find("rows");
       if (it != run.counters.end()) e.rows = it->second.value;
-      auto th = run.counters.find("threads");
-      if (th != run.counters.end()) {
-        e.threads = static_cast<long>(th->second.value);
-        e.has_threads = true;
-      }
       e.ns_per_op = run.GetAdjustedRealTime();  // ns: the default time unit
       entries_.push_back(std::move(e));
     }
@@ -716,28 +685,6 @@ class CompactJsonReporter : public benchmark::ConsoleReporter {
  private:
   std::vector<BenchEntry> entries_;
 };
-
-// Prints "BM_HashJoinThreads/100000/8: 2.7x vs serial" lines for every
-// threads-axis run paired with its threads = 0 baseline.
-void PrintParallelSpeedups(const std::vector<BenchEntry>& entries) {
-  bool header = false;
-  for (const BenchEntry& e : entries) {
-    if (!e.has_threads || e.threads == 0 || e.ns_per_op <= 0) continue;
-    for (const BenchEntry& base : entries) {
-      if (!base.has_threads || base.threads != 0 || base.rows != e.rows ||
-          base.name.substr(0, base.name.rfind('/')) !=
-              e.name.substr(0, e.name.rfind('/'))) {
-        continue;
-      }
-      if (!header) {
-        std::printf("\nspeedup vs serial (threads = 0):\n");
-        header = true;
-      }
-      std::printf("  %-32s %6.2fx\n", e.name.c_str(),
-                  base.ns_per_op / e.ns_per_op);
-    }
-  }
-}
 
 // Prints "BM_HashJoin/10000: 3.5x vs legacy" lines for every kernel pair
 // present in this run.
@@ -779,20 +726,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s (%zu entries)\n", path, json.entries().size());
-  // The threads-axis runs additionally feed the cross-bench parallel
-  // trajectory file (shared schema with bench_fig7_runtime).
-  std::vector<lsens::bench::ParallelEntry> parallel;
-  for (const auto& e : json.entries()) {
-    if (!e.has_threads) continue;
-    parallel.push_back(
-        lsens::bench::ParallelEntry{e.name, e.rows, e.threads, e.ns_per_op});
-  }
-  if (!parallel.empty() &&
-      !lsens::bench::WriteParallelJson("BENCH_parallel_join.json", parallel)) {
-    return 1;
-  }
   lsens::PrintSpeedups(json.entries());
-  lsens::PrintParallelSpeedups(json.entries());
   benchmark::Shutdown();
   return 0;
 }

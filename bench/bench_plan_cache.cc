@@ -18,7 +18,6 @@
 //   LSENS_PLAN_ROWS       rows per relation              (default 20000)
 //   LSENS_PLAN_DOMAIN     join-key domain                (default 500)
 //   LSENS_PLAN_UPDATES    update-stream length           (default 60)
-//   LSENS_PLAN_THREADS    repair thread count            (default 0)
 //   LSENS_PLAN_SHARE_MIN  required shared-node attaches  (default 1)
 //   LSENS_BENCH_PLAN_CACHE_JSON  output path (default
 //                                BENCH_plan_cache.json)
@@ -92,7 +91,6 @@ int Run() {
   const long rows = bench::EnvInt("LSENS_PLAN_ROWS", 20000);
   const long domain = bench::EnvInt("LSENS_PLAN_DOMAIN", 500);
   const long updates = bench::EnvInt("LSENS_PLAN_UPDATES", 60);
-  const long threads = bench::EnvInt("LSENS_PLAN_THREADS", 0);
   const long share_min = bench::EnvInt("LSENS_PLAN_SHARE_MIN", 1);
 
   bench::Banner("Cross-query plan cache",
@@ -113,7 +111,6 @@ int Run() {
     independent.push_back(std::make_unique<SensitivityCache>(config));
   }
   TSensComputeOptions options;
-  options.join.threads = static_cast<int>(threads);
 
   // Prime both sides (misses + state capture), then replay the identical
   // stream through each, timing the K-query refresh after every delta.
@@ -157,13 +154,13 @@ int Run() {
   const double ns_per_delta = bench::Median(shared_ns);
   const double baseline_ns_per_delta = bench::Median(baseline_ns);
   std::printf(
-      "k=%ld rows=%ld updates=%ld threads=%ld\n"
+      "k=%ld rows=%ld updates=%ld\n"
       "shared:   %10.0f ns/delta  node_repairs %" PRIu64
       "  shared_nodes %" PRIu64 "  attaches %" PRIu64
       "  repairs %" PRIu64 "  assemblies %" PRIu64 "\n"
       "baseline: %10.0f ns/delta  node_repairs %" PRIu64
       " (K independent caches)\n",
-      k, rows, updates, threads, ns_per_delta, stats.node_repairs,
+      k, rows, updates, ns_per_delta, stats.node_repairs,
       stats.shared_nodes, stats.shared_attaches, stats.repairs,
       stats.shared_assemblies, baseline_ns_per_delta, baseline_node_repairs);
 

@@ -14,14 +14,14 @@
 namespace lsens {
 
 // Fixed-size thread pool with a single shared FIFO queue — no work
-// stealing, no dynamic resizing. Built for the coarse-grained fan-out the
-// sensitivity engine needs (a handful of chunk tasks per parallel region,
-// each worth many microseconds), not for fine-grained task graphs.
+// stealing, no dynamic resizing. Built for coarse-grained tasks (a
+// concurrent reader session each, in the serving tests and bench), not for
+// fine-grained task graphs. The engines themselves run serially.
 //
 // Usage contract:
 //   - Submit() enqueues a task; the pool passes the executing worker's
 //     index (in [0, num_workers())) so callers can hand each worker
-//     thread-private state (see ExecContextPool in exec/exec_context.h).
+//     thread-private state.
 //   - Tasks are accounted per submitting thread: Wait() blocks until every
 //     task *the calling thread* submitted has finished, then rethrows the
 //     first exception one of those tasks raised (later exceptions are
@@ -30,9 +30,8 @@ namespace lsens {
 //     nor receives errors from the other's tasks. After Wait() the pool
 //     is reusable for the next batch.
 //   - Nested submission is rejected: Submit() and Wait() LSENS_CHECK-fail
-//     when called from a pool worker thread. Parallel regions therefore
-//     never nest — inner code running on a worker must stay serial
-//     (ThreadPool::OnWorkerThread() is how exec-layer gates detect this).
+//     when called from a pool worker thread (ThreadPool::OnWorkerThread()
+//     detects one).
 //   - The destructor drains the queue, then joins all workers.
 class ThreadPool {
  public:
@@ -53,7 +52,7 @@ class ThreadPool {
   void Wait();
 
   // True iff the calling thread is a worker of *any* ThreadPool. Used to
-  // refuse nested submission and to force nested parallel regions serial.
+  // refuse nested submission, and by DefaultExecContext's debug check.
   static bool OnWorkerThread();
 
  private:
@@ -80,11 +79,11 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-// The process-wide pool the execution layer fans out on, created lazily on
-// first use and sized max(hardware_concurrency, 8) — the floor keeps
-// `threads = 8` differential runs genuinely concurrent on small CI
-// machines (idle workers cost only a blocked thread). Override with the
-// LSENS_POOL_WORKERS environment variable (read once, at creation).
+// The process-wide pool, created lazily on first use and sized
+// max(hardware_concurrency, 8) — the floor keeps concurrent reader
+// sessions genuinely concurrent on small CI machines (idle workers cost
+// only a blocked thread). Override with the LSENS_POOL_WORKERS environment
+// variable (read once, at creation).
 ThreadPool& GlobalThreadPool();
 
 }  // namespace lsens

@@ -48,19 +48,6 @@ void CountedRelation::GatherColumn(int col, std::span<Value> out) const {
   for (size_t i = 0; i < out.size(); ++i) out[i] = src[i * k];
 }
 
-void CountedRelation::AppendRows(const CountedRelation& other) {
-  LSENS_CHECK_MSG(other.attrs_ == attrs_,
-                  "AppendRows requires identical attribute sets");
-  // A default is a statement about the *absent* rows; concatenation cannot
-  // preserve either side's, so refuse rather than silently miscount.
-  LSENS_CHECK_MSG(!has_default() && !other.has_default(),
-                  "AppendRows cannot concatenate defaulted (top-k) relations");
-  if (other.counts_.empty()) return;
-  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
-  counts_.insert(counts_.end(), other.counts_.begin(), other.counts_.end());
-  normalized_ = false;
-}
-
 void CountedRelation::Normalize(ExecContext* ctx_in) {
   const size_t n = NumRows();
   const size_t k = arity();

@@ -58,10 +58,6 @@ class CountedRelation {
   void AppendRow(std::initializer_list<Value> row, Count count) {
     AppendRow(std::span<const Value>(row.begin(), row.size()), count);
   }
-  // Bulk-appends every explicit row of `other` (same attrs required).
-  // Used to concatenate the per-partition outputs of parallel joins before
-  // the single Normalize; does not touch either default_count.
-  void AppendRows(const CountedRelation& other);
   // Appends `n` zero-initialized rows, every one carrying `count`, and
   // returns the new rows' row-major storage for the caller to fill —
   // column-at-a-time producers (ScanAtom) write each source column with
@@ -114,8 +110,7 @@ class CountedRelation {
 
   // Multiplies every count (and the default) by `factor`, saturating.
   // A zero factor triggers a Normalize (zero-count rows must drop), whose
-  // scratch comes from `ctx` — pass the worker context inside parallel
-  // regions.
+  // scratch comes from `ctx` (the thread-local default when null).
   void ScaleCounts(Count factor, ExecContext* ctx = nullptr);
 
   // Column position of `attr` within attrs(), or -1.

@@ -43,8 +43,7 @@ namespace lsens {
 // index for the snapshot size; rehashes compact tombstones.
 //
 // Thread-safety: const lookups (Get / FindRow / LookupIndex / row
-// accessors) may run concurrently with each other — sharded repair reads
-// driver and input tables from several workers — and write nothing, not
+// accessors) may run concurrently with each other and write nothing, not
 // even stats. Mutations require exclusive access; stats() counts the
 // mutating paths only.
 class DynTable {

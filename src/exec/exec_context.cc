@@ -8,8 +8,6 @@
 
 namespace lsens {
 
-ExecContext::~ExecContext() = default;
-
 void ExecContext::Record(std::string_view op, uint64_t rows_in,
                          uint64_t rows_out, uint64_t build_rows,
                          double wall_seconds) {
@@ -28,106 +26,23 @@ void ExecContext::Record(std::string_view op, uint64_t rows_in,
   it->wall_seconds += wall_seconds;
 }
 
-void ExecContext::MergeStats(const OperatorStats& other) {
-  if (!collect_stats) return;
-  auto it = std::find_if(
-      stats_.begin(), stats_.end(),
-      [&](const OperatorStats& s) { return s.name == other.name; });
-  if (it == stats_.end()) {
-    stats_.push_back(OperatorStats{});
-    it = stats_.end() - 1;
-    it->name = other.name;
-  }
-  it->calls += other.calls;
-  it->rows_in += other.rows_in;
-  it->rows_out += other.rows_out;
-  it->build_rows += other.build_rows;
-  it->wall_seconds += other.wall_seconds;
-}
-
 const OperatorStats* ExecContext::FindStats(std::string_view op) const {
   auto it = std::find_if(stats_.begin(), stats_.end(),
                          [&](const OperatorStats& s) { return s.name == op; });
   return it == stats_.end() ? nullptr : &*it;
 }
 
-ExecContextPool& ExecContext::worker_contexts() {
-  if (workers_ == nullptr) workers_ = std::make_unique<ExecContextPool>();
-  return *workers_;
-}
-
-void ExecContextPool::Ensure(size_t n, bool collect_stats) {
-  while (contexts_.size() < n) {
-    auto ctx = std::make_unique<ExecContext>();
-    ctx->is_pool_worker_ = true;
-    contexts_.push_back(std::move(ctx));
-  }
-  for (auto& ctx : contexts_) ctx->collect_stats = collect_stats;
-}
-
-void ExecContextPool::MergeStatsInto(ExecContext& into) {
-  std::vector<std::string> names;
-  for (const auto& ctx : contexts_) {
-    for (const OperatorStats& s : ctx->stats()) names.push_back(s.name);
-  }
-  std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  for (const std::string& name : names) {
-    for (const auto& ctx : contexts_) {
-      if (const OperatorStats* s = ctx->FindStats(name)) into.MergeStats(*s);
-    }
-  }
-  for (auto& ctx : contexts_) ctx->ResetStats();
-}
-
 ExecContext& DefaultExecContext() {
 #ifndef NDEBUG
-  // A pooled worker reaching the fallback means some operator in a parallel
-  // region was called without its worker context — its stats would vanish
-  // into a context nobody merges. Thread the context through instead.
+  // A pooled worker reaching the fallback means an operator ran on a pool
+  // task without its caller's context — its stats would vanish into a
+  // context nobody reads. Thread the context through instead.
   LSENS_CHECK_MSG(!ThreadPool::OnWorkerThread(),
                   "thread-local ExecContext fallback hit on a pool worker; "
-                  "pass the worker context from ParallelApply");
+                  "pass the caller's ExecContext");
 #endif
   thread_local ExecContext ctx;
   return ctx;
-}
-
-bool ShouldRunParallel(int threads, size_t n) {
-  return threads > 1 && n > 1 && !ThreadPool::OnWorkerThread();
-}
-
-void ParallelApply(ExecContext& primary, int threads, size_t n,
-                   const std::function<void(size_t, ExecContext&)>& fn) {
-  if (n == 0) return;
-  if (!ShouldRunParallel(threads, n)) {
-    for (size_t t = 0; t < n; ++t) fn(t, primary);
-    return;
-  }
-  ThreadPool& pool = GlobalThreadPool();
-  ExecContextPool& workers = primary.worker_contexts();
-  workers.Ensure(pool.num_workers(), primary.collect_stats);
-  // min(threads, n) contiguous blocks: the thread knob bounds concurrency
-  // even when the global pool is wider, and block boundaries depend only
-  // on (n, threads) — never on scheduling.
-  const size_t blocks = std::min(static_cast<size_t>(threads), n);
-  for (size_t b = 0; b < blocks; ++b) {
-    pool.Submit([&, b](size_t worker) {
-      ExecContext& ctx = workers.context(worker);
-      const size_t begin = b * n / blocks;
-      const size_t end = (b + 1) * n / blocks;
-      for (size_t t = begin; t < end; ++t) fn(t, ctx);
-    });
-  }
-  try {
-    pool.Wait();
-  } catch (...) {
-    // Still fold the partial stats back so they cannot leak into a later
-    // region's merge, then let the task's exception propagate.
-    workers.MergeStatsInto(primary);
-    throw;
-  }
-  workers.MergeStatsInto(primary);
 }
 
 }  // namespace lsens

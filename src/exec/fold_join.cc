@@ -64,7 +64,7 @@ CountedRelation GreedyFold(std::vector<const CountedRelation*>& remaining,
       }
       const bool counted = !piece->has_default();
       const size_t rows =
-          counted ? EstimateJoinRows(acc, *piece, options.ctx, options.threads)
+          counted ? EstimateJoinRows(acc, *piece, options.ctx)
                   : acc.NumRows();  // covering join keeps acc's rows
       if (best == SIZE_MAX || rows < best_rows) {
         best = i;

@@ -17,10 +17,6 @@ namespace {
 // doubling) instead of up front, bounding a single pre-allocation.
 constexpr size_t kMaxReserveRows = size_t{1} << 22;
 
-// Probe sides smaller than this are never worth fanning out: the emit loop
-// is a few ns per row, so below this the pool handoff dominates.
-constexpr size_t kParallelProbeMinRows = 4096;
-
 // Precomputed column routing for one join: where each output column comes
 // from, and where the key columns live on each side.
 struct JoinLayout {
@@ -307,18 +303,9 @@ void BuildHashSide(const CountedRelation& a, const CountedRelation& b,
 // count pass (CountJoinRows) already left the table and probe hashes in
 // `ctx`; otherwise this kernel builds them under its own timer.
 // `est_rows` is the exact pre-merge output size.
-//
-// With threads > 1 and a probe side past kParallelProbeMinRows the probe
-// is partitioned into `threads` contiguous row ranges fanned out over the
-// global pool: each partition probes the shared read-only table and emits
-// into its own relation (scratch from its worker context), and the parts
-// are concatenated in partition order before the single Normalize. The
-// emitted multiset is exactly the serial one and Count addition is
-// associative and commutative (saturating), so the normalized output — and
-// the one recorded "join.hash" stats row — is bit-identical to serial.
 CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
                          const JoinLayout& layout, size_t est_rows,
-                         bool table_built, ExecContext& ctx, int threads) {
+                         bool table_built, ExecContext& ctx) {
   const bool build_a = a.NumRows() < b.NumRows();
   const CountedRelation& build = build_a ? a : b;
   const CountedRelation& probe = build_a ? b : a;
@@ -330,47 +317,21 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
   if (!table_built) BuildHashSide(a, b, layout, ctx);
   const FlatGroupTable& table = ctx.group_table();
   std::span<const uint64_t> probe_hashes = ctx.hash_buf();
-  const size_t n = probe.NumRows();
-
-  auto probe_range = [&](size_t begin, size_t end, CountedRelation* out,
-                         std::vector<Value>& scratch) {
-    scratch.resize(layout.out_src.size());
-    for (size_t j = begin; j < end; ++j) {
-      std::span<const Value> pr = probe.Row(j);
-      for (uint32_t i : table.Probe(pr, probe_cols, probe_hashes[j])) {
-        std::span<const Value> br = build.Row(i);
-        std::span<const Value> ra = build_a ? br : pr;
-        std::span<const Value> rb = build_a ? pr : br;
-        EmitRow(layout, ra, rb, build.CountAt(i) * probe.CountAt(j), out,
-                scratch);
-      }
-    }
-  };
-
-  if (ShouldRunParallel(threads, n) && n >= kParallelProbeMinRows) {
-    const size_t parts = static_cast<size_t>(threads);
-    std::vector<CountedRelation> outputs;
-    outputs.reserve(parts);
-    for (size_t p = 0; p < parts; ++p) outputs.emplace_back(layout.out_attrs);
-    ParallelApply(ctx, threads, parts, [&](size_t p, ExecContext& wctx) {
-      const size_t begin = p * n / parts;
-      const size_t end = (p + 1) * n / parts;
-      outputs[p].Reserve(std::min(est_rows / parts + 1, kMaxReserveRows));
-      probe_range(begin, end, &outputs[p], wctx.row_buf());
-    });
-    CountedRelation out = std::move(outputs[0]);
-    // One growth to the exact pre-merge size up front, so the concat loop
-    // never reallocates its way from est_rows/parts to est_rows.
-    out.Reserve(std::min(est_rows, kMaxReserveRows));
-    for (size_t p = 1; p < parts; ++p) out.AppendRows(outputs[p]);
-    out.Normalize(&ctx);
-    op.set_rows_out(out.NumRows());
-    return out;
-  }
 
   CountedRelation out(layout.out_attrs);
   out.Reserve(std::min(est_rows, kMaxReserveRows));
-  probe_range(0, n, &out, ctx.row_buf());
+  std::vector<Value>& scratch = ctx.row_buf();
+  scratch.resize(layout.out_src.size());
+  for (size_t j = 0; j < probe.NumRows(); ++j) {
+    std::span<const Value> pr = probe.Row(j);
+    for (uint32_t i : table.Probe(pr, probe_cols, probe_hashes[j])) {
+      std::span<const Value> br = build.Row(i);
+      std::span<const Value> ra = build_a ? br : pr;
+      std::span<const Value> rb = build_a ? pr : br;
+      EmitRow(layout, ra, rb, build.CountAt(i) * probe.CountAt(j), &out,
+              scratch);
+    }
+  }
   out.Normalize(&ctx);
   op.set_rows_out(out.NumRows());
   return out;
@@ -465,12 +426,10 @@ CountedRelation SortMergeJoin(const CountedRelation& a,
 // The exact pre-merge join cardinality in O(|a| + |b|), recorded as
 // "estimate_join_rows": builds the table on the smaller side (BuildHashSide)
 // and sums the probe side's run sizes against it. Runs are key-verified, so
-// the count is exact even under hash collisions. Large probes are
-// chunk-summed on the pool; partial sums are added in chunk order, so the
-// total is exact and deterministic either way. Leaves the table and probe
+// the count is exact even under hash collisions. Leaves the table and probe
 // hashes in `ctx` for HashJoin to reuse.
 size_t CountJoinRows(const CountedRelation& a, const CountedRelation& b,
-                     const JoinLayout& layout, ExecContext& ctx, int threads) {
+                     const JoinLayout& layout, ExecContext& ctx) {
   const bool build_a = a.NumRows() < b.NumRows();
   const CountedRelation& probe = build_a ? b : a;
   const std::vector<int>& probe_cols =
@@ -480,25 +439,9 @@ size_t CountJoinRows(const CountedRelation& a, const CountedRelation& b,
   BuildHashSide(a, b, layout, ctx);
   const FlatGroupTable& table = ctx.group_table();
   std::span<const uint64_t> probe_hashes = ctx.hash_buf();
-  const size_t n = probe.NumRows();
   size_t total = 0;
-  if (ShouldRunParallel(threads, n) && n >= kParallelProbeMinRows) {
-    const size_t parts = static_cast<size_t>(threads);
-    std::vector<size_t> partial(parts, 0);
-    ParallelApply(ctx, threads, parts, [&](size_t p, ExecContext&) {
-      const size_t begin = p * n / parts;
-      const size_t end = (p + 1) * n / parts;
-      size_t sum = 0;
-      for (size_t j = begin; j < end; ++j) {
-        sum += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
-      }
-      partial[p] = sum;
-    });
-    for (size_t s : partial) total += s;
-  } else {
-    for (size_t j = 0; j < n; ++j) {
-      total += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
-    }
+  for (size_t j = 0; j < probe.NumRows(); ++j) {
+    total += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
   }
   op.set_rows_out(total);
   return total;
@@ -613,7 +556,7 @@ CountedRelation JoinImpl(const CountedRelation& a, const CountedRelation& b,
   bool table_built = false;
   auto estimate = [&] {
     if (est_rows == SIZE_MAX) {
-      est_rows = CountJoinRows(a, b, layout, ctx, options.threads);
+      est_rows = CountJoinRows(a, b, layout, ctx);
       table_built = true;
     }
     return est_rows;
@@ -625,8 +568,7 @@ CountedRelation JoinImpl(const CountedRelation& a, const CountedRelation& b,
                            pick.sorted_b, ctx);
     }
   }
-  return HashJoin(a, b, layout, estimate(), table_built, ctx,
-                  options.threads);
+  return HashJoin(a, b, layout, estimate(), table_built, ctx);
 }
 
 }  // namespace
@@ -650,15 +592,15 @@ JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
     return JoinAlgorithm::kHash;
   }
   return PickAuto(a, b, layout, [&] {
-           return CountJoinRows(a, b, layout, ResolveExecContext(ctx), 0);
+           return CountJoinRows(a, b, layout, ResolveExecContext(ctx));
          }).algorithm;
 }
 
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
-                        ExecContext* ctx, int threads) {
+                        ExecContext* ctx) {
   JoinLayout layout = MakeLayout(a, b);
   if (layout.key.empty()) return a.NumRows() * b.NumRows();
-  return CountJoinRows(a, b, layout, ResolveExecContext(ctx), threads);
+  return CountJoinRows(a, b, layout, ResolveExecContext(ctx));
 }
 
 }  // namespace lsens

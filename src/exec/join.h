@@ -29,24 +29,7 @@ struct JoinOptions {
   // Execution context supplying scratch arenas and collecting operator
   // stats. Null = the thread-local default context.
   ExecContext* ctx = nullptr;
-  // Maximum parallelism for the partitioned probe of large hash joins
-  // (and for the parallel regions of the sensitivity engine, which reads
-  // this knob through TSensOptions::join). 0 or 1 = fully serial, today's
-  // behavior. Results are bit-identical at every setting; see the
-  // "Threading model" section of the README.
-  int threads = 0;
 };
-
-// `base` with the context swapped for a pooled worker's and parallelism
-// disabled — the options every operator invoked *inside* a parallel region
-// must run with (regions never nest; see common/thread_pool.h).
-inline JoinOptions WorkerJoinOptions(const JoinOptions& base,
-                                     ExecContext& worker_ctx) {
-  JoinOptions o = base;
-  o.ctx = &worker_ctx;
-  o.threads = 0;
-  return o;
-}
 
 // The paper's r⋈ operator: natural join on the shared attributes with
 // multiplicity (cnt) propagation by product. Output attributes are the
@@ -114,10 +97,9 @@ JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
 // collisions). Used by FoldJoin's greedy join order when more than one
 // candidate can win, and by the cost-based picker of a non-covering join
 // when sort-merge does not win regardless of output size; covering joins
-// never count. `threads` > 1 chunk-sums large probe sides on the global
-// pool (the count is unchanged).
+// never count.
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
-                        ExecContext* ctx = nullptr, int threads = 0);
+                        ExecContext* ctx = nullptr);
 
 }  // namespace lsens
 

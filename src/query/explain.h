@@ -20,10 +20,6 @@ std::string RenderGhdTree(const ConjunctiveQuery& q,
 // milliseconds). Run a query or TSens pass with TSensOptions::join.ctx /
 // JoinOptions::ctx pointing at a context, then print this. Wall times of
 // nested operators overlap (a join's time includes its output Normalize).
-// Parallel runs (JoinOptions::threads > 1) report here too: worker-context
-// stats are merged back into the primary context after every parallel
-// region, so calls/rows columns are identical to a serial run's at any
-// thread count (wall times overlap across workers, like nested operators).
 // This is the one place the query layer reads exec state — reporting only,
 // kept header-light via the forward declaration above.
 std::string RenderExecStats(const ExecContext& ctx);

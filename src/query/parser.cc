@@ -1,6 +1,8 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -67,8 +69,18 @@ class Scanner {
       ++pos_;
     }
     if (pos_ == digits) return Error("expected integer");
-    return static_cast<Value>(
-        std::stoll(std::string(text_.substr(start, pos_ - start))));
+    // std::from_chars accepts '-' but not '+'.
+    const char* first = text_.data() + (text_[start] == '+' ? digits : start);
+    const char* last = text_.data() + pos_;
+    int64_t parsed = 0;
+    auto [ptr, ec] = std::from_chars(first, last, parsed);
+    if (ec != std::errc() || ptr != last) {
+      return Status::InvalidArgument(
+          "integer literal '" +
+          std::string(text_.substr(start, pos_ - start)) +
+          "' out of int64 range at position " + std::to_string(start));
+    }
+    return static_cast<Value>(parsed);
   }
 
   Status Error(const std::string& message) const {

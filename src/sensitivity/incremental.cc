@@ -349,13 +349,6 @@ void Project(std::span<const Value> row, const std::vector<int>& cols,
   for (int c : cols) out->push_back(row[static_cast<size_t>(c)]);
 }
 
-// Shard routing for the parallel repair stages: the shared key-hash fold
-// (storage/value.h), so Relation::CollectChangesShardedSince and this
-// always route one key to one shard.
-size_t KeyShard(std::span<const Value> key, size_t num_shards) {
-  return static_cast<size_t>(HashValues(key) % num_shards);
-}
-
 void SortUnique(std::vector<std::vector<Value>>* keys) {
   std::sort(keys->begin(), keys->end());
   keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
@@ -446,7 +439,6 @@ struct NodeStore {
 using incremental_detail::CanonicalAttrs;
 using incremental_detail::DeltaGroupCount;
 using incremental_detail::ColsOf;
-using incremental_detail::KeyShard;
 using incremental_detail::MarkStale;
 using incremental_detail::NodeStore;
 using incremental_detail::Project;
@@ -1273,18 +1265,7 @@ SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
 // the same sweep. Nodes that cannot be repaired — unanswerable log, a
 // delta over the global gate, saturation — are marked stale (cascading to
 // dependents) and skipped; the pass itself never aborts.
-//
-// `threads` > 1 shards the pass over the global thread pool (via
-// ParallelApply on `ctx`): change-log entries and affected join-key groups
-// are hash-partitioned into per-worker shards, the pure read-only work
-// (predicate filtering, key projection, group repair) fans out,
-// and every table mutation and tracker update applies serially in a
-// scheduling-independent order, so repaired state, results, and all
-// counters are bit-identical to the serial pass at any thread count.
-// Deltas below the kShardMinWork gate stay on the serial loops — a
-// single-row update never pays a pool round-trip.
-void SensitivityCache::SyncStore(Database& db, int threads,
-                                 ExecContext& ctx) {
+void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
   NodeStore& ns = store_->ns;
   if (ns.by_sig.empty()) return;
   WallTimer timer;
@@ -1346,31 +1327,16 @@ void SensitivityCache::SyncStore(Database& db, int threads,
     return;
   }
 
-  // One shard per requested thread; 1 collapses every stage to the plain
-  // serial loops (ShouldRunParallel also refuses nested regions).
-  const size_t num_shards =
-      ShouldRunParallel(threads, static_cast<size_t>(threads) + 1)
-          ? static_cast<size_t>(threads)
-          : 1;
-  // Sharding pays a pool round-trip per source and per node; below this
-  // many work items (pending changes / affected groups) the serial loop
-  // wins — the typical single-row update never leaves it. The gate reads
-  // only the data, so either outcome yields identical results.
-  constexpr size_t kShardMinWork = 32;
-
   uint64_t delta_rows = 0;
   uint64_t rows_touched = 0;
   uint64_t nodes_patched = 0;
 
   // Stage 1 — sources: apply the row-level deltas, collecting the touched
-  // keys. The change log is filtered, projected onto each source's key
-  // columns, and partitioned by projected-key hash in one walk
-  // (Relation::CollectProjectedChangesShardedSince) — only the key columns
-  // of passing changes are copied, never whole rows. Per-key order is
-  // preserved inside a shard and the Adjust calls apply serially shard by
-  // shard, so per-key adjustment sequences (and thus the final table and
-  // any underflow poisoning) match a serial single-shard walk exactly.
-  std::vector<std::vector<ProjectedRowChange>> shard_keys;
+  // keys. The change log is filtered and projected onto each source's key
+  // columns in one walk (Relation::CollectProjectedChangesSince) — only
+  // the key columns of passing changes are copied, never whole rows — and
+  // the Adjust calls apply in log order.
+  std::vector<ProjectedRowChange> changes;
   for (SharedNode* src : pending) {
     const Relation* rel = db.Find(src->relation);
     LSENS_CHECK(rel != nullptr);  // the pre-pass just found it
@@ -1380,30 +1346,18 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       }
       return true;
     };
-    auto apply_shard = [&](std::vector<ProjectedRowChange>& shard) {
-      for (ProjectedRowChange& pc : shard) {
-        Count old;
-        if (!src->table.Adjust(pc.key, Count::One(), pc.insert, &old)) {
-          return false;
-        }
-        src->changed.push_back(std::move(pc.key));
-        src->changed_old.push_back(old);
-      }
-      return true;
-    };
-    const size_t src_shards =
-        (num_shards > 1 && rel->NumChangesSince(src->version) > kShardMinWork)
-            ? num_shards
-            : 1;
-    shard_keys.assign(src_shards, {});
+    changes.clear();
     size_t num_changes = 0;
-    LSENS_CHECK(rel->CollectProjectedChangesShardedSince(
-        src->version, src->keep_cols, src_shards, filter, &shard_keys,
-        &num_changes));
+    LSENS_CHECK(rel->CollectProjectedChangesSince(
+        src->version, src->keep_cols, filter, &changes, &num_changes));
     delta_rows += num_changes;
     bool ok = true;
-    for (size_t s = 0; s < src_shards && ok; ++s) {
-      ok = apply_shard(shard_keys[s]);
+    for (ProjectedRowChange& pc : changes) {
+      Count old;
+      ok = src->table.Adjust(pc.key, Count::One(), pc.insert, &old);
+      if (!ok) break;
+      src->changed.push_back(std::move(pc.key));
+      src->changed_old.push_back(old);
     }
     if (!ok) {
       // Inexact adjustment (saturation / stale log): the table is poisoned
@@ -1437,10 +1391,9 @@ void SensitivityCache::SyncStore(Database& db, int threads,
   // indexes), and recompute each row's count as the product of point
   // lookups.
   //
-  // Either way the recomputation reads only upstream state, so the
-  // affected keys — disjoint work — fan out over key-hash shards; the
-  // recomputed counts land in per-key slots and are applied (with tracker
-  // and tree-total maintenance) serially in sorted key order.
+  // Either way the recomputation reads only upstream state: every
+  // affected key's count is computed first, then applied (with tracker and
+  // tree-total maintenance) in sorted key order.
   std::vector<uint32_t> rows;
   std::vector<Value> key;
   for (SharedNode* node : nodes) {
@@ -1533,65 +1486,44 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       SortUnique(&affected);
     }
     if (affected.empty()) continue;
-    const size_t node_shards =
-        num_shards > 1 && affected.size() > kShardMinWork ? num_shards : 1;
-    std::vector<size_t> shard_of;
-    if (node_shards > 1) {
-      shard_of.resize(affected.size());
-      for (size_t g = 0; g < affected.size(); ++g) {
-        shard_of[g] = KeyShard(affected[g], node_shards);
-      }
-    }
     std::vector<Count> sums(affected.size());
-    std::vector<uint64_t> shard_touched(node_shards, 0);
-    ParallelApply(ctx, threads, node_shards, [&](size_t s, ExecContext&) {
-      std::vector<uint32_t> group_rows;
-      std::vector<Value> lookup_key;
-      uint64_t touched = 0;
-      for (size_t g = 0; g < affected.size(); ++g) {
-        if (node_shards > 1 && shard_of[g] != s) continue;
-        if (node->kind == SharedNode::Kind::kGroup) {
-          const std::span<const std::vector<Value>> changed_rows(
-              drivers.data() + run[g], run[g + 1] - run[g]);
-          touched += changed_rows.size() + 1;
-          const std::optional<Count> delta =
-              DeltaGroupCount(*node, affected[g], changed_rows, lookup_key);
-          if (delta.has_value()) {
-            sums[g] = *delta;
-            continue;
-          }
-          const DynTable& driver = node->driver->table;
-          group_rows.clear();
-          driver.LookupIndex(node->driver_group_index, affected[g],
-                             &group_rows);
-          touched += group_rows.size() + 1;
-          Count sum = Count::Zero();
-          for (uint32_t r : group_rows) {
-            std::span<const Value> row = driver.RowValues(r);
-            Count term = driver.RowCount(r);
-            for (const SharedNode::Input& input : node->inputs) {
-              Project(row, input.driver_cols, &lookup_key);
-              term *= input.node->table.Get(lookup_key);
-              if (term.IsZero()) break;
-            }
-            sum += term;
-          }
-          sums[g] = sum;
-        } else {
-          touched += 1;
-          Count product = Count::One();
-          for (const SharedNode::Piece& piece : node->pieces) {
-            Project(affected[g], piece.scope_cols, &lookup_key);
-            product *= piece.ref->table.Get(lookup_key);
-            if (product.IsZero()) break;
-          }
-          sums[g] = product;
+    for (size_t g = 0; g < affected.size(); ++g) {
+      if (node->kind == SharedNode::Kind::kGroup) {
+        const std::span<const std::vector<Value>> changed_rows(
+            drivers.data() + run[g], run[g + 1] - run[g]);
+        rows_touched += changed_rows.size() + 1;
+        const std::optional<Count> delta =
+            DeltaGroupCount(*node, affected[g], changed_rows, key);
+        if (delta.has_value()) {
+          sums[g] = *delta;
+          continue;
         }
+        const DynTable& driver = node->driver->table;
+        rows.clear();
+        driver.LookupIndex(node->driver_group_index, affected[g], &rows);
+        rows_touched += rows.size() + 1;
+        Count sum = Count::Zero();
+        for (uint32_t r : rows) {
+          std::span<const Value> row = driver.RowValues(r);
+          Count term = driver.RowCount(r);
+          for (const SharedNode::Input& input : node->inputs) {
+            Project(row, input.driver_cols, &key);
+            term *= input.node->table.Get(key);
+            if (term.IsZero()) break;
+          }
+          sum += term;
+        }
+        sums[g] = sum;
+      } else {
+        rows_touched += 1;
+        Count product = Count::One();
+        for (const SharedNode::Piece& piece : node->pieces) {
+          Project(affected[g], piece.scope_cols, &key);
+          product *= piece.ref->table.Get(key);
+          if (product.IsZero()) break;
+        }
+        sums[g] = product;
       }
-      shard_touched[s] += touched;
-    });
-    for (size_t s = 0; s < node_shards; ++s) {
-      rows_touched += shard_touched[s];
     }
     bool ok = true;
     for (size_t g = 0; g < affected.size() && ok; ++g) {
@@ -1693,7 +1625,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
   bool synced = false;
   auto sync = [&] {
     if (!synced) {
-      SyncStore(db, options.join.threads, ctx);
+      SyncStore(db, ctx);
       synced = true;
     }
   };

@@ -124,12 +124,8 @@ class SensitivityCache {
 
   // Compute-or-reuse LS(Q, D). `db` is non-const only so the cache can
   // install change logs on the query's relations; contents are never
-  // modified. `options.join` supplies the stats context and thread count
-  // for full computes exactly as the facade does — and `options.join.
-  // threads` also parallelizes delta repair itself: changed join keys are
-  // hash-partitioned into per-worker shards and the affected groups
-  // re-aggregated on the global thread pool, with results (and every
-  // counter) bit-identical to the serial repair at any thread count.
+  // modified. `options.join` supplies the stats context for full computes
+  // exactly as the facade does, and for the serial delta repair pass.
   // `options.capture` is ignored (the hook belongs to the cache: hits and
   // repairs never run an engine, so it could not be filled consistently).
   StatusOr<SensitivityResult> Compute(const ConjunctiveQuery& q, Database& db,
@@ -159,8 +155,8 @@ class SensitivityCache {
   void Clear();
 
   // Canonical fingerprint of (query, result-affecting options); exposed
-  // for tests. Execution knobs (threads, ctx) are excluded — results are
-  // bit-identical across them.
+  // for tests. The execution context (join.ctx) is excluded — results do
+  // not depend on it.
   static std::string Fingerprint(const ConjunctiveQuery& q,
                                  const TSensComputeOptions& options);
 
@@ -180,7 +176,7 @@ class SensitivityCache {
   // store's fold nodes in dependency order — each node exactly once,
   // updating all attached trackers. Nodes it cannot repair are marked
   // stale (with a reason) instead of aborting the pass.
-  void SyncStore(Database& db, int threads, ExecContext& ctx);
+  void SyncStore(Database& db, ExecContext& ctx);
 
   // Spills shared-node tables — stale first, then LRU — until the DynTable
   // byte total fits config_.max_state_bytes (no-op when the budget is 0).

@@ -13,11 +13,6 @@ namespace lsens {
 
 namespace {
 
-// Relations smaller than this are never worth fanning TupleSensitivities
-// out: a pool round trip costs more than the lookups themselves (same
-// rationale as the join layer's kParallelProbeMinRows).
-constexpr size_t kParallelTupleMinRows = 4096;
-
 // Applies atom `a`'s predicates whose variable lies in rel.attrs().
 void ApplyPredicates(const Atom& atom, CountedRelation* rel) {
   std::vector<std::pair<int, Predicate>> checks;
@@ -98,13 +93,8 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   ExecContext& ctx = ResolveExecContext(options.join.ctx);
   const int num_atoms = q.num_atoms();
   const size_t num_bags = ghd.bags.size();
-  const int threads = options.join.threads;
 
-  // S_a: shared-variable projections with predicates applied, one atom at a
-  // time. Fanning the scans out over the pool was measured on q2
-  // (bench_fig7_runtime, 10 alternating runs per scale, threads 4 against 0,
-  // fanned out vs serial): sf 0.01 0.82x vs 0.94x, sf 0.03 0.98x vs 0.95x,
-  // sf 0.1 0.95x vs 0.96x — no scale where it measurably wins.
+  // S_a: shared-variable projections with predicates applied.
   std::vector<CountedRelation> s;
   s.reserve(static_cast<size_t>(num_atoms));
   for (int a = 0; a < num_atoms; ++a) {
@@ -126,8 +116,8 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   }
 
   const size_t num_trees = ghd.forest.trees.size();
-  // Capture slots are pre-sized here so the concurrent tree/atom tasks
-  // below only ever write disjoint elements.
+  // Capture slots are pre-sized: the passes below fill them by bag, tree
+  // and atom index.
   if (options.capture != nullptr) {
     options.capture->bot_join.assign(num_bags, std::nullopt);
     options.capture->top_join.assign(num_bags, std::nullopt);
@@ -143,24 +133,19 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   std::vector<std::optional<CountedRelation>> bot_use(num_bags);
   std::vector<std::optional<CountedRelation>> top_full(num_bags);
   std::vector<std::optional<CountedRelation>> top_use(num_bags);
-  // Per-tree so concurrent trees never share a flag; OR-reduced below.
-  std::vector<uint8_t> tree_truncated(num_trees, 0);
+  bool truncation_applied = false;
+  auto maybe_truncate = [&](const CountedRelation& full) {
+    CountedRelation trunc = full;
+    if (options.top_k > 0 && trunc.NumRows() > options.top_k) {
+      trunc.TruncateTopK(options.top_k, &ctx);
+      truncation_applied = true;
+    }
+    return trunc;
+  };
 
-  // The ⊥/⊤ recursions of one tree are order-dependent (post/pre order),
-  // but distinct trees of the decomposition forest touch disjoint bags —
-  // disconnected components run concurrently, each on its own context.
-  // Within a tree the FoldJoins parallelize internally (partitioned probe)
-  // whenever this pass runs on the main thread.
-  auto run_tree = [&](size_t t, ExecContext& tctx, const JoinOptions& jopts) {
+  // The ⊥/⊤ recursions of each tree of the decomposition forest.
+  for (size_t t = 0; t < num_trees; ++t) {
     const JoinTree& tree = ghd.forest.trees[t];
-    auto maybe_truncate = [&](const CountedRelation& full) {
-      CountedRelation trunc = full;
-      if (options.top_k > 0 && trunc.NumRows() > options.top_k) {
-        trunc.TruncateTopK(options.top_k, &tctx);
-        tree_truncated[t] = 1;
-      }
-      return trunc;
-    };
     // Botjoins, leaves to root (Eq. 7 generalized to bags).
     for (int bag : tree.PostOrder()) {
       const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
@@ -171,7 +156,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       for (int c : tree.Children(bag)) {
         pieces.push_back(&*bot_use[static_cast<size_t>(c)]);
       }
-      CountedRelation folded = FoldJoin(std::move(pieces), jopts);
+      CountedRelation folded = FoldJoin(std::move(pieces), options.join);
       int parent = tree.Parent(bag);
       if (parent == -1) {
         tree_total[t] = folded.TotalCount();
@@ -181,7 +166,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       } else {
         AttributeSet link = Intersect(
             spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
-        bot_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &tctx);
+        bot_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &ctx);
         bot_use[static_cast<size_t>(bag)] =
             maybe_truncate(*bot_full[static_cast<size_t>(bag)]);
         if (options.capture != nullptr && spec.atom_indices.size() >= 2) {
@@ -206,9 +191,9 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       for (int sibling : tree.Neighbors(bag)) {
         pieces.push_back(&*bot_use[static_cast<size_t>(sibling)]);
       }
-      CountedRelation folded = FoldJoin(std::move(pieces), jopts);
+      CountedRelation folded = FoldJoin(std::move(pieces), options.join);
       AttributeSet link = Intersect(spec.vars, pspec.vars);
-      top_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &tctx);
+      top_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &ctx);
       top_use[static_cast<size_t>(bag)] =
           maybe_truncate(*top_full[static_cast<size_t>(bag)]);
       if (options.capture != nullptr && pspec.atom_indices.size() >= 2) {
@@ -216,26 +201,14 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
             std::move(folded);
       }
     }
-  };
-  if (ShouldRunParallel(threads, num_trees)) {
-    ParallelApply(ctx, threads, num_trees, [&](size_t t, ExecContext& wctx) {
-      run_tree(t, wctx, WorkerJoinOptions(options.join, wctx));
-    });
-  } else {
-    for (size_t t = 0; t < num_trees; ++t) run_tree(t, ctx, options.join);
   }
-  bool truncation_applied = false;
-  for (uint8_t f : tree_truncated) truncation_applied = truncation_applied || f;
 
   // Multiplicity tables T_a (Eq. 6 generalized: within-bag co-atoms join
-  // in). The per-atom subproblems only read shared state (s, the ⊥/⊤
-  // tables, tree totals) and write disjoint result.atoms slots, so they
-  // fan out one task per atom; the winner reduction runs afterwards in
-  // atom order, exactly matching the serial tie-breaking.
+  // in), one per atom; the winner reduction runs afterwards in atom order.
   SensitivityResult result;
   result.local_sensitivity = Count::Zero();
   result.atoms.resize(static_cast<size_t>(num_atoms));
-  auto compute_atom = [&](int a, ExecContext& actx, const JoinOptions& jopts) {
+  for (int a = 0; a < num_atoms; ++a) {
     AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
     out.atom_index = a;
     out.relation = q.atom(a).relation;
@@ -245,7 +218,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
     if (std::find(options.skip_atoms.begin(), options.skip_atoms.end(), a) !=
         options.skip_atoms.end()) {
       out.skipped = true;
-      return;
+      continue;
     }
 
     const int v = bag_of[static_cast<size_t>(a)];
@@ -295,12 +268,12 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
           comp.size() >= 2 && !group_is_full &&
           !PredicatesTouch(q.atom(a), group)) {
         CountedRelation table =
-            MaxOnlyTable(std::move(comp_pieces), group, jopts, actx);
+            MaxOnlyTable(std::move(comp_pieces), group, options.join, ctx);
         max_product *= table.MaxCount();
         comp_tables.push_back(std::move(table));
         continue;
       }
-      CountedRelation folded = FoldJoin(std::move(comp_pieces), jopts);
+      CountedRelation folded = FoldJoin(std::move(comp_pieces), options.join);
       TSensCapture::AtomComponent* cap = nullptr;
       if (options.capture != nullptr) {
         cap = &options.capture->atom_components[static_cast<size_t>(a)]
@@ -311,7 +284,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       }
       CountedRelation table = group_is_full
                                   ? std::move(folded)
-                                  : GroupBySum(folded, group, &actx);
+                                  : GroupBySum(folded, group, &ctx);
       if (cap != nullptr && !group_is_full) cap->table = table;
       ApplyPredicates(q.atom(a), &table);
       max_product *= table.MaxCount();
@@ -349,37 +322,17 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       for (const auto& ct : comp_tables) comp_ptrs.push_back(&ct);
       CountedRelation table =
           comp_tables.empty() ? CountedRelation::Unit()
-                              : FoldJoin(std::move(comp_ptrs), jopts);
+                              : FoldJoin(std::move(comp_ptrs), options.join);
       // FoldJoin rejects all-defaulted inputs; top-k combined with
       // keep_tables is not supported (exact tables are the point).
-      table.ScaleCounts(scale, &actx);
+      table.ScaleCounts(scale, &ctx);
       if (table.attrs() != out.table_attrs) {
         // Components may be scalars (empty attrs); regroup to be safe.
         table = GroupBySum(table, Intersect(out.table_attrs, table.attrs()),
-                           &actx);
+                           &ctx);
       }
       out.table = std::move(table);
     }
-  };
-
-  // Per-atom task parallelism pays off once two or more tables actually
-  // get computed; otherwise stay serial so the single atom's joins keep
-  // their partitioned-probe parallelism (regions never nest).
-  size_t unskipped = 0;
-  for (int a = 0; a < num_atoms; ++a) {
-    if (std::find(options.skip_atoms.begin(), options.skip_atoms.end(), a) ==
-        options.skip_atoms.end()) {
-      ++unskipped;
-    }
-  }
-  if (ShouldRunParallel(threads, unskipped)) {
-    ParallelApply(ctx, threads, static_cast<size_t>(num_atoms),
-                  [&](size_t a, ExecContext& wctx) {
-                    compute_atom(static_cast<int>(a), wctx,
-                                 WorkerJoinOptions(options.join, wctx));
-                  });
-  } else {
-    for (int a = 0; a < num_atoms; ++a) compute_atom(a, ctx, options.join);
   }
 
   for (int a = 0; a < num_atoms; ++a) {
@@ -437,11 +390,9 @@ StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
     pred_cols[p] = c;
   }
 
-  // Per-tuple δ lookups are independent reads of the (normalized, hence
-  // immutable) multiplicity table; each row writes only its own slot, so
-  // the chunked fan-out below returns the exact serial vector. The scan
-  // reads the relation's key and predicate columns directly — resolved to
-  // column spans once here — instead of materializing row tuples.
+  // Per-tuple δ lookups in the multiplicity table. The scan reads the
+  // relation's key and predicate columns directly — resolved to column
+  // spans once here — instead of materializing row tuples.
   ExecContext& ctx = ResolveExecContext(options.join.ctx);
   OpTimer op(ctx, "tsens.tuple_sens", rel.NumRows());
   const size_t n = rel.NumRows();
@@ -452,26 +403,15 @@ StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
     pred_spans[p] = rel.Column(pred_cols[p]);
   }
   std::vector<Count> out(n, Count::Zero());
-  auto lookup_range = [&](size_t begin, size_t end) {
-    std::vector<Value> key(cols.size());
-    for (size_t i = begin; i < end; ++i) {
-      bool pass = true;
-      for (size_t p = 0; p < atom.predicates.size() && pass; ++p) {
-        pass = atom.predicates[p].Eval(pred_spans[p][i]);
-      }
-      if (!pass) continue;
-      for (size_t j = 0; j < cols.size(); ++j) key[j] = key_spans[j][i];
-      out[i] = as.table->Lookup(key);
+  std::vector<Value> key(cols.size());
+  for (size_t i = 0; i < n; ++i) {
+    bool pass = true;
+    for (size_t p = 0; p < atom.predicates.size() && pass; ++p) {
+      pass = atom.predicates[p].Eval(pred_spans[p][i]);
     }
-  };
-  const int threads = options.join.threads;
-  if (ShouldRunParallel(threads, n) && n >= kParallelTupleMinRows) {
-    const size_t parts = std::min(static_cast<size_t>(threads), n);
-    ParallelApply(ctx, threads, parts, [&](size_t p, ExecContext&) {
-      lookup_range(p * n / parts, (p + 1) * n / parts);
-    });
-  } else {
-    lookup_range(0, n);
+    if (!pass) continue;
+    for (size_t j = 0; j < cols.size(); ++j) key[j] = key_spans[j][i];
+    out[i] = as.table->Lookup(key);
   }
   op.set_rows_out(n);
   return out;

@@ -71,11 +71,8 @@ struct TSensCapture {
 
 // Options shared by all TSens algorithm variants.
 struct TSensOptions {
-  // Join kernel selection, stats context, and parallelism: join.threads > 1
-  // lets the engine fan its independent subproblems (TSensOverGhd's
-  // per-atom multiplicity tables, per-tuple lookups) and large hash-join
-  // probes out over the process-wide thread pool. Results are bit-identical
-  // to serial at any thread count.
+  // Join kernel selection and the stats context. The engines run serially
+  // on that one context.
   JoinOptions join;
 
   // §5.4 "Efficient approximations": when > 0, botjoins and topjoins keep
@@ -133,9 +130,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
 // δ(t) for every row of the relation bound by `atom_index`, in row order.
 // Requires `result` computed with keep_tables = true over the same query
 // and database. Rows failing the atom's predicates have sensitivity 0.
-// `options.join` supplies the stats context and the thread count: with
-// threads > 1 the per-row lookups are chunked over the global pool (each
-// row writes its own slot, so the vector is bit-identical to serial).
+// `options.join` supplies the stats context.
 StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
                                                 const ConjunctiveQuery& q,
                                                 const Database& db,

@@ -58,11 +58,6 @@ StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
     keeps[i] = std::move(keep);
   }
 
-  // The engine runs serially on `ctx`; its joins keep the join layer's own
-  // parallelism. Fanning out the S_i scans, the ⊤/⊥ chains or the
-  // per-position δ_i computations all measured slower than serial on
-  // TPC-H q1 at threads 4 on a 4-vCPU host (bench_fig7_runtime, medians of
-  // alternating runs; ROADMAP item 4 has the numbers).
   bool truncation_applied = false;
   auto maybe_truncate = [&](CountedRelation* r) {
     if (options.top_k > 0 && r->NumRows() > options.top_k) {

@@ -238,7 +238,6 @@ bool SensitivityServer::DoTurn() {
   for (const RegisteredQuery& reg : regs) {
     TSensComputeOptions opts = config_.options;
     opts.join.ctx = &writer_ctx_;
-    opts.join.threads = config_.writer_threads;
     StatusOr<SensitivityResult> result =
         cache_.Compute(reg.query, master_, opts);
     // A query the engines cannot answer stays unwarmed; readers see the
@@ -349,7 +348,6 @@ StatusOr<SensitivityResult> SensitivityServer::ServeQuery(
   internal::Epoch& epoch = *pin.epoch_;
   TSensComputeOptions opts = config_.options;
   opts.join.ctx = &ctx;
-  opts.join.threads = config_.reader_threads;
   const std::string key = SensitivityCache::Fingerprint(q, opts);
 
   // Warm map: filled by the writer before publish, immutable since.

@@ -33,22 +33,16 @@ struct Epoch;
 // Serving knobs. The same TSensComputeOptions drive every compute the
 // server runs (writer warm passes and reader cold computes alike), so the
 // cache fingerprint — and therefore the warm-map key — is identical on both
-// sides; only the execution knobs (threads, ctx) differ, and those are
-// excluded from the fingerprint by construction.
+// sides; only the execution context (join.ctx) differs, and it is excluded
+// from the fingerprint by construction. Each compute runs serially on its
+// caller's thread: the writer's turns and the reader sessions are the only
+// concurrency.
 struct ServingConfig {
   SensitivityCacheConfig cache;
 
   // Result-affecting compute options shared by all sessions. join.ctx and
   // capture are owned by the server and overridden per call.
   TSensComputeOptions options;
-
-  // Thread count for the writer's repair/warm pass (sharded delta repair).
-  int writer_threads = 0;
-
-  // Thread count for reader-side cold computes. Keep 0 when reader
-  // sessions run on global-pool workers — parallel regions never nest, so
-  // a nonzero value would silently serialize there anyway.
-  int reader_threads = 0;
 
   // Admission cap: queued DatabaseDelta batches coalesced into one writer
   // turn (one repair pass, one published epoch).

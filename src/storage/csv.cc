@@ -5,15 +5,19 @@
 #include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace lsens {
 
 namespace {
 
+// The whitespace the loader trims from unquoted cells.
+constexpr char kTrimmed[] = " \t\r";
+
 std::string Trim(const std::string& cell) {
-  size_t begin = cell.find_first_not_of(" \t\r");
-  size_t end = cell.find_last_not_of(" \t\r");
+  size_t begin = cell.find_first_not_of(kTrimmed);
+  size_t end = cell.find_last_not_of(kTrimmed);
   return (begin == std::string::npos) ? std::string()
                                       : cell.substr(begin, end - begin + 1);
 }
@@ -97,6 +101,32 @@ bool ParseInt64(const std::string& s, int64_t* out) {
   return ec == std::errc() && ptr == end;
 }
 
+// Writes `s` as one cell (or header name), double-quoted as RFC 4180 says
+// when the loader would otherwise split it (','), unescape it ('"'), trim
+// it (leading or trailing whitespace) or skip it (an empty cell alone on
+// its line reads as a blank line). The loader reads line by line, so a
+// line break cannot round-trip and is refused.
+Status WriteCell(const std::string& s, std::ostringstream& out) {
+  if (s.find('\n') != std::string::npos) {
+    return Status::InvalidArgument("value contains a line break: " + s);
+  }
+  const std::string_view trimmed(kTrimmed);
+  const bool quote = s.empty() || s.find_first_of(",\"") != std::string::npos ||
+                     trimmed.find(s.front()) != trimmed.npos ||
+                     trimmed.find(s.back()) != trimmed.npos;
+  if (!quote) {
+    out << s;
+    return Status::OK();
+  }
+  out << '"';
+  for (char ch : s) {
+    if (ch == '"') out << '"';
+    out << ch;
+  }
+  out << '"';
+  return Status::OK();
+}
+
 }  // namespace
 
 Status LoadCsvText(Database& db, const std::string& relation,
@@ -115,13 +145,14 @@ Status LoadCsvText(Database& db, const std::string& relation,
   for (const auto& col : header) {
     if (col.empty()) return Status::InvalidArgument("empty column name");
   }
-  Relation* rel = db.AddRelation(relation, header);
 
   // Cells parse straight into per-column buffers — the same shape as the
   // relation's columnar storage — and the whole file lands with one
   // AppendColumns call (one contiguous copy per column). String cells
   // intern through the database dictionary; any column that interned at
-  // least one cell is marked dictionary-encoded in the catalog.
+  // least one cell is marked dictionary-encoded in the catalog. The
+  // relation is added only once every line has parsed, so a failed load
+  // leaves none.
   std::vector<std::vector<Value>> columns(header.size());
   std::vector<bool> interned(header.size(), false);
   std::vector<std::string> cells;
@@ -152,6 +183,7 @@ Status LoadCsvText(Database& db, const std::string& relation,
       }
     }
   }
+  Relation* rel = db.AddRelation(relation, header);
   rel->AppendColumns(columns);
   for (size_t c = 0; c < header.size(); ++c) {
     if (interned[c]) rel->set_column_dictionary(c, true);
@@ -166,12 +198,8 @@ StatusOr<std::string> SaveCsvText(const Database& db,
   if (rel == nullptr) return Status::NotFound("relation " + relation);
   std::ostringstream out;
   for (size_t c = 0; c < rel->column_names().size(); ++c) {
-    const std::string& name = rel->column_names()[c];
-    if (name.find(',') != std::string::npos ||
-        name.find('\n') != std::string::npos) {
-      return Status::InvalidArgument("column name needs quoting: " + name);
-    }
-    out << (c > 0 ? "," : "") << name;
+    if (c > 0) out << ',';
+    LSENS_RETURN_IF_ERROR(WriteCell(rel->column_names()[c], out));
   }
   out << '\n';
   for (size_t r = 0; r < rel->NumRows(); ++r) {
@@ -179,12 +207,7 @@ StatusOr<std::string> SaveCsvText(const Database& db,
       Value v = rel->At(r, c);
       if (c > 0) out << ',';
       if (render_dictionary && db.dict().ContainsValue(v)) {
-        const std::string& s = db.dict().String(v);
-        if (s.find(',') != std::string::npos ||
-            s.find('\n') != std::string::npos) {
-          return Status::InvalidArgument("cell value needs quoting: " + s);
-        }
-        out << s;
+        LSENS_RETURN_IF_ERROR(WriteCell(db.dict().String(v), out));
       } else {
         out << v;
       }

@@ -18,8 +18,10 @@ namespace lsens {
 // the file with one bulk columnar append. Reading accepts RFC 4180
 // double-quoted cells ("" escapes a quote, commas inside quotes are
 // literal; embedded line breaks are not supported and read as an
-// unterminated quote error). Writing still refuses values that would need
-// quoting.
+// unterminated quote error). Writing quotes a cell or header name that
+// contains ',' or '"' or has leading or trailing whitespace, so every
+// string round-trips; it refuses a line break, which the loader cannot
+// read back. A failed load adds no relation.
 
 // Loads `path` into a new relation named `relation`. The first line is the
 // header (column names). Fails if the relation already exists.

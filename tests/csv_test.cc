@@ -174,6 +174,49 @@ TEST(CsvTest, RoundTripsThroughText) {
   ASSERT_TRUE(numeric.ok());
   EXPECT_EQ(*numeric, "a,b\n" + std::to_string(Dictionary::kBase) + ",1\n" +
                           std::to_string(Dictionary::kBase + 1) + ",2\n");
+  // Strings and header names the loader would split, unescape or trim are
+  // written quoted, and read back unchanged.
+  const std::string quoted =
+      "k,\"c,d\"\n"
+      "\"\"\"q\"\"\",1\n"
+      "\" pad \",2\n"
+      "\"a,b\",3\n";
+  Database src;
+  ASSERT_TRUE(LoadCsvText(src, "Q", quoted).ok());
+  auto saved = SaveCsvText(src, "Q", /*render_dictionary=*/true);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(*saved, quoted);
+  Database back;
+  ASSERT_TRUE(LoadCsvText(back, "Q", *saved).ok());
+  const Relation* rel = back.Find("Q");
+  EXPECT_EQ(rel->column_names()[1], "c,d");
+  EXPECT_EQ(back.dict().String(rel->At(0, 0)), "\"q\"");
+  EXPECT_EQ(back.dict().String(rel->At(1, 0)), " pad ");
+  EXPECT_EQ(back.dict().String(rel->At(2, 0)), "a,b");
+  // An empty string alone on its line would read back as a blank line.
+  Relation* empty = src.AddRelation("E", {"s"});
+  empty->AppendRow({src.dict().Intern("")});
+  auto empty_text = SaveCsvText(src, "E", /*render_dictionary=*/true);
+  ASSERT_TRUE(empty_text.ok());
+  EXPECT_EQ(*empty_text, "s\n\"\"\n");
+  ASSERT_TRUE(LoadCsvText(back, "E", *empty_text).ok());
+  ASSERT_EQ(back.Find("E")->NumRows(), 1u);
+  EXPECT_EQ(back.dict().String(back.Find("E")->At(0, 0)), "");
+  // A line break cannot be read back by the line-based loader.
+  Relation* broken = src.AddRelation("B", {"s"});
+  broken->AppendRow({src.dict().Intern("two\nlines")});
+  EXPECT_FALSE(SaveCsvText(src, "B", /*render_dictionary=*/true).ok());
+}
+
+TEST(CsvTest, FailedLoadLeavesNoRelation) {
+  Database db;
+  Status s = LoadCsvText(db, "R", "a,b\n1,2\n3\n");
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("line 3"), std::string::npos) << s.ToString();
+  EXPECT_EQ(db.Find("R"), nullptr);
+  // The corrected retry under the same name succeeds.
+  ASSERT_TRUE(LoadCsvText(db, "R", "a,b\n1,2\n3,4\n").ok());
+  EXPECT_EQ(db.Find("R")->NumRows(), 2u);
 }
 
 TEST(CsvTest, SaveUnknownRelationFails) {

@@ -4,8 +4,8 @@
 // differential suite asserts that a keep_tables = false compute (which
 // takes the GroupMax path wherever it applies) reports every atom's
 // max_sensitivity, argmax and approximate flag bit for bit equal to a
-// keep_tables = true compute (which always materializes), at threads 0
-// and 4, over randomized acyclic, GHD/cyclic and disconnected shapes.
+// keep_tables = true compute (which always materializes), over randomized
+// acyclic, GHD/cyclic and disconnected shapes.
 
 #include <gtest/gtest.h>
 
@@ -369,41 +369,36 @@ void ExpectSameAtoms(const SensitivityResult& lean,
   }
 }
 
-// Computes q with and without keep_tables at threads 0 and 4, asserts the
-// four results agree, and returns the number of GroupMax calls the lean
-// serial run made.
+// Computes q with and without keep_tables, asserts the two results agree,
+// and returns the number of GroupMax calls the lean run made.
 uint64_t CheckLeanMatchesKept(const ConjunctiveQuery& q, const Database& db,
                               const Ghd* ghd, size_t top_k,
                               std::vector<int> skip_atoms) {
   std::optional<SensitivityResult> reference;
   uint64_t group_max_calls = 0;
-  for (int threads : {0, 4}) {
-    for (bool keep : {true, false}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " keep_tables " +
-                   std::to_string(keep));
-      ExecContext ctx;
-      TSensComputeOptions o;
-      o.ghd = ghd;
-      o.prefer_path_algorithm = false;  // TSensPath builds no tables
-      o.keep_tables = keep;
-      o.top_k = top_k;
-      o.skip_atoms = skip_atoms;
-      o.join.threads = threads;
-      o.join.ctx = &ctx;
-      auto r = ComputeLocalSensitivity(q, db, o);
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
-      if (!r.ok()) return group_max_calls;
-      if (!reference.has_value()) {
-        reference = *std::move(r);
-        continue;
-      }
-      ExpectSameAtoms(*r, *reference);
-      const OperatorStats* s = ctx.FindStats("group_max");
-      if (keep) {
-        EXPECT_EQ(s, nullptr) << "kept tables must be materialized";
-      } else if (threads == 0 && s != nullptr) {
-        group_max_calls = s->calls;
-      }
+  for (bool keep : {true, false}) {
+    SCOPED_TRACE("keep_tables " + std::to_string(keep));
+    ExecContext ctx;
+    TSensComputeOptions o;
+    o.ghd = ghd;
+    o.prefer_path_algorithm = false;  // TSensPath builds no tables
+    o.keep_tables = keep;
+    o.top_k = top_k;
+    o.skip_atoms = skip_atoms;
+    o.join.ctx = &ctx;
+    auto r = ComputeLocalSensitivity(q, db, o);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return group_max_calls;
+    if (!reference.has_value()) {
+      reference = *std::move(r);
+      continue;
+    }
+    ExpectSameAtoms(*r, *reference);
+    const OperatorStats* s = ctx.FindStats("group_max");
+    if (keep) {
+      EXPECT_EQ(s, nullptr) << "kept tables must be materialized";
+    } else if (s != nullptr) {
+      group_max_calls = s->calls;
     }
   }
   return group_max_calls;

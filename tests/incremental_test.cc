@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -123,58 +122,6 @@ TEST(RelationVersionTest, LogWindowAndClearInvalidate) {
   rel.Clear();
   EXPECT_FALSE(rel.change_log_enabled());
   EXPECT_FALSE(rel.CollectChangesSince(rel.version(), &changes));
-}
-
-TEST(RelationVersionTest, ShardedCollectionPartitionsByKeyHash) {
-  Relation rel("R", {"a", "b"});
-  rel.EnableChangeLog(64);
-  uint64_t v0 = rel.version();
-  for (int i = 0; i < 20; ++i) {
-    rel.AppendRow({i % 5, i});
-  }
-  rel.SwapRemoveRow(0);  // removes (0, 0): same shard as its insert
-
-  const size_t kShards = 3;
-  std::vector<size_t> key_cols = {0};
-  std::vector<std::vector<RowChange>> shards(kShards);
-  ASSERT_TRUE(
-      rel.CollectChangesShardedSince(v0, key_cols, kShards, &shards));
-
-  // Every change lands in exactly one shard; equal keys share a shard and
-  // keep their log order there.
-  std::vector<RowChange> flat;
-  ASSERT_TRUE(rel.CollectChangesSince(v0, &flat));
-  size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  EXPECT_EQ(total, flat.size());
-  std::map<Value, size_t> shard_of_key;
-  for (size_t s = 0; s < kShards; ++s) {
-    for (const RowChange& ch : shards[s]) {
-      auto it = shard_of_key.emplace(ch.row[0], s).first;
-      EXPECT_EQ(it->second, s) << "key " << ch.row[0] << " split";
-    }
-  }
-  // Per-key order inside a shard matches log order: the erase of (0, 0)
-  // appears after its insert.
-  size_t erase_shard = shard_of_key.at(0);
-  bool saw_insert = false;
-  bool ordered = false;
-  for (const RowChange& ch : shards[erase_shard]) {
-    if (ch.row == std::vector<Value>{0, 0}) {
-      if (ch.insert) {
-        saw_insert = true;
-      } else {
-        ordered = saw_insert;
-      }
-    }
-  }
-  EXPECT_TRUE(ordered);
-
-  // Same answerability contract as the flat collection.
-  std::vector<std::vector<RowChange>> unanswerable(kShards);
-  EXPECT_FALSE(rel.CollectChangesShardedSince(rel.version() + 1, key_cols,
-                                              kShards, &unanswerable));
-  for (const auto& shard : unanswerable) EXPECT_TRUE(shard.empty());
 }
 
 TEST(RelationVersionTest, SetLogsEraseTheInsert) {
@@ -323,12 +270,6 @@ TEST(DynTableTest, SecondaryIndexesFollowMutations) {
 }
 
 // --- SensitivityCache behavior ------------------------------------------
-
-TSensComputeOptions ThreadedOptions(int threads) {
-  TSensComputeOptions options;
-  options.join.threads = threads;
-  return options;
-}
 
 TEST(SensitivityCacheTest, HitRepairAndLargeDeltaCounters) {
   PaperExample ex = MakeFigure3Example();
@@ -705,11 +646,12 @@ TEST(SensitivityCacheTest, PeekHitsOnlyAtMatchingVersions) {
   ExpectResultsIdentical(*computed, peeked, "peek after compute");
   EXPECT_TRUE(cache.Peek(ex.query, ex.db, {}));  // out is optional
 
-  // Execution knobs are excluded from the fingerprint: a different thread
-  // count still hits.
-  TSensComputeOptions threaded;
-  threaded.join.threads = 8;
-  EXPECT_TRUE(cache.Peek(ex.query, ex.db, threaded));
+  // The execution context is excluded from the fingerprint: another
+  // context still hits.
+  ExecContext other_ctx;
+  TSensComputeOptions other;
+  other.join.ctx = &other_ctx;
+  EXPECT_TRUE(cache.Peek(ex.query, ex.db, other));
 
   // Any version drift makes the entry stale for Peek — it does not repair.
   const uint64_t hits_before = cache.stats().hits;
@@ -727,17 +669,23 @@ TEST(SensitivityCacheTest, PeekHitsOnlyAtMatchingVersions) {
 
 // --- streaming differential suite ---------------------------------------
 
-// Applies one randomized batch (1-3 inserts/deletes) to a random relation
-// of the query, mixing the direct mutators and the batched ApplyDelta API.
-// The generator itself is the shared seeded-stream helper in test_util, so
-// this suite, plan_cache_test, and serving_test replay the same workload
-// family.
+// Applies 1 + `extra` randomized batches (1-3 inserts/deletes each) to
+// random relations of the query, mixing the direct mutators and the
+// batched ApplyDelta API, so the next Compute repairs a window of that
+// many batches. The generator itself is the shared seeded-stream helper in
+// test_util, so this suite, plan_cache_test, and serving_test replay the
+// same workload family.
 void RandomMutation(Rng& rng, const ConjunctiveQuery& q, Database& db,
-                    int domain) {
-  testing::ApplyRandomMutation(rng, db, testing::QueryRelationNames(q),
-                               domain);
+                    int domain, int extra = 0) {
+  for (int b = 0; b <= extra; ++b) {
+    testing::ApplyRandomMutation(rng, db, testing::QueryRelationNames(q),
+                                 domain);
+  }
 }
 
+// Parameters: (seed, extra batches between computes). With 0 every
+// Compute repairs one batch; with 2 and 8 it repairs windows of 3 and 9
+// batches, where one key can change several times before the repair.
 class IncrementalStreamTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
 
@@ -745,13 +693,13 @@ class IncrementalStreamTest
 // cached/incremental result is bit-identical to a from-scratch compute,
 // and its LS agrees with the naive oracle.
 TEST_P(IncrementalStreamTest, PathQueryPrefixesMatchScratchAndNaive) {
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 97 + 11);
   PaperExample ex = MakeFigure3Example();
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;  // exercise repair as hard as possible
   SensitivityCache cache(config);
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   for (int step = 0; step < 18; ++step) {
     auto cached = cache.Compute(ex.query, ex.db, options);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
@@ -764,13 +712,13 @@ TEST_P(IncrementalStreamTest, PathQueryPrefixesMatchScratchAndNaive) {
     ASSERT_TRUE(naive.ok());
     EXPECT_EQ(cached->local_sensitivity, naive->local_sensitivity)
         << "path step " << step;
-    RandomMutation(rng, ex.query, ex.db, 3);
+    RandomMutation(rng, ex.query, ex.db, 3, extra);
   }
   EXPECT_GT(cache.stats().repairs, 0u);
 }
 
 TEST_P(IncrementalStreamTest, PathQueryWithPredicatesMatchesScratch) {
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 41 + 17);
   PaperExample ex = MakeFigure3Example();
   // Predicates on link variables flow into the ⊤/⊥ tracker filters; the
@@ -782,7 +730,7 @@ TEST_P(IncrementalStreamTest, PathQueryWithPredicatesMatchesScratch) {
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;
   SensitivityCache cache(config);
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   for (int step = 0; step < 14; ++step) {
     auto cached = cache.Compute(ex.query, ex.db, options);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
@@ -798,7 +746,7 @@ TEST_P(IncrementalStreamTest, PathQueryWithPredicatesMatchesScratch) {
                  static_cast<Value>(rng.NextBounded(3)));
       }
     } else {
-      RandomMutation(rng, ex.query, ex.db, 3);
+      RandomMutation(rng, ex.query, ex.db, 3, extra);
     }
   }
   EXPECT_GT(cache.stats().repairs, 0u);
@@ -807,7 +755,7 @@ TEST_P(IncrementalStreamTest, PathQueryWithPredicatesMatchesScratch) {
 TEST_P(IncrementalStreamTest, ScrambledAtomOrderPathMatchesScratch) {
   // Atoms declared against the chain direction: PathOrder's chain and the
   // atom indexing disagree, exercising the order-sensitive reduction.
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 59 + 7);
   Database db;
   for (const char* name : {"W", "X", "Y", "Z"}) {
@@ -825,7 +773,7 @@ TEST_P(IncrementalStreamTest, ScrambledAtomOrderPathMatchesScratch) {
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;
   SensitivityCache cache(config);
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   for (int step = 0; step < 14; ++step) {
     auto cached = cache.Compute(q, db, options);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
@@ -833,17 +781,17 @@ TEST_P(IncrementalStreamTest, ScrambledAtomOrderPathMatchesScratch) {
     ASSERT_TRUE(fresh.ok());
     ExpectResultsIdentical(*cached, *fresh,
                            "scrambled step " + std::to_string(step));
-    RandomMutation(rng, q, db, 3);
+    RandomMutation(rng, q, db, 3, extra);
   }
   EXPECT_GT(cache.stats().repairs, 0u);
 }
 
 TEST_P(IncrementalStreamTest, RandomAcyclicPrefixesMatchScratchAndNaive) {
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 131 + 5);
   RandomQuerySpec spec;
   spec.max_rows = 6;
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   for (int trial = 0; trial < 4; ++trial) {
     PaperExample ex = MakeRandomAcyclicInstance(rng, spec);
     SensitivityCacheConfig config;
@@ -862,7 +810,7 @@ TEST_P(IncrementalStreamTest, RandomAcyclicPrefixesMatchScratchAndNaive) {
       ASSERT_TRUE(naive.ok());
       EXPECT_EQ(cached->local_sensitivity, naive->local_sensitivity)
           << "trial " << trial << " step " << step;
-      RandomMutation(rng, ex.query, ex.db, spec.domain_size + 1);
+      RandomMutation(rng, ex.query, ex.db, spec.domain_size + 1, extra);
     }
   }
 }
@@ -870,9 +818,9 @@ TEST_P(IncrementalStreamTest, RandomAcyclicPrefixesMatchScratchAndNaive) {
 TEST_P(IncrementalStreamTest, TreeEngineEntriesMatchScratch) {
   // prefer_path_algorithm = false forces the tree engine onto path-shaped
   // queries too, covering the ⊥/⊤-per-bag repair on multi-level trees.
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 151 + 29);
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   options.prefer_path_algorithm = false;
   PaperExample ex = MakeFigure3Example();
   SensitivityCacheConfig config;
@@ -885,7 +833,7 @@ TEST_P(IncrementalStreamTest, TreeEngineEntriesMatchScratch) {
     ASSERT_TRUE(fresh.ok());
     ExpectResultsIdentical(*cached, *fresh,
                            "tree step " + std::to_string(step));
-    RandomMutation(rng, ex.query, ex.db, 3);
+    RandomMutation(rng, ex.query, ex.db, 3, extra);
   }
   EXPECT_GT(cache.stats().repairs, 0u);
 }
@@ -894,13 +842,13 @@ TEST_P(IncrementalStreamTest, CyclicPrefixesRepairAndMatchScratchAndNaive) {
   // The triangle goes through the searched GHD: one bag holds two atoms
   // (bag-level join repair), and the per-atom multiplicity components join
   // attribute-sharing pieces. Every prefix must repair, not fall back.
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 173 + 3);
   PaperExample ex = MakeRandomTriangleInstance(rng, 6, 3);
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;
   SensitivityCache cache(config);
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   for (int step = 0; step < 10; ++step) {
     auto cached = cache.Compute(ex.query, ex.db, options);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
@@ -913,7 +861,7 @@ TEST_P(IncrementalStreamTest, CyclicPrefixesRepairAndMatchScratchAndNaive) {
     ASSERT_TRUE(naive.ok());
     EXPECT_EQ(cached->local_sensitivity, naive->local_sensitivity)
         << "cyclic step " << step;
-    RandomMutation(rng, ex.query, ex.db, 3);
+    RandomMutation(rng, ex.query, ex.db, 3, extra);
   }
   EXPECT_GT(cache.stats().repairs, 0u);
   EXPECT_EQ(cache.stats().fallback_unsupported, 0u);
@@ -922,15 +870,15 @@ TEST_P(IncrementalStreamTest, CyclicPrefixesRepairAndMatchScratchAndNaive) {
 TEST_P(IncrementalStreamTest, ExplicitGhdPrefixesRepairAndMatchScratch) {
   // An explicitly supplied decomposition repairs through the same bag
   // machinery as a searched one — and fingerprints as a distinct entry.
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 239 + 21);
   PaperExample ex = MakeRandomTriangleInstance(rng, 6, 3);
   auto ghd = BuildGhd(ex.query, {{0, 1}, {2}});
   ASSERT_TRUE(ghd.ok()) << ghd.status().ToString();
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   options.ghd = &*ghd;
   EXPECT_NE(SensitivityCache::Fingerprint(ex.query, options),
-            SensitivityCache::Fingerprint(ex.query, ThreadedOptions(threads)));
+            SensitivityCache::Fingerprint(ex.query, {}));
   EXPECT_TRUE(SensitivityCache::RepairSupported(ex.query, options));
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;
@@ -942,7 +890,7 @@ TEST_P(IncrementalStreamTest, ExplicitGhdPrefixesRepairAndMatchScratch) {
     ASSERT_TRUE(fresh.ok());
     ExpectResultsIdentical(*cached, *fresh,
                            "explicit ghd step " + std::to_string(step));
-    RandomMutation(rng, ex.query, ex.db, 3);
+    RandomMutation(rng, ex.query, ex.db, 3, extra);
   }
   EXPECT_GT(cache.stats().repairs, 0u);
   EXPECT_EQ(cache.stats().fallback_unsupported, 0u);
@@ -951,7 +899,7 @@ TEST_P(IncrementalStreamTest, ExplicitGhdPrefixesRepairAndMatchScratch) {
 TEST_P(IncrementalStreamTest, MultiPiecePrefixesRepairAndMatchScratch) {
   // M2 and M3 both bind {B, C}: the T_a pieces for atom M1 share
   // attributes and must be join-repaired, not cross-multiplied.
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 211 + 13);
   Database db;
   for (const char* name : {"M1", "M2", "M3"}) {
@@ -968,7 +916,7 @@ TEST_P(IncrementalStreamTest, MultiPiecePrefixesRepairAndMatchScratch) {
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;
   SensitivityCache cache(config);
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   for (int step = 0; step < 12; ++step) {
     auto cached = cache.Compute(q, db, options);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
@@ -981,7 +929,7 @@ TEST_P(IncrementalStreamTest, MultiPiecePrefixesRepairAndMatchScratch) {
     ASSERT_TRUE(naive.ok());
     EXPECT_EQ(cached->local_sensitivity, naive->local_sensitivity)
         << "multi-piece step " << step;
-    RandomMutation(rng, q, db, 3);
+    RandomMutation(rng, q, db, 3, extra);
   }
   EXPECT_GT(cache.stats().repairs, 0u);
   EXPECT_EQ(cache.stats().fallback_unsupported, 0u);
@@ -990,7 +938,7 @@ TEST_P(IncrementalStreamTest, MultiPiecePrefixesRepairAndMatchScratch) {
 TEST_P(IncrementalStreamTest, DisconnectedForestPrefixesRepairAndMatch) {
   // Two join trees plus a lone atom: a repair in one tree re-multiplies
   // the other trees' scale factors from the maintained per-tree totals.
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 223 + 19);
   Database db;
   for (const char* name : {"D1", "D2", "D3", "D4", "D5"}) {
@@ -1009,7 +957,7 @@ TEST_P(IncrementalStreamTest, DisconnectedForestPrefixesRepairAndMatch) {
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;
   SensitivityCache cache(config);
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   for (int step = 0; step < 12; ++step) {
     auto cached = cache.Compute(q, db, options);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
@@ -1017,7 +965,7 @@ TEST_P(IncrementalStreamTest, DisconnectedForestPrefixesRepairAndMatch) {
     ASSERT_TRUE(fresh.ok());
     ExpectResultsIdentical(*cached, *fresh,
                            "disconnected step " + std::to_string(step));
-    RandomMutation(rng, q, db, 3);
+    RandomMutation(rng, q, db, 3, extra);
   }
   EXPECT_GT(cache.stats().repairs, 0u);
   EXPECT_EQ(cache.stats().fallback_unsupported, 0u);
@@ -1028,73 +976,53 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<uint64_t>(1, 2, 3),
                        ::testing::Values(0, 2, 8)));
 
-// Small deltas stay on the serial loops (the kShardMinWork gate); this
-// suite pushes batches of hundreds of changes over wide key domains so
-// both sharded repair stages — change-log partitioning and parallel group
-// re-aggregation — actually run, and must match serial and from-scratch.
+// Batches of hundreds of changes over wide key domains: each repair pass
+// walks a long change-log window whose keys repeat, touching most join-key
+// groups, and must match a from-scratch compute.
 TEST(ShardedRepairTest, LargeBatchDeltasCrossTheShardingGate) {
-  for (int threads : {2, 8}) {
-    Rng rng(8675309 + static_cast<uint64_t>(threads));
-    Database db;
-    const int kDomain = 50;
-    for (const char* name : {"S1", "S2", "S3"}) {
-      Relation* rel = db.AddRelation(name, {"u", "v"});
-      for (int i = 0; i < 1000; ++i) {
-        rel->AppendRow({static_cast<Value>(rng.NextBounded(kDomain)),
-                        static_cast<Value>(rng.NextBounded(kDomain))});
-      }
+  Rng rng(8675309);
+  Database db;
+  const int kDomain = 50;
+  for (const char* name : {"S1", "S2", "S3"}) {
+    Relation* rel = db.AddRelation(name, {"u", "v"});
+    for (int i = 0; i < 1000; ++i) {
+      rel->AppendRow({static_cast<Value>(rng.NextBounded(kDomain)),
+                      static_cast<Value>(rng.NextBounded(kDomain))});
     }
-    ConjunctiveQuery q;
-    q.AddAtom(db, "S1", {"A", "B"});
-    q.AddAtom(db, "S2", {"B", "C"});
-    q.AddAtom(db, "S3", {"C", "D"});
-    Database serial_db = db.Clone();
-
-    SensitivityCacheConfig config;
-    config.max_delta_fraction = 1.0;
-    SensitivityCache sharded_cache(config);
-    SensitivityCache serial_cache(config);
-    TSensComputeOptions sharded_options = ThreadedOptions(threads);
-    TSensComputeOptions serial_options;
-    for (int step = 0; step < 4; ++step) {
-      auto a = sharded_cache.Compute(q, db, sharded_options);
-      auto b = serial_cache.Compute(q, serial_db, serial_options);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ExpectResultsIdentical(
-          *a, *b, "batch threads " + std::to_string(threads) + " step " +
-                      std::to_string(step));
-      auto fresh = ComputeLocalSensitivity(q, db, sharded_options);
-      ASSERT_TRUE(fresh.ok());
-      ExpectResultsIdentical(*a, *fresh, "batch vs scratch step " +
-                                             std::to_string(step));
-      // One batch of ~200 inserts and ~100 deletes on a rotating
-      // relation: far over the gate, touching most join-key groups.
-      Relation* rel = db.Find(q.atom(step % 3).relation);
-      std::vector<std::vector<Value>> inserts;
-      for (int i = 0; i < 200; ++i) {
-        inserts.push_back({static_cast<Value>(rng.NextBounded(kDomain)),
-                           static_cast<Value>(rng.NextBounded(kDomain))});
-      }
-      std::vector<size_t> deletes;
-      for (size_t idx = 0; idx < 100 && idx < rel->NumRows(); ++idx) {
-        deletes.push_back(idx * 7 % rel->NumRows());
-      }
-      std::sort(deletes.begin(), deletes.end());
-      deletes.erase(std::unique(deletes.begin(), deletes.end()),
-                    deletes.end());
-      ASSERT_TRUE(rel->ApplyDelta(inserts, deletes).ok());
-      ASSERT_TRUE(serial_db.Find(q.atom(step % 3).relation)
-                      ->ApplyDelta(inserts, deletes)
-                      .ok());
-    }
-    EXPECT_GT(sharded_cache.stats().repairs, 0u);
-    EXPECT_EQ(sharded_cache.stats().repairs, serial_cache.stats().repairs);
-    EXPECT_EQ(sharded_cache.stats().delta_rows,
-              serial_cache.stats().delta_rows);
-    EXPECT_EQ(sharded_cache.stats().repair_rows,
-              serial_cache.stats().repair_rows);
   }
+  ConjunctiveQuery q;
+  q.AddAtom(db, "S1", {"A", "B"});
+  q.AddAtom(db, "S2", {"B", "C"});
+  q.AddAtom(db, "S3", {"C", "D"});
+
+  SensitivityCacheConfig config;
+  config.max_delta_fraction = 1.0;
+  SensitivityCache cache(config);
+  for (int step = 0; step < 4; ++step) {
+    auto cached = cache.Compute(q, db);
+    ASSERT_TRUE(cached.ok());
+    auto fresh = ComputeLocalSensitivity(q, db);
+    ASSERT_TRUE(fresh.ok());
+    ExpectResultsIdentical(*cached, *fresh,
+                           "batch vs scratch step " + std::to_string(step));
+    // One batch of ~200 inserts and ~100 deletes on a rotating relation.
+    Relation* rel = db.Find(q.atom(step % 3).relation);
+    std::vector<std::vector<Value>> inserts;
+    for (int i = 0; i < 200; ++i) {
+      inserts.push_back({static_cast<Value>(rng.NextBounded(kDomain)),
+                         static_cast<Value>(rng.NextBounded(kDomain))});
+    }
+    std::vector<size_t> deletes;
+    for (size_t idx = 0; idx < 100 && idx < rel->NumRows(); ++idx) {
+      deletes.push_back(idx * 7 % rel->NumRows());
+    }
+    std::sort(deletes.begin(), deletes.end());
+    deletes.erase(std::unique(deletes.begin(), deletes.end()),
+                  deletes.end());
+    ASSERT_TRUE(rel->ApplyDelta(inserts, deletes).ok());
+  }
+  EXPECT_EQ(cache.stats().repairs, 3u);
+  EXPECT_GT(cache.stats().delta_rows, 3u * 200u);
 }
 
 // A byte budget too small for any state degrades the cache to a memoizer:
@@ -1117,47 +1045,6 @@ TEST(SensitivityCacheTest, ByteBudgetedStreamStaysCorrect) {
   }
   EXPECT_GT(cache.stats().spills, 0u);
   EXPECT_EQ(cache.stats().repairs, 0u);  // nothing survives to repair
-}
-
-// Sharded repair must be bit-identical to serial repair — results AND
-// work counters — so two caches replaying the same stream at different
-// thread counts may never disagree on anything observable.
-TEST(ShardedRepairTest, MatchesSerialRepairIncludingCounters) {
-  for (int threads : {2, 8}) {
-    Rng rng(314159);
-    PaperExample serial_ex = MakeFigure3Example();
-    PaperExample sharded_ex = MakeFigure3Example();
-    SensitivityCacheConfig config;
-    config.max_delta_fraction = 1.0;
-    SensitivityCache serial_cache(config);
-    SensitivityCache sharded_cache(config);
-    TSensComputeOptions serial_options;   // threads = 0
-    TSensComputeOptions sharded_options = ThreadedOptions(threads);
-    for (int step = 0; step < 16; ++step) {
-      auto a = serial_cache.Compute(serial_ex.query, serial_ex.db,
-                                    serial_options);
-      auto b = sharded_cache.Compute(sharded_ex.query, sharded_ex.db,
-                                     sharded_options);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ExpectResultsIdentical(
-          *a, *b, "threads " + std::to_string(threads) + " step " +
-                      std::to_string(step));
-      // The same mutation stream hits both databases.
-      Rng mutation_rng(rng.NextBounded(1u << 30));
-      Rng mutation_rng_copy = mutation_rng;
-      RandomMutation(mutation_rng, serial_ex.query, serial_ex.db, 3);
-      RandomMutation(mutation_rng_copy, sharded_ex.query, sharded_ex.db, 3);
-    }
-    EXPECT_GT(serial_cache.stats().repairs, 0u);
-    EXPECT_EQ(serial_cache.stats().repairs, sharded_cache.stats().repairs);
-    EXPECT_EQ(serial_cache.stats().delta_rows,
-              sharded_cache.stats().delta_rows);
-    EXPECT_EQ(serial_cache.stats().repair_rows,
-              sharded_cache.stats().repair_rows);
-    EXPECT_EQ(serial_cache.stats().fallback_stale,
-              sharded_cache.stats().fallback_stale);
-  }
 }
 
 // --- asymptotic work bound ----------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "query/parser.h"
 #include "sensitivity/tsens.h"
 #include "test_util.h"
@@ -69,6 +72,28 @@ TEST(ParserTest, RejectsMalformedInput) {
   // '==' parses '=' then fails on '= 3' -> error either way.
   EXPECT_FALSE(ParseQuery(":- R1(A,B,C), Z = 3", db).ok());  // unbound var
   EXPECT_FALSE(ParseQuery(":- R1(A,B,C), A = x", db).ok());  // non-integer
+}
+
+// Integer literals cover exactly int64: both ends parse, and anything past
+// them is an InvalidArgument naming the position, never an exception.
+TEST(ParserTest, IntegerLiteralsCoverInt64AndRejectOverflow) {
+  Database db = FigureOneDb();
+  auto lo = ParseQuery(":- R3(A,E), A >= -9223372036854775808", db);
+  ASSERT_TRUE(lo.ok()) << lo.status().ToString();
+  EXPECT_EQ(lo->atom(0).predicates[0].rhs, INT64_MIN);
+  auto hi = ParseQuery(":- R3(A,E), A <= +9223372036854775807", db);
+  ASSERT_TRUE(hi.ok()) << hi.status().ToString();
+  EXPECT_EQ(hi->atom(0).predicates[0].rhs, INT64_MAX);
+  for (const char* literal : {"9223372036854775808", "-9223372036854775809",
+                              "99999999999999999999"}) {
+    auto q = ParseQuery(std::string(":- R3(A,E), A < ") + literal, db);
+    ASSERT_FALSE(q.ok()) << literal;
+    EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument) << literal;
+    // Positions count from the rule body, after ":-", like every other
+    // parse error's.
+    EXPECT_NE(q.status().message().find("position 14"), std::string::npos)
+        << q.status().ToString();
+  }
 }
 
 TEST(ParserTest, ParsedQueryComputesSensitivity) {

@@ -1,10 +1,11 @@
 // Cross-query plan cache: one SensitivityCache serving K overlapping
 // queries must (a) stay bit-identical to K independent caches and to
 // from-scratch computes after every prefix of a randomized insert/delete
-// stream, at thread counts {0, 2, 8}, and (b) actually share: overlapping
-// chain prefixes attach to the same canonical store nodes, one delta pass
-// repairs each shared node exactly once no matter how many entries depend
-// on it, and structurally different projections never share.
+// stream, with 1, 3 or 9 batches between computes, and (b) actually
+// share: overlapping chain prefixes attach to the same canonical store
+// nodes, one delta pass repairs each shared node exactly once no matter
+// how many entries depend on it, and structurally different projections
+// never share.
 
 #include <gtest/gtest.h>
 
@@ -82,18 +83,15 @@ Workload MakeOverlappingWorkload(Rng& rng, int domain) {
   return w;
 }
 
-// One randomized batch of 1-3 inserts/deletes against a random relation,
-// via the shared seeded-stream generator in test_util.
-void MutateRandomRelation(Rng& rng, Workload& w, int domain) {
-  testing::ApplyRandomMutation(rng, w.db, w.relations, domain);
+// 1 + `extra` randomized batches of 1-3 inserts/deletes, each against a
+// random relation, via the shared seeded-stream generator in test_util.
+void MutateRandomRelation(Rng& rng, Workload& w, int domain, int extra) {
+  for (int b = 0; b <= extra; ++b) {
+    testing::ApplyRandomMutation(rng, w.db, w.relations, domain);
+  }
 }
 
-TSensComputeOptions ThreadedOptions(int threads) {
-  TSensComputeOptions options;
-  options.join.threads = threads;
-  return options;
-}
-
+// Parameters: (seed, extra batches between computes).
 class PlanCacheStreamTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
 
@@ -101,7 +99,7 @@ class PlanCacheStreamTest
 // bit-identical, after every prefix of a randomized update stream, to K
 // independent caches (one per query) and to from-scratch computes.
 TEST_P(PlanCacheStreamTest, SharedCacheMatchesIndependentCachesAndScratch) {
-  const auto [seed, threads] = GetParam();
+  const auto [seed, extra] = GetParam();
   Rng rng(seed * 131 + 7);
   Workload w = MakeOverlappingWorkload(rng, 3);
   SensitivityCacheConfig config;
@@ -111,7 +109,7 @@ TEST_P(PlanCacheStreamTest, SharedCacheMatchesIndependentCachesAndScratch) {
   for (size_t k = 0; k < w.queries.size(); ++k) {
     independent.push_back(std::make_unique<SensitivityCache>(config));
   }
-  TSensComputeOptions options = ThreadedOptions(threads);
+  TSensComputeOptions options;
   for (int step = 0; step < 12; ++step) {
     for (size_t k = 0; k < w.queries.size(); ++k) {
       const std::string context =
@@ -127,7 +125,7 @@ TEST_P(PlanCacheStreamTest, SharedCacheMatchesIndependentCachesAndScratch) {
       ASSERT_TRUE(fresh.ok()) << context;
       ExpectResultsIdentical(*from_shared, *fresh, context);
     }
-    MutateRandomRelation(rng, w, 3);
+    MutateRandomRelation(rng, w, 3, extra);
   }
   // The chain prefixes overlapped, so the shared cache must actually have
   // shared: fewer store nodes than the independent caches hold combined,
