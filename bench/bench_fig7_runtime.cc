@@ -7,9 +7,9 @@
 // (static analysis over precomputed max frequencies — its preprocessing is
 // charged to the database, as in the paper).
 //
-// Measured q3 TSens/eval, three runs (LSENS_REPS 3 and 5) on a
-// 4-vCPU Intel Xeon VM on a shared host: 2.6-3.5x at sf 0.001 and
-// 2.5-3.4x at sf 0.01. The ratio holds across scales because GroupMax
+// Measured q3 TSens/eval, six runs (LSENS_REPS 5 and 20) on a 4-vCPU
+// Intel Xeon VM on a shared host: 3.4-3.9x at sf 0.001 and 3.4-4.5x at
+// sf 0.01. The ratio holds across scales because GroupMax
 // reads T_Orders' max straight from Customer and ⊤ instead of building
 // their 3.3M-row join (see exec/group_max.h).
 //

@@ -10,10 +10,12 @@ namespace lsens {
 
 namespace {
 
-// Minimal recursive-descent scanner over the rule text.
+// Minimal recursive-descent scanner over the rule text, starting at
+// offset `pos`; error positions are offsets into `text`.
 class Scanner {
  public:
-  explicit Scanner(std::string_view text) : text_(text) {}
+  explicit Scanner(std::string_view text, size_t pos = 0)
+      : text_(text), pos_(pos) {}
 
   void SkipSpace() {
     while (pos_ < text_.size() &&
@@ -90,7 +92,7 @@ class Scanner {
 
  private:
   std::string_view text_;
-  size_t pos_ = 0;
+  size_t pos_;
 };
 
 StatusOr<std::vector<std::string>> ParseVarList(Scanner& scan) {
@@ -109,16 +111,15 @@ StatusOr<std::vector<std::string>> ParseVarList(Scanner& scan) {
 }  // namespace
 
 StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text, Database& db) {
-  Scanner scan(text);
   ConjunctiveQuery query;
 
   // Optional head before ":-".
   std::vector<std::string> head_vars;
+  const size_t turnstile = text.find(":-");
+  if (turnstile == std::string_view::npos) {
+    return Status::InvalidArgument("rule needs ':-'");
+  }
   {
-    size_t turnstile = text.find(":-");
-    if (turnstile == std::string_view::npos) {
-      return Status::InvalidArgument("rule needs ':-'");
-    }
     std::string_view head = text.substr(0, turnstile);
     bool head_is_blank = true;
     for (char c : head) {
@@ -136,8 +137,8 @@ StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text, Database& db) {
         return head_scan.Error("unexpected trailing text in head");
       }
     }
-    scan = Scanner(text.substr(turnstile + 2));
   }
+  Scanner scan(text, turnstile + 2);
 
   struct PendingPredicate {
     std::string var;

@@ -17,11 +17,12 @@
 
 namespace lsens {
 
-// Internal machinery. The repairable state mirrors the engines' data flow
-// as a DAG of maintained tables:
+// Internal machinery. The repairable state is the plan's dataflow
+// (SensitivityPlan::dataflow, the DAG the cold engines evaluate) as
+// maintained tables, one per dataflow node:
 //
 //   sources      S_a = γ_keep(σ_pred(R_a))           one per atom / position
-//   group nodes  out = γ_group(driver ⋈ inputs...)   the ⊥/⊤ fold tables
+//   group nodes  out = γ_group(driver ⋈ inputs...)   ⊥/⊤ and component tables
 //   join nodes   out[t] = Π_i pieces[i][proj_i(t)]   materialized r⋈
 //
 // A group node's inputs are keyed on column subsets of its driver (running
@@ -68,23 +69,11 @@ namespace lsens {
 // cannot repair (unanswerable log, over-budget delta, saturation, spill)
 // are marked stale with a reason that cascades to their dependents;
 // entries touching a stale node recompute from scratch, and the rebuild
-// reloads the node from the fresh engine capture for everyone at once.
+// reloads the node from the table the evaluator just computed for it, for
+// everyone at once.
 namespace incremental_detail {
 
 namespace {
-
-int ColOf(const AttributeSet& attrs, AttrId attr) {
-  auto it = std::lower_bound(attrs.begin(), attrs.end(), attr);
-  LSENS_CHECK(it != attrs.end() && *it == attr);
-  return static_cast<int>(it - attrs.begin());
-}
-
-std::vector<int> ColsOf(const AttributeSet& attrs, const AttributeSet& sub) {
-  std::vector<int> cols;
-  cols.reserve(sub.size());
-  for (AttrId a : sub) cols.push_back(ColOf(attrs, a));
-  return cols;
-}
 
 bool LexLess(std::span<const Value> a, std::span<const Value> b) {
   return CompareRows(a, b) < 0;
@@ -105,19 +94,14 @@ struct SharedNode;
 
 // One max/argmax view of a maintained table — a shared node's output, or
 // the unit relation when `target` is null — filtered by an atom's
-// predicates: the incremental stand-in for the engines' `ApplyPredicates +
-// MaxCount + ArgMaxRow` on one multiplicity-table piece. Owned by a cache
-// entry (its RepairState); registered on the target node so the global
-// delta pass updates every dependent entry's trackers in one sweep.
-// `attrs` is the owning entry's attribute view of the target table (same
-// order as the table columns — signature sharing guarantees it), used to
-// build the checks and to map the argmax row back into result attributes.
-struct Tracker {
+// predicates: the maintained ComponentMax of one multiplicity-table
+// component, which the evaluator reads off the table it computes. `argmax`
+// is the lexmin row attaining `max`, empty when the max is zero. Owned by a
+// cache entry (its RepairState); registered on the target node so the
+// global delta pass updates every dependent entry's trackers in one sweep.
+struct Tracker : ComponentMax {
   SharedNode* target = nullptr;
-  AttributeSet attrs;
   std::vector<std::pair<int, Predicate>> checks;  // (column, predicate)
-  Count max = Count::Zero();
-  std::vector<Value> argmax;  // lexmin row attaining max; empty when none
   bool dirty = false;
 
   bool Passes(std::span<const Value> key) const {
@@ -149,7 +133,7 @@ struct Tracker {
 // cascade staleness upward. Entries keep shared_ptrs to every node they
 // depend on, so the store can drop exactly the nodes no entry references.
 struct SharedNode {
-  enum class Kind { kSource, kGroup, kJoin };
+  using Kind = DataflowNode::Kind;
   enum class StaleReason { kNone, kLog, kLargeDelta, kSaturated, kSpilled };
 
   struct Input {
@@ -245,7 +229,9 @@ void MarkStale(SharedNode* node, SharedNode::StaleReason reason) {
 }
 
 struct RepairState {
-  enum class Mode { kConstant, kPath, kGhd };
+  // kConstant keeps no state; kDataflow maintains every node of the plan's
+  // dataflow.
+  enum class Mode { kConstant, kDataflow };
 
   RepairState() = default;
   RepairState(const RepairState&) = delete;
@@ -261,20 +247,15 @@ struct RepairState {
   }
 
   Mode mode = Mode::kConstant;
-  std::vector<std::shared_ptr<SharedNode>> sources;  // per atom / position
-  std::vector<std::shared_ptr<SharedNode>> nodes;    // acquire order
-  // Result assembly: unit u covers atom assembly_atoms[u] with the pieces
-  // trackers[u] (engine piece order). Path mode assembles per chain
-  // position, GHD mode per atom. Tracker addresses must stay stable (the
-  // target nodes point back at them): the vectors are sized once in
-  // BuildState and never touched again.
-  std::vector<int> assembly_atoms;
+  std::vector<std::shared_ptr<SharedNode>> nodes;  // per dataflow node
+  // trackers[u][c] maintains slot c of the dataflow's assembly unit u.
+  // Tracker addresses must stay stable (the target nodes point back at
+  // them): the vectors are sized once in BuildState and never touched
+  // again.
   std::vector<std::vector<Tracker>> trackers;
-  // §5.4 disconnected forests: the root node carrying each tree's running
-  // total and the tree each assembly unit's atom lives in. Empty for
-  // single-tree forests — the scale factor is then an empty product.
+  // §5.4 disconnected forests: the node carrying each tree's running total
+  // (the dataflow's tree_totals). Empty for single-tree forests.
   std::vector<std::shared_ptr<SharedNode>> total_nodes;
-  std::vector<int> assembly_tree;  // tree per assembly unit
 };
 
 namespace {
@@ -292,11 +273,9 @@ std::string UnsupportedReason(const TSensComputeOptions& options) {
 // The repair state a repairable plan maintains. A single-atom query's
 // sensitivity is data-independent (inserting one matching tuple always
 // changes the count by exactly 1), so it keeps none.
-RepairState::Mode RepairModeOf(const ConjunctiveQuery& q,
-                               const SensitivityPlan& plan) {
-  if (q.num_atoms() == 1) return RepairState::Mode::kConstant;
-  return plan.engine == SensitivityEngine::kPath ? RepairState::Mode::kPath
-                                                 : RepairState::Mode::kGhd;
+RepairState::Mode RepairModeOf(const ConjunctiveQuery& q) {
+  return q.num_atoms() == 1 ? RepairState::Mode::kConstant
+                            : RepairState::Mode::kDataflow;
 }
 
 // Full recomputation of a tracker from its table (also the initial fill).
@@ -336,9 +315,9 @@ void UpdateTracker(Tracker& t, std::span<const Value> key, Count value) {
     return;
   }
   // The tracked argmax group decreased below the recorded max: other
-  // attaining groups (if any) are unknown without a rescan.
-  if (!t.argmax.empty() && value < t.max &&
-      CompareRows(key, t.argmax) == 0) {
+  // attaining groups (if any) are unknown without a rescan. (A nonzero max
+  // always has its argmax recorded: the empty row of an arity-0 table.)
+  if (value < t.max && CompareRows(key, t.argmax) == 0) {
     t.dirty = true;
   }
 }
@@ -438,7 +417,6 @@ struct NodeStore {
 
 using incremental_detail::CanonicalAttrs;
 using incremental_detail::DeltaGroupCount;
-using incremental_detail::ColsOf;
 using incremental_detail::MarkStale;
 using incremental_detail::NodeStore;
 using incremental_detail::Project;
@@ -525,8 +503,8 @@ void RefreshNodeBytes(SharedNode& node, SensitivityCacheStats& stats) {
 // Spills shared-node tables, stale-first then least-recently-used, until
 // the held DynTable bytes fit the budget. Results stay memoized (unchanged
 // versions still hit) and the node recipes stay installed; a spilled node
-// is stale, so the next dependent recompute reloads it from that entry's
-// fresh capture — for every other dependent too.
+// is stale, so the next dependent recompute reloads it from the table that
+// entry's evaluation computes — for every other dependent too.
 void SensitivityCache::EnforceStateBudget(ExecContext& ctx) {
   if (config_.max_state_bytes == 0) return;
   while (stats_.state_bytes > config_.max_state_bytes) {
@@ -616,641 +594,209 @@ bool SensitivityCache::RepairSupported(const ConjunctiveQuery& q,
 
 namespace {
 
-bool ContainsAtom(const std::vector<int>& skip_atoms, int atom) {
-  return std::find(skip_atoms.begin(), skip_atoms.end(), atom) !=
-         skip_atoms.end();
+// A new shared node for dataflow node `spec`, wired to repair from the
+// nodes `built` for its children (indexed like the dataflow's nodes).
+std::shared_ptr<SharedNode> MakeNode(
+    const ConjunctiveQuery& q, const SensitivityDataflow& df,
+    const DataflowNode& spec,
+    const std::vector<std::shared_ptr<SharedNode>>& built) {
+  auto attrs_of = [&](int node) -> const AttributeSet& {
+    return df.nodes[static_cast<size_t>(node)].attrs;
+  };
+  auto n = std::make_shared<SharedNode>(spec.kind, spec.attrs.size(),
+                                        spec.sig);
+  switch (spec.kind) {
+    case SharedNode::Kind::kSource: {
+      const Atom& atom = q.atom(spec.atom);
+      n->relation = atom.relation;
+      n->keep_cols.reserve(spec.attrs.size());
+      for (AttrId a : spec.attrs) {
+        size_t col = 0;
+        while (atom.vars[col] != a) ++col;
+        n->keep_cols.push_back(col);
+      }
+      n->preds.reserve(atom.predicates.size());
+      for (const Predicate& p : atom.predicates) {
+        size_t col = 0;
+        while (atom.vars[col] != p.var) ++col;
+        n->preds.emplace_back(col, p);
+      }
+      break;
+    }
+    case SharedNode::Kind::kGroup: {
+      // out = γ_group(driver ⋈ inputs...), each input keyed on the driver
+      // columns carrying its attributes.
+      const int driver = spec.children[0];
+      n->driver = built[static_cast<size_t>(driver)];
+      n->group_cols = PositionsOf(attrs_of(driver), spec.attrs);
+      n->driver_group_index = n->driver->table.AddIndex(n->group_cols);
+      n->driver->parents.push_back(n.get());
+      for (size_t i = 1; i < spec.children.size(); ++i) {
+        SharedNode::Input in;
+        in.node = built[static_cast<size_t>(spec.children[i])];
+        in.driver_cols =
+            PositionsOf(attrs_of(driver), attrs_of(spec.children[i]));
+        in.driver_index = n->driver->table.AddIndex(in.driver_cols);
+        in.node->parents.push_back(n.get());
+        n->inputs.push_back(std::move(in));
+      }
+      break;
+    }
+    case SharedNode::Kind::kJoin: {
+      // out = r⋈(pieces...) over scope = ∪ piece attrs. Expansion plans: a
+      // changed key of piece i enumerates the newly joinable scope tuples
+      // by extending through the other pieces in piece order, each probed
+      // on the columns it shares with the scope attributes bound so far.
+      const AttributeSet& scope = spec.attrs;
+      for (int child : spec.children) {
+        SharedNode::Piece piece;
+        piece.ref = built[static_cast<size_t>(child)];
+        piece.scope_cols = PositionsOf(scope, attrs_of(child));
+        piece.out_index = n->table.AddIndex(piece.scope_cols);
+        piece.ref->parents.push_back(n.get());
+        n->pieces.push_back(std::move(piece));
+      }
+      for (size_t i = 0; i < n->pieces.size(); ++i) {
+        AttributeSet bound = attrs_of(spec.children[i]);
+        for (size_t j = 0; j < n->pieces.size(); ++j) {
+          if (j == i) continue;
+          const AttributeSet& pj = attrs_of(spec.children[j]);
+          SharedNode::Expand e;
+          e.piece = j;
+          // An empty shared set degrades to the full-table chain (the
+          // within-component cross-product case) — still correct, the
+          // later probes filter.
+          AttributeSet shared = Intersect(pj, bound);
+          e.index =
+              n->pieces[j].ref->table.AddIndex(PositionsOf(pj, shared));
+          e.probe_scope_cols = PositionsOf(scope, shared);
+          n->pieces[i].expands.push_back(std::move(e));
+          bound = Union(bound, pj);
+        }
+      }
+      break;
+    }
+  }
+  return n;
 }
 
-// Entry-local handle on an acquired node: the index spaces mirror the old
-// per-entry layout (sources by atom/position, fold nodes by acquire
-// order). Exactly one of the two is set, or neither for the unit relation.
-struct TableRef {
-  int source = -1;
-  int node = -1;
-};
-
-// Builds one entry's RepairState against the shared store: every table is
-// acquired by canonical signature — attached when a structurally identical
-// node already exists (reloading it from this entry's capture when stale
-// or spilled, and rescanning every attached tracker so the non-stale ⇒
-// valid-trackers invariant holds), created and loaded otherwise. Because
-// SyncStore runs before the engine on every path that reaches here, an
-// existing non-stale node is guaranteed current, which the acquire
-// verifies against the capture snapshot.
-struct StateBuilder {
-  const ConjunctiveQuery& q;
-  const Database& db;
-  NodeStore& store;
-  SensitivityCacheStats& stats;
-  const uint64_t tick;
-  RepairState& state;
-  std::vector<AttributeSet> source_attrs;  // entry view, parallel to sources
-  std::vector<AttributeSet> node_attrs;    // entry view, parallel to nodes
-  uint64_t scan_rows = 0;                  // tracker rescans on reload
-
-  const AttributeSet& attrs_of(TableRef ref) const {
-    return ref.source >= 0 ? source_attrs[static_cast<size_t>(ref.source)]
-                           : node_attrs[static_cast<size_t>(ref.node)];
-  }
-  const std::shared_ptr<SharedNode>& ptr_of(TableRef ref) const {
-    return ref.source >= 0 ? state.sources[static_cast<size_t>(ref.source)]
-                           : state.nodes[static_cast<size_t>(ref.node)];
-  }
-
-  template <typename BuildFn>
-  std::shared_ptr<SharedNode> Acquire(const std::string& sig,
-                                      SharedNode::Kind kind,
-                                      const CountedRelation& snapshot,
-                                      BuildFn&& build, bool* current) {
-    auto it = store.by_sig.find(sig);
+// Builds one entry's RepairState against the shared store from the tables
+// the evaluator computed for the plan's dataflow (moved in, by node index;
+// each is released once loaded). Every node is acquired by canonical
+// signature — attached when a structurally identical node already exists
+// (reloaded from its table when stale or spilled, and every attached
+// tracker rescanned so the non-stale ⇒ valid-trackers invariant holds),
+// created and loaded otherwise. Because SyncStore runs before the
+// evaluator on every path that reaches here, an existing non-stale node
+// is current, which the attach verifies by its row count.
+std::unique_ptr<RepairState> BuildState(const ConjunctiveQuery& q,
+                                        const SensitivityDataflow& df,
+                                        std::vector<CountedRelation> tables,
+                                        const Database& db, NodeStore& store,
+                                        SensitivityCacheStats& stats,
+                                        uint64_t tick, uint64_t* rows_touched) {
+  auto state = std::make_unique<RepairState>();
+  state->mode = RepairState::Mode::kDataflow;
+  uint64_t scan_rows = 0;
+  LSENS_CHECK(tables.size() == df.nodes.size());
+  state->total_nodes.resize(df.tree_totals.size());
+  for (size_t i = 0; i < df.nodes.size(); ++i) {
+    const DataflowNode& spec = df.nodes[i];
+    const CountedRelation table = std::move(tables[i]);
+    bool current = false;
+    std::shared_ptr<SharedNode> node;
+    auto it = store.by_sig.find(spec.sig);
     if (it != store.by_sig.end()) {
-      const std::shared_ptr<SharedNode>& node = it->second;
-      LSENS_CHECK(node->kind == kind);
+      node = it->second;
+      LSENS_CHECK(node->kind == spec.kind);
       node->last_used = tick;
       ++stats.shared_attaches;
       if (node->stale != SharedNode::StaleReason::kNone) {
-        node->table.LoadRows(snapshot);
+        node->table.LoadRows(table);
         node->released = false;
         node->stale = SharedNode::StaleReason::kNone;
         for (Tracker* t : node->trackers) RescanTracker(*t, &scan_rows);
-        *current = false;
       } else {
-        // SyncStore already advanced it to the data the engine just read.
-        LSENS_CHECK(node->table.num_rows() == snapshot.NumRows());
-        *current = true;
+        // SyncStore already advanced it to the data the evaluator read.
+        LSENS_CHECK(node->table.num_rows() == table.NumRows());
+        current = true;
       }
-      RefreshNodeBytes(*node, stats);
-      return node;
+    } else {
+      node = MakeNode(q, df, spec, state->nodes);
+      node->fp = CanonicalFingerprint(spec.sig);
+      node->seq = store.next_seq++;
+      node->last_used = tick;
+      node->table.LoadRows(table);
+      store.by_sig.emplace(spec.sig, node);
+      stats.shared_nodes = store.by_sig.size();
     }
-    std::shared_ptr<SharedNode> node = build();
-    node->fp = CanonicalFingerprint(sig);
-    node->seq = store.next_seq++;
-    node->last_used = tick;
-    node->table.LoadRows(snapshot);
-    store.by_sig.emplace(sig, node);
-    stats.shared_nodes = store.by_sig.size();
     RefreshNodeBytes(*node, stats);
-    *current = false;
-    return node;
+    if (spec.kind == SharedNode::Kind::kSource) {
+      const Relation* rel = db.Find(q.atom(spec.atom).relation);
+      LSENS_CHECK(rel != nullptr);  // the evaluator just read it
+      if (current) {
+        LSENS_CHECK(node->version == rel->version());
+      } else {
+        node->version = rel->version();
+      }
+    }
+    for (size_t t = 0; t < df.tree_totals.size(); ++t) {
+      if (df.tree_totals[t] != static_cast<int>(i)) continue;
+      // The total of exactly the rows just loaded (or verified current).
+      node->track_total = true;
+      node->total = table.TotalCount();
+      state->total_nodes[t] = node;
+    }
+    state->nodes.push_back(std::move(node));
   }
 
-  // S_a = γ_keep(σ_pred(R_a)). `engine_sig` is the canonical signature the
-  // engine derived for its captured table — it must agree with the cache's
-  // own derivation, so engine and cache can never silently disagree about
-  // what a shared table holds.
-  TableRef AcquireSource(int atom_index, AttributeSet keep,
-                         const CountedRelation& snapshot,
-                         const std::string& engine_sig) {
-    const Atom& atom = q.atom(atom_index);
-    std::string sig = CanonicalSourceSignature(atom, keep);
-    LSENS_CHECK(sig == engine_sig);
-    bool current = false;
-    std::shared_ptr<SharedNode> node = Acquire(
-        sig, SharedNode::Kind::kSource, snapshot,
-        [&] {
-          auto n = std::make_shared<SharedNode>(SharedNode::Kind::kSource,
-                                                keep.size(), sig);
-          n->relation = atom.relation;
-          n->keep_cols.reserve(keep.size());
-          for (AttrId a : keep) {
-            size_t col = 0;
-            while (atom.vars[col] != a) ++col;
-            n->keep_cols.push_back(col);
-          }
-          n->preds.reserve(atom.predicates.size());
-          for (const Predicate& p : atom.predicates) {
-            size_t col = 0;
-            while (atom.vars[col] != p.var) ++col;
-            n->preds.emplace_back(col, p);
-          }
-          return n;
-        },
-        &current);
-    const Relation* rel = db.Find(atom.relation);
-    LSENS_CHECK(rel != nullptr);  // the engine just read it
-    if (current) {
-      LSENS_CHECK(node->version == rel->version());
-    } else {
-      node->version = rel->version();
-    }
-    state.sources.push_back(std::move(node));
-    source_attrs.push_back(std::move(keep));
-    return TableRef{static_cast<int>(state.sources.size() - 1), -1};
-  }
-
-  // out = γ_group(driver ⋈ inputs...); inputs are (child, driver columns
-  // carrying its key) in the engine's order.
-  TableRef AddGroupNode(
-      TableRef driver, const AttributeSet& group,
-      const std::vector<std::pair<TableRef, std::vector<int>>>& inputs,
-      const CountedRelation& snapshot) {
-    std::vector<int> group_cols = ColsOf(attrs_of(driver), group);
-    std::vector<CanonicalChild> canon_inputs;
-    canon_inputs.reserve(inputs.size());
-    for (const auto& [ref, driver_cols] : inputs) {
-      canon_inputs.push_back(CanonicalChild{ptr_of(ref)->sig, driver_cols});
-    }
-    std::string sig = CanonicalGroupSignature(ptr_of(driver)->sig, group_cols,
-                                              std::move(canon_inputs));
-    bool current = false;
-    std::shared_ptr<SharedNode> node = Acquire(
-        sig, SharedNode::Kind::kGroup, snapshot,
-        [&] {
-          auto n = std::make_shared<SharedNode>(SharedNode::Kind::kGroup,
-                                                group.size(), sig);
-          n->driver = ptr_of(driver);
-          n->group_cols = group_cols;
-          n->driver_group_index = n->driver->table.AddIndex(group_cols);
-          for (const auto& [ref, driver_cols] : inputs) {
-            SharedNode::Input in;
-            in.node = ptr_of(ref);
-            in.driver_cols = driver_cols;
-            in.driver_index = n->driver->table.AddIndex(driver_cols);
-            n->inputs.push_back(std::move(in));
-          }
-          n->driver->parents.push_back(n.get());
-          for (const SharedNode::Input& in : n->inputs) {
-            in.node->parents.push_back(n.get());
-          }
-          return n;
-        },
-        &current);
-    state.nodes.push_back(std::move(node));
-    node_attrs.push_back(group);
-    return TableRef{-1, static_cast<int>(state.nodes.size() - 1)};
-  }
-
-  // out = r⋈(piece_refs...) over scope = ∪ piece attrs, loaded from the
-  // engine's fold snapshot. Expansion plans: a changed key of piece i
-  // enumerates the newly joinable scope tuples by extending through the
-  // other pieces in piece order, each probed on the columns it shares with
-  // the scope attributes bound so far.
-  TableRef AddJoinNode(const std::vector<TableRef>& piece_refs,
-                       const CountedRelation& snapshot) {
-    AttributeSet scope;
-    for (TableRef ref : piece_refs) scope = Union(scope, attrs_of(ref));
-    std::vector<CanonicalChild> canon_pieces;
-    canon_pieces.reserve(piece_refs.size());
-    for (TableRef ref : piece_refs) {
-      canon_pieces.push_back(
-          CanonicalChild{ptr_of(ref)->sig, ColsOf(scope, attrs_of(ref))});
-    }
-    std::string sig = CanonicalJoinSignature(std::move(canon_pieces));
-    bool current = false;
-    std::shared_ptr<SharedNode> node = Acquire(
-        sig, SharedNode::Kind::kJoin, snapshot,
-        [&] {
-          auto n = std::make_shared<SharedNode>(SharedNode::Kind::kJoin,
-                                                scope.size(), sig);
-          for (TableRef ref : piece_refs) {
-            SharedNode::Piece piece;
-            piece.ref = ptr_of(ref);
-            piece.scope_cols = ColsOf(scope, attrs_of(ref));
-            piece.out_index = n->table.AddIndex(piece.scope_cols);
-            n->pieces.push_back(std::move(piece));
-          }
-          for (size_t i = 0; i < n->pieces.size(); ++i) {
-            AttributeSet bound = attrs_of(piece_refs[i]);
-            for (size_t j = 0; j < n->pieces.size(); ++j) {
-              if (j == i) continue;
-              const AttributeSet& pj = attrs_of(piece_refs[j]);
-              SharedNode::Expand e;
-              e.piece = j;
-              // An empty shared set degrades to the full-table chain (the
-              // within-component cross-product case) — still correct, the
-              // later probes filter.
-              AttributeSet shared = Intersect(pj, bound);
-              e.index =
-                  n->pieces[j].ref->table.AddIndex(ColsOf(pj, shared));
-              e.probe_scope_cols = ColsOf(scope, shared);
-              n->pieces[i].expands.push_back(std::move(e));
-              bound = Union(bound, pj);
-            }
-          }
-          for (const SharedNode::Piece& piece : n->pieces) {
-            piece.ref->parents.push_back(n.get());
-          }
-          return n;
-        },
-        &current);
-    state.nodes.push_back(std::move(node));
-    node_attrs.push_back(std::move(scope));
-    return TableRef{-1, static_cast<int>(state.nodes.size() - 1)};
-  }
-
-  Tracker MakeTracker(int atom_index, TableRef ref) {
-    Tracker t;
-    if (ref.source >= 0 || ref.node >= 0) {
-      t.target = ptr_of(ref).get();
-      t.attrs = attrs_of(ref);
-      for (const Predicate& p : q.atom(atom_index).predicates) {
-        auto it = std::lower_bound(t.attrs.begin(), t.attrs.end(), p.var);
-        if (it != t.attrs.end() && *it == p.var) {
-          t.checks.emplace_back(static_cast<int>(it - t.attrs.begin()), p);
+  // Trackers, one per assembly slot, registered and filled last: the
+  // tracker vectors never resize again, so the addresses handed to the
+  // nodes stay valid until the RepairState destructor detaches them.
+  state->trackers.resize(df.assembly.size());
+  for (size_t u = 0; u < df.assembly.size(); ++u) {
+    const DataflowAtom& unit = df.assembly[u];
+    state->trackers[u].resize(unit.components.size());
+    for (size_t c = 0; c < unit.components.size(); ++c) {
+      Tracker& t = state->trackers[u][c];
+      const int comp = unit.components[c];
+      if (comp < 0) {
+        t.max = Count::One();  // the unit relation: one empty row, count 1
+        continue;
+      }
+      t.target = state->nodes[static_cast<size_t>(comp)].get();
+      const AttributeSet& attrs = df.nodes[static_cast<size_t>(comp)].attrs;
+      for (const Predicate& p : q.atom(unit.atom).predicates) {
+        auto pos = std::lower_bound(attrs.begin(), attrs.end(), p.var);
+        if (pos != attrs.end() && *pos == p.var) {
+          t.checks.emplace_back(static_cast<int>(pos - attrs.begin()), p);
         }
       }
-    } else {
-      t.max = Count::One();  // the unit relation: one empty row, count 1
-      t.dirty = false;
-    }
-    return t;
-  }
-};
-
-// Builds the repairable state for a plan of a path or GHD repair mode from
-// the engine capture (the exact tables the from-scratch answer was computed
-// from), acquiring every table through the shared store.
-std::unique_ptr<RepairState> BuildState(
-    const ConjunctiveQuery& q, const SensitivityPlan& plan,
-    TSensCapture capture, const std::vector<int>& skip_atoms,
-    const Database& db, NodeStore& ns, SensitivityCacheStats& stats,
-    uint64_t tick, uint64_t* rows_touched) {
-  auto state = std::make_unique<RepairState>();
-  state->mode = RepairModeOf(q, plan);
-  StateBuilder b{q, db, ns, stats, tick, *state, {}, {}, 0};
-
-  if (state->mode == RepairState::Mode::kPath) {
-    const std::vector<int>& order = plan.path_order;
-    const size_t m = order.size();
-    std::vector<AttrId> link(m - 1, kInvalidAttr);
-    for (size_t i = 0; i + 1 < m; ++i) {
-      AttributeSet common = Intersect(q.atom(order[i]).VarSet(),
-                                      q.atom(order[i + 1]).VarSet());
-      LSENS_CHECK(common.size() == 1);
-      link[i] = common[0];
-    }
-    LSENS_CHECK(capture.s_sig.size() == m);
-    std::vector<TableRef> sources(m);
-    for (size_t i = 0; i < m; ++i) {
-      AttributeSet keep;
-      if (i > 0) keep.push_back(link[i - 1]);
-      if (i + 1 < m) keep.push_back(link[i]);
-      keep = MakeAttributeSet(std::move(keep));
-      LSENS_CHECK(capture.s[i].attrs() == keep);
-      sources[i] = b.AcquireSource(order[i], std::move(keep), capture.s[i],
-                                   capture.s_sig[i]);
-    }
-    // Nodes: the two chains, each in its dependency order. topjoin[i] is
-    // driven by S_{i-1} (grouped on link[i-1]); botjoin[i] by S_i.
-    std::vector<TableRef> top_node(m);
-    std::vector<TableRef> bot_node(m);
-    for (size_t i = 1; i < m; ++i) {
-      std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-      if (i >= 2) {
-        inputs.emplace_back(
-            top_node[i - 1],
-            ColsOf(b.attrs_of(sources[i - 1]), {link[i - 2]}));
-      }
-      top_node[i] = b.AddGroupNode(sources[i - 1],
-                                   AttributeSet{link[i - 1]}, inputs,
-                                   *capture.top[i]);
-    }
-    for (size_t i = m - 1; i >= 1; --i) {
-      std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-      if (i + 1 < m) {
-        inputs.emplace_back(bot_node[i + 1],
-                            ColsOf(b.attrs_of(sources[i]), {link[i]}));
-      }
-      bot_node[i] = b.AddGroupNode(sources[i], AttributeSet{link[i - 1]},
-                                   inputs, *capture.bot[i]);
-    }
-    // Assembly: position i multiplies the filtered maxima of ⊤_i (topjoin
-    // at i; unit at the left end) and ⊥_{i+1} (botjoin; unit at the right).
-    state->assembly_atoms = order;
-    state->trackers.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      state->trackers[i].push_back(
-          b.MakeTracker(order[i], i == 0 ? TableRef{} : top_node[i]));
-      state->trackers[i].push_back(
-          b.MakeTracker(order[i], i + 1 == m ? TableRef{} : bot_node[i + 1]));
-    }
-  } else {
-    const Ghd& ghd = plan.decomposition.ghd();
-    const int num_atoms = q.num_atoms();
-    const size_t num_bags = ghd.bags.size();
-    const size_t num_trees = ghd.forest.trees.size();
-
-    LSENS_CHECK(capture.s_sig.size() == static_cast<size_t>(num_atoms));
-    std::vector<TableRef> sources(static_cast<size_t>(num_atoms));
-    for (int a = 0; a < num_atoms; ++a) {
-      AttributeSet keep = q.SharedVarsOf(a);
-      LSENS_CHECK(capture.s[static_cast<size_t>(a)].attrs() == keep);
-      sources[static_cast<size_t>(a)] =
-          b.AcquireSource(a, std::move(keep), capture.s[static_cast<size_t>(a)],
-                          capture.s_sig[static_cast<size_t>(a)]);
-    }
-
-    std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
-    for (size_t v = 0; v < num_bags; ++v) {
-      for (int a : ghd.bags[v].atom_indices) {
-        bag_of[static_cast<size_t>(a)] = static_cast<int>(v);
-      }
-    }
-
-    std::vector<TableRef> bot_node(num_bags);
-    std::vector<TableRef> top_node(num_bags);
-    const bool track_totals = num_trees >= 2;
-    if (track_totals) {
-      LSENS_CHECK(capture.tree_total.size() == num_trees);
-      state->total_nodes.resize(num_trees);
-    }
-
-    for (size_t t = 0; t < num_trees; ++t) {
-      const JoinTree& tree = ghd.forest.trees[t];
-      // ⊥ in post-order: ⊥(v) = γ_link(v)(r⋈({S_a : a ∈ v}, {⊥(c)})).
-      // Single-atom bags keep the legacy driver form (S_v drives, children
-      // join in per key); multi-atom bags materialize the fold first.
-      for (int bag : tree.PostOrder()) {
-        const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
-        const int parent = tree.Parent(bag);
-        std::vector<TableRef> piece_refs;
-        for (int a : spec.atom_indices) {
-          piece_refs.push_back(sources[static_cast<size_t>(a)]);
-        }
-        for (int c : tree.Children(bag)) {
-          piece_refs.push_back(bot_node[static_cast<size_t>(c)]);
-        }
-        auto child_inputs = [&](const AttributeSet& driver_attrs) {
-          std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-          for (int c : tree.Children(bag)) {
-            const TableRef cn = bot_node[static_cast<size_t>(c)];
-            inputs.emplace_back(cn, ColsOf(driver_attrs, b.attrs_of(cn)));
-          }
-          return inputs;
-        };
-        if (parent == -1) {
-          // Root bag: the full fold is only materialized when the §5.4
-          // cross-tree scale factors need its running total.
-          if (!track_totals) continue;
-          LSENS_CHECK(capture.root_join[t].has_value());
-          TableRef root;
-          if (spec.atom_indices.size() == 1) {
-            const TableRef drv = sources[static_cast<size_t>(
-                spec.atom_indices[0])];
-            const AttributeSet keep = b.attrs_of(drv);
-            root = b.AddGroupNode(drv, keep, child_inputs(keep),
-                                  *capture.root_join[t]);
-          } else {
-            root = b.AddJoinNode(piece_refs, *capture.root_join[t]);
-          }
-          // The engine's total reflects exactly the rows just loaded (or
-          // verified current), so it is correct for every acquire outcome.
-          const std::shared_ptr<SharedNode>& root_node = b.ptr_of(root);
-          root_node->track_total = true;
-          root_node->total = capture.tree_total[t];
-          state->total_nodes[t] = root_node;
-          continue;
-        }
-        const AttributeSet link = Intersect(
-            spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
-        if (spec.atom_indices.size() == 1) {
-          const TableRef drv =
-              sources[static_cast<size_t>(spec.atom_indices[0])];
-          bot_node[static_cast<size_t>(bag)] =
-              b.AddGroupNode(drv, link, child_inputs(b.attrs_of(drv)),
-                             *capture.bot[static_cast<size_t>(bag)]);
-        } else {
-          LSENS_CHECK(capture.bot_join[static_cast<size_t>(bag)].has_value());
-          const TableRef j = b.AddJoinNode(
-              piece_refs, *capture.bot_join[static_cast<size_t>(bag)]);
-          bot_node[static_cast<size_t>(bag)] =
-              b.AddGroupNode(j, link, {},
-                             *capture.bot[static_cast<size_t>(bag)]);
-        }
-      }
-      // ⊤ in pre-order: ⊤(v) = γ_link(v)(r⋈({S_a : a ∈ p}, ⊤(p)?,
-      // {⊥(sib)})), driven by the parent bag.
-      for (int bag : tree.PreOrder()) {
-        const int p = tree.Parent(bag);
-        if (p == -1) continue;
-        const GhdBag& pspec = ghd.bags[static_cast<size_t>(p)];
-        const AttributeSet link = Intersect(
-            ghd.bags[static_cast<size_t>(bag)].vars, pspec.vars);
-        std::vector<TableRef> upper_refs;  // ⊤(p)? then sibling ⊥s
-        if (tree.Parent(p) != -1) {
-          upper_refs.push_back(top_node[static_cast<size_t>(p)]);
-        }
-        for (int sib : tree.Neighbors(bag)) {
-          upper_refs.push_back(bot_node[static_cast<size_t>(sib)]);
-        }
-        if (pspec.atom_indices.size() == 1) {
-          const TableRef drv =
-              sources[static_cast<size_t>(pspec.atom_indices[0])];
-          const AttributeSet& driver_attrs = b.attrs_of(drv);
-          std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-          for (TableRef ref : upper_refs) {
-            inputs.emplace_back(ref, ColsOf(driver_attrs, b.attrs_of(ref)));
-          }
-          top_node[static_cast<size_t>(bag)] =
-              b.AddGroupNode(drv, link, inputs,
-                             *capture.top[static_cast<size_t>(bag)]);
-        } else {
-          std::vector<TableRef> piece_refs;
-          for (int a : pspec.atom_indices) {
-            piece_refs.push_back(sources[static_cast<size_t>(a)]);
-          }
-          for (TableRef ref : upper_refs) piece_refs.push_back(ref);
-          LSENS_CHECK(capture.top_join[static_cast<size_t>(bag)].has_value());
-          const TableRef j = b.AddJoinNode(
-              piece_refs, *capture.top_join[static_cast<size_t>(bag)]);
-          top_node[static_cast<size_t>(bag)] =
-              b.AddGroupNode(j, link, {},
-                             *capture.top[static_cast<size_t>(bag)]);
-        }
-      }
-    }
-
-    // Per-atom multiplicity tables: T_a folds ⊤(bag), the children's ⊥ and
-    // the co-atoms' S tables per attribute-connectivity component. The
-    // component partition, order and per-component grouping replicate the
-    // engine's compute_atom exactly, so the capture's atom_components line
-    // up index for index.
-    state->assembly_atoms.resize(static_cast<size_t>(num_atoms));
-    state->trackers.resize(static_cast<size_t>(num_atoms));
-    if (track_totals) {
-      state->assembly_tree.assign(static_cast<size_t>(num_atoms), -1);
-    }
-    for (int a = 0; a < num_atoms; ++a) {
-      state->assembly_atoms[static_cast<size_t>(a)] = a;
-      const int v = bag_of[static_cast<size_t>(a)];
-      const int t = ghd.forest.TreeOf(v);
-      LSENS_CHECK(t >= 0);
-      if (track_totals) {
-        state->assembly_tree[static_cast<size_t>(a)] = t;
-      }
-      if (ContainsAtom(skip_atoms, a)) continue;  // engine skipped T_a
-      const JoinTree& tree = ghd.forest.trees[static_cast<size_t>(t)];
-
-      std::vector<TableRef> piece_refs;  // engine piece order
-      if (tree.Parent(v) != -1) {
-        piece_refs.push_back(top_node[static_cast<size_t>(v)]);
-      }
-      for (int c : tree.Children(v)) {
-        piece_refs.push_back(bot_node[static_cast<size_t>(c)]);
-      }
-      for (int other : ghd.bags[static_cast<size_t>(v)].atom_indices) {
-        if (other != a) {
-          piece_refs.push_back(sources[static_cast<size_t>(other)]);
-        }
-      }
-
-      // Attribute-connectivity components, replicating the engine's
-      // union-find (component order = first-piece order).
-      const size_t n = piece_refs.size();
-      std::vector<size_t> uf(n);
-      for (size_t i = 0; i < n; ++i) uf[i] = i;
-      auto find = [&](size_t x) {
-        while (uf[x] != x) x = uf[x] = uf[uf[x]];
-        return x;
-      };
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          if (Intersects(b.attrs_of(piece_refs[i]),
-                         b.attrs_of(piece_refs[j]))) {
-            uf[find(i)] = find(j);
-          }
-        }
-      }
-      std::vector<std::vector<size_t>> components;
-      std::vector<int> comp_of(n, -1);
-      for (size_t i = 0; i < n; ++i) {
-        const size_t root = find(i);
-        if (comp_of[root] == -1) {
-          comp_of[root] = static_cast<int>(components.size());
-          components.emplace_back();
-        }
-        components[static_cast<size_t>(comp_of[root])].push_back(i);
-      }
-
-      const AttributeSet table_attrs = q.SharedVarsOf(a);
-      const auto& caps = capture.atom_components[static_cast<size_t>(a)];
-      LSENS_CHECK(caps.size() == components.size());
-      for (size_t ci = 0; ci < components.size(); ++ci) {
-        const std::vector<size_t>& comp = components[ci];
-        AttributeSet comp_attrs;
-        for (size_t idx : comp) {
-          comp_attrs = Union(comp_attrs, b.attrs_of(piece_refs[idx]));
-        }
-        const AttributeSet group = Intersect(table_attrs, comp_attrs);
-        const bool group_is_full = group == comp_attrs;
-        TableRef target;
-        if (comp.size() == 1 && group_is_full) {
-          // The piece itself is the component table: track it directly
-          // (zero extra state — the common acyclic shape stays as cheap
-          // as before).
-          target = piece_refs[comp[0]];
-        } else if (comp.size() == 1) {
-          LSENS_CHECK(caps[ci].table.has_value());
-          target = b.AddGroupNode(piece_refs[comp[0]], group, {},
-                                  *caps[ci].table);
-        } else {
-          LSENS_CHECK(caps[ci].join.has_value());
-          std::vector<TableRef> comp_refs;
-          for (size_t idx : comp) comp_refs.push_back(piece_refs[idx]);
-          const TableRef j = b.AddJoinNode(comp_refs, *caps[ci].join);
-          if (group_is_full) {
-            target = j;
-          } else {
-            LSENS_CHECK(caps[ci].table.has_value());
-            target = b.AddGroupNode(j, group, {}, *caps[ci].table);
-          }
-        }
-        state->trackers[static_cast<size_t>(a)].push_back(
-            b.MakeTracker(a, target));
-      }
-    }
-  }
-
-  // Register and fill the trackers last: the tracker vectors never resize
-  // again, so the addresses handed to the nodes stay valid until the
-  // RepairState destructor detaches them.
-  for (auto& unit : state->trackers) {
-    for (Tracker& t : unit) {
-      if (t.target == nullptr) continue;
       t.target->trackers.push_back(&t);
-      RescanTracker(t, &b.scan_rows);
+      RescanTracker(t, &scan_rows);
     }
   }
-  *rows_touched += b.scan_rows;
+  *rows_touched += scan_rows;
   return state;
 }
 
-// Rebuilds the SensitivityResult from the maintained trackers, replicating
-// each engine's assembly and winner tie-breaking exactly.
+// The result from the maintained trackers and running totals, through the
+// same assembly the evaluator runs.
 SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
-                           const TSensComputeOptions& options,
+                           const SensitivityDataflow& df,
                            uint64_t* rows_touched) {
-  SensitivityResult result;
-  result.local_sensitivity = Count::Zero();
-  result.atoms.resize(static_cast<size_t>(q.num_atoms()));
-  for (size_t u = 0; u < state.assembly_atoms.size(); ++u) {
-    const int a = state.assembly_atoms[u];
-    AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-    out.atom_index = a;
-    out.relation = q.atom(a).relation;
-    out.table_attrs = q.SharedVarsOf(a);
-    out.free_vars = q.ExclusiveVarsOf(a);
-    out.max_sensitivity = Count::Zero();
-    if (ContainsAtom(options.skip_atoms, a)) {
-      out.skipped = true;
-      continue;
-    }
-    // §5.4 scale factor: adding a tuple here combines with every full
-    // result of the other decomposition trees.
-    Count product = Count::One();
-    if (!state.total_nodes.empty()) {
-      const int tree = state.assembly_tree[u];
-      for (size_t t2 = 0; t2 < state.total_nodes.size(); ++t2) {
-        if (t2 != static_cast<size_t>(tree)) {
-          product *= state.total_nodes[t2]->total;
-        }
-      }
-    }
-    for (Tracker& t : state.trackers[u]) {
+  for (std::vector<Tracker>& unit : state.trackers) {
+    for (Tracker& t : unit) {
       if (t.dirty) RescanTracker(t, rows_touched);
-      product *= t.max;
-    }
-    out.max_sensitivity = product;
-    if (!product.IsZero()) {
-      std::vector<Value> argmax(out.table_attrs.size(), 0);
-      for (const Tracker& t : state.trackers[u]) {
-        if (t.target == nullptr) continue;  // unit piece, no values
-        LSENS_CHECK(t.argmax.size() == t.attrs.size());
-        for (size_t j = 0; j < t.attrs.size(); ++j) {
-          auto it = std::lower_bound(out.table_attrs.begin(),
-                                     out.table_attrs.end(), t.attrs[j]);
-          LSENS_CHECK(it != out.table_attrs.end() && *it == t.attrs[j]);
-          argmax[static_cast<size_t>(it - out.table_attrs.begin())] =
-              t.argmax[j];
-        }
-      }
-      out.argmax = std::move(argmax);
     }
   }
-  // Winner reduction. The path engine walks chain positions and skips
-  // skipped atoms explicitly; the GHD engine walks atoms and relies on
-  // their zero maxima. Both are replicated verbatim.
-  if (state.mode == RepairState::Mode::kPath) {
-    for (int a : state.assembly_atoms) {
-      const AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-      if (out.skipped) continue;
-      if (out.max_sensitivity > result.local_sensitivity ||
-          (result.argmax_atom == -1 && !out.max_sensitivity.IsZero())) {
-        result.local_sensitivity = out.max_sensitivity;
-        result.argmax_atom = a;
-      }
-    }
-  } else {
-    for (int a = 0; a < q.num_atoms(); ++a) {
-      const AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-      if (out.max_sensitivity > result.local_sensitivity ||
-          (result.argmax_atom == -1 && !out.max_sensitivity.IsZero())) {
-        result.local_sensitivity = out.max_sensitivity;
-        result.argmax_atom = a;
-      }
-    }
-  }
-  return result;
+  std::vector<Count> totals;
+  totals.reserve(state.total_nodes.size());
+  for (const auto& node : state.total_nodes) totals.push_back(node->total);
+  return AssembleSensitivity(
+      q, df, totals, [&](size_t u, size_t c) -> const ComponentMax& {
+        return state.trackers[u][c];
+      });
 }
 
 }  // namespace
@@ -1565,11 +1111,8 @@ void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
 }
 
 bool SensitivityCache::Peek(const ConjunctiveQuery& q, const Database& db,
-                            const TSensComputeOptions& options_in,
+                            const TSensComputeOptions& options,
                             SensitivityResult* out) const {
-  // Match Compute's keying: the capture hook never participates.
-  TSensComputeOptions options = options_in;
-  options.capture = nullptr;
   const std::string key = Fingerprint(q, options);
   for (const auto& e : entries_) {
     if (e->key != key) continue;
@@ -1589,12 +1132,7 @@ bool SensitivityCache::Peek(const ConjunctiveQuery& q, const Database& db,
 
 StatusOr<SensitivityResult> SensitivityCache::Compute(
     const ConjunctiveQuery& q, Database& db,
-    const TSensComputeOptions& options_in) {
-  // The capture hook belongs to the cache here: a hit or repair never runs
-  // an engine, so a caller-supplied capture could not be honored
-  // consistently. Strip it up front instead of filling it sometimes.
-  TSensComputeOptions options = options_in;
-  options.capture = nullptr;
+    const TSensComputeOptions& options) {
   ExecContext& ctx = ResolveExecContext(options.join.ctx);
   WallTimer timer;
   const std::string key = Fingerprint(q, options);
@@ -1641,9 +1179,6 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
     // Touch the entry's shared nodes so the spill LRU tracks use by any
     // dependent entry, hits included.
     if (entry->state != nullptr) {
-      for (const auto& node : entry->state->sources) {
-        node->last_used = entry->last_used;
-      }
       for (const auto& node : entry->state->nodes) {
         node->last_used = entry->last_used;
       }
@@ -1659,7 +1194,8 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
       // entry depends on, and only the per-entry assembly remains — the
       // cross-query sharing payoff.
       uint64_t entry_pending = 0;
-      for (const auto& src : entry->state->sources) {
+      for (const auto& src : entry->state->nodes) {
+        if (src->kind != SharedNode::Kind::kSource) continue;
         if (src->stale != SharedNode::StaleReason::kNone) {
           entry_pending = 1;  // falls back below; exact count irrelevant
           continue;
@@ -1687,11 +1223,11 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
             stale = true;
         }
       };
-      for (const auto& node : entry->state->sources) scan(node);
       for (const auto& node : entry->state->nodes) scan(node);
       if (!spilled && !large && !stale) {
         uint64_t rows_touched = 0;
-        entry->result = Assemble(*entry->state, q, options, &rows_touched);
+        entry->result = Assemble(*entry->state, q, entry->plan.dataflow,
+                                 &rows_touched);
         stats_.repair_rows += rows_touched;
         entry->versions = *std::move(versions);
         if (entry_pending > 0) {
@@ -1720,11 +1256,11 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
     }
   }
 
-  // Full compute (first sight, or fallback), capturing repairable state
-  // when the options allow it. A fallback runs the plan stored with the
-  // entry; first sight plans here, once. The store syncs *before* the
-  // engine runs, so every non-stale shared node is current when BuildState
-  // attaches to it against the fresh capture.
+  // Full compute (first sight, or fallback), keeping the evaluated tables
+  // as repairable state when the options allow it. A fallback runs the plan
+  // stored with the entry; first sight plans here, once. The store syncs
+  // *before* the evaluator runs, so every non-stale shared node is current
+  // when BuildState attaches it to the freshly evaluated table.
   std::optional<SensitivityPlan> fresh_plan;
   if (entry == nullptr) {
     LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
@@ -1743,8 +1279,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
   std::unique_ptr<RepairState> state;
   uint64_t build_rows = 0;
   auto run_full = [&]() -> StatusOr<SensitivityResult> {
-    if (!repairable ||
-        RepairModeOf(q, plan) == RepairState::Mode::kConstant) {
+    if (!repairable || RepairModeOf(q) == RepairState::Mode::kConstant) {
       auto r = RunSensitivityPlan(q, plan, db, options);
       if (r.ok() && repairable) {
         state = std::make_unique<RepairState>();  // kConstant
@@ -1752,10 +1287,9 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
       return r;
     }
     sync();
-    TSensCapture capture;
-    TSensComputeOptions run = options;
-    run.capture = &capture;
-    StatusOr<SensitivityResult> r = RunSensitivityPlan(q, plan, db, run);
+    std::vector<CountedRelation> tables;
+    StatusOr<SensitivityResult> r =
+        EvaluateDataflow(q, plan.dataflow, db, options, &tables);
     if (r.ok()) {
       // Install change logs first so the acquired sources start from a
       // loggable version.
@@ -1766,8 +1300,8 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
           rel->EnableChangeLog(config_.changelog_capacity);
         }
       }
-      state = BuildState(q, plan, std::move(capture), options.skip_atoms, db,
-                         store_->ns, stats_, ++tick_, &build_rows);
+      state = BuildState(q, plan.dataflow, std::move(tables), db, store_->ns,
+                         stats_, ++tick_, &build_rows);
     }
     return r;
   };
@@ -1778,7 +1312,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
   relations.reserve(static_cast<size_t>(q.num_atoms()));
   for (const Atom& atom : q.atoms()) relations.push_back(atom.relation);
   std::optional<std::vector<uint64_t>> versions = current_versions(relations);
-  LSENS_CHECK(versions.has_value());  // the engine just read them
+  LSENS_CHECK(versions.has_value());  // the evaluator just read them
 
   if (entry == nullptr) {
     ++stats_.misses;
@@ -1806,13 +1340,14 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
   stats_.repair_rows += build_rows;
   SweepStore();
 
-  // Cross-check at capture time: the assembled-from-trackers result must
-  // equal the engine's, so every later repair starts from verified state.
+  // Cross-check at (re)build time: the assembled-from-trackers result must
+  // equal the evaluator's, so every later repair starts from verified
+  // state.
   if (entry->state != nullptr &&
       entry->state->mode != RepairState::Mode::kConstant) {
     uint64_t ignored = 0;
     SensitivityResult assembled =
-        Assemble(*entry->state, q, options, &ignored);
+        Assemble(*entry->state, q, entry->plan.dataflow, &ignored);
     LSENS_CHECK(assembled.local_sensitivity ==
                 entry->result.local_sensitivity);
     LSENS_CHECK(assembled.argmax_atom == entry->result.argmax_atom);

@@ -40,7 +40,7 @@ struct SensitivityCacheConfig {
   // *spilled* at node granularity — stale nodes first, then least-recently-
   // used — by releasing their table storage while the node's recipe (and
   // every entry's memoized result) stays, so unchanged data still hits. A
-  // spilled node reloads from the engine capture on the next dependent
+  // spilled node reloads from the evaluated table on the next dependent
   // entry's recompute.
   size_t max_state_bytes = 0;
 };
@@ -76,14 +76,14 @@ struct SensitivityCacheStats {
 };
 
 // Memoizes ComputeLocalSensitivity results keyed by (query fingerprint,
-// per-relation versions) and keeps the engine's internal tables (per-atom
-// projections S_a, the ⊥/⊤ fold tables per GHD bag, materialized bag and
-// multiplicity-component joins, per-tree join totals) in incrementally
-// repairable form. Every query shape the engines evaluate is repairable —
-// acyclic trees and paths, attribute-sharing multiplicity components,
-// disconnected forests (cross-tree scale factors re-multiplied from
-// maintained per-tree totals), and cyclic queries via searched or
-// explicitly supplied GHDs. When the underlying relations change between
+// per-relation versions) and keeps the tables of the plan's dataflow
+// (SensitivityPlan::dataflow: per-atom projections S_a, the ⊥/⊤ fold
+// tables, materialized bag and multiplicity-component joins, per-tree join
+// totals) in incrementally repairable form. Every query shape the engines
+// evaluate is repairable — acyclic trees and paths, attribute-sharing
+// multiplicity components, disconnected forests (cross-tree scale factors
+// re-multiplied from maintained per-tree totals), and cyclic queries via
+// searched or explicitly supplied GHDs. When the underlying relations change between
 // calls, the cache pulls the row-level delta from each relation's change
 // log and re-aggregates only the affected join-key groups (or join rows)
 // instead of rebuilding every table, falling back to a full recompute only
@@ -109,7 +109,8 @@ struct SensitivityCacheStats {
 // that cannot be repaired (unanswerable log, over-budget delta,
 // saturation, byte-budget spill) are marked stale with a reason; entries
 // touching a stale node fall back to a full recompute, which reloads the
-// node from the fresh engine capture for every dependent entry at once.
+// node from the table the evaluator computes for it, for every dependent
+// entry at once.
 //
 // A cache instance serves one Database: relations are addressed by name
 // and validated by version, so feeding relations of equal names/versions
@@ -126,8 +127,6 @@ class SensitivityCache {
   // install change logs on the query's relations; contents are never
   // modified. `options.join` supplies the stats context for full computes
   // exactly as the facade does, and for the serial delta repair pass.
-  // `options.capture` is ignored (the hook belongs to the cache: hits and
-  // repairs never run an engine, so it could not be filled consistently).
   StatusOr<SensitivityResult> Compute(const ConjunctiveQuery& q, Database& db,
                                       const TSensComputeOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include "sensitivity/tsens.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "exec/exec_context.h"
@@ -23,6 +24,12 @@ StatusOr<SensitivityPlan> PlanSensitivity(const ConjunctiveQuery& q,
       plan.path_order = std::move(order);
     }
   }
+  auto dataflow =
+      plan.engine == SensitivityEngine::kPath
+          ? BuildChainDataflow(q, plan.path_order, options.skip_atoms)
+          : BuildGhdDataflow(q, plan.decomposition.ghd(), options.skip_atoms);
+  if (!dataflow.ok()) return dataflow.status();
+  plan.dataflow = *std::move(dataflow);
   return plan;
 }
 
@@ -30,10 +37,7 @@ StatusOr<SensitivityResult> RunSensitivityPlan(const ConjunctiveQuery& q,
                                                const SensitivityPlan& plan,
                                                const Database& db,
                                                const TSensOptions& options) {
-  if (plan.engine == SensitivityEngine::kPath) {
-    return TSensPath(q, plan.path_order, db, options);
-  }
-  return TSensOverGhd(q, plan.decomposition.ghd(), db, options);
+  return EvaluateDataflow(q, plan.dataflow, db, options);
 }
 
 StatusOr<SensitivityResult> ComputeLocalSensitivity(
@@ -97,8 +101,6 @@ StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
   // active domain replaces the representative-domain max, and the argmax
   // becomes a concrete present tuple's shared projection.
   SensitivityResult result = *std::move(full);
-  result.local_sensitivity = Count::Zero();
-  result.argmax_atom = -1;
   for (AtomSensitivity& atom : result.atoms) {
     if (atom.skipped) continue;
     auto per_tuple = TupleSensitivities(result, q, db, atom.atom_index,
@@ -126,12 +128,10 @@ StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
         atom.argmax.push_back(rel->At(best_row, col));
       }
     }
-    if (atom.max_sensitivity > result.local_sensitivity ||
-        (result.argmax_atom == -1 && !atom.max_sensitivity.IsZero())) {
-      result.local_sensitivity = atom.max_sensitivity;
-      result.argmax_atom = atom.atom_index;
-    }
   }
+  std::vector<int> order(result.atoms.size());
+  std::iota(order.begin(), order.end(), 0);
+  ReduceWinner(order, &result);
   return result;
 }
 

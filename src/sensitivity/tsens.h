@@ -39,6 +39,10 @@ struct SensitivityPlan {
   SensitivityEngine engine = SensitivityEngine::kGhd;
   std::vector<int> path_order;  // kPath: the chain from PathOrder()
   Decomposition decomposition;  // always resolved, even for kPath
+  // The engine's dataflow (BuildChainDataflow for kPath, else
+  // BuildGhdDataflow), for options.skip_atoms: the cold engines evaluate
+  // it, and SensitivityCache maintains and repairs its nodes.
+  SensitivityDataflow dataflow;
 };
 
 // ResolveDecomposition(q, options.ghd), then Algorithm 1 for the GYO forest
@@ -47,7 +51,7 @@ struct SensitivityPlan {
 StatusOr<SensitivityPlan> PlanSensitivity(
     const ConjunctiveQuery& q, const TSensComputeOptions& options = {});
 
-// Runs the plan's engine (no planning, no facade timer).
+// Evaluates the plan's dataflow (no planning, no facade timer).
 StatusOr<SensitivityResult> RunSensitivityPlan(const ConjunctiveQuery& q,
                                                const SensitivityPlan& plan,
                                                const Database& db,

@@ -7,7 +7,6 @@
 #include "exec/exec_context.h"
 #include "exec/group_max.h"
 #include "query/atom_scan.h"
-#include "query/eval.h"
 
 namespace lsens {
 
@@ -52,23 +51,22 @@ CountedRelation MaxOnlyTable(std::vector<const CountedRelation*> pieces,
                     &ctx);
 }
 
-// Partitions pieces into attribute-connectivity components (pieces sharing
-// a variable transitively end up together; empty-attr pieces are singleton
-// components acting as scalars).
+// Partitions pieces, given by their attributes, into attribute-connectivity
+// components: pieces sharing a variable transitively end up together, in
+// first-piece order; an empty-attr piece is a singleton component acting as
+// a scalar.
 std::vector<std::vector<size_t>> ConnectivityComponents(
-    const std::vector<const CountedRelation*>& pieces) {
+    const std::vector<AttributeSet>& pieces) {
   const size_t n = pieces.size();
   std::vector<size_t> parent(n);
   for (size_t i = 0; i < n; ++i) parent[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
+  auto find = [&](size_t x) {
     while (parent[x] != x) x = parent[x] = parent[parent[x]];
     return x;
   };
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (Intersects(pieces[i]->attrs(), pieces[j]->attrs())) {
-        parent[find(i)] = find(j);
-      }
+      if (Intersects(pieces[i], pieces[j])) parent[find(i)] = find(j);
     }
   }
   std::vector<std::vector<size_t>> components;
@@ -84,29 +82,86 @@ std::vector<std::vector<size_t>> ConnectivityComponents(
   return components;
 }
 
+// §5.4 scale factor of an atom in `tree`: a tuple added there combines with
+// every full result of the other trees.
+Count TreeScale(std::span<const Count> tree_totals, int tree) {
+  Count scale = Count::One();
+  for (size_t t = 0; t < tree_totals.size(); ++t) {
+    if (t != static_cast<size_t>(tree)) scale *= tree_totals[t];
+  }
+  return scale;
+}
+
 }  // namespace
 
-StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
-                                         const Ghd& ghd, const Database& db,
-                                         const TSensOptions& options) {
-  LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
-  ExecContext& ctx = ResolveExecContext(options.join.ctx);
+int SensitivityDataflow::AddSource(const ConjunctiveQuery& q, int atom,
+                                   AttributeSet keep) {
+  DataflowNode node;
+  node.kind = DataflowNode::Kind::kSource;
+  node.sig = CanonicalSourceSignature(q.atom(atom), keep);
+  node.atom = atom;
+  node.attrs = std::move(keep);
+  nodes.push_back(std::move(node));
+  return static_cast<int>(nodes.size() - 1);
+}
+
+int SensitivityDataflow::AddGroup(std::vector<int> children,
+                                  AttributeSet group, bool link,
+                                  bool component) {
+  const DataflowNode& driver = nodes[static_cast<size_t>(children[0])];
+  std::vector<CanonicalChild> inputs;
+  for (size_t i = 1; i < children.size(); ++i) {
+    const DataflowNode& input = nodes[static_cast<size_t>(children[i])];
+    inputs.push_back(CanonicalChild{input.sig,
+                                    PositionsOf(driver.attrs, input.attrs)});
+  }
+  DataflowNode node;
+  node.kind = DataflowNode::Kind::kGroup;
+  node.sig = CanonicalGroupSignature(
+      driver.sig, PositionsOf(driver.attrs, group), std::move(inputs));
+  node.attrs = std::move(group);
+  node.children = std::move(children);
+  node.link = link;
+  node.component = component;
+  nodes.push_back(std::move(node));
+  return static_cast<int>(nodes.size() - 1);
+}
+
+int SensitivityDataflow::AddJoin(std::vector<int> children, bool component) {
+  AttributeSet scope;
+  for (int c : children) {
+    scope = Union(scope, nodes[static_cast<size_t>(c)].attrs);
+  }
+  std::vector<CanonicalChild> pieces;
+  for (int c : children) {
+    const DataflowNode& piece = nodes[static_cast<size_t>(c)];
+    pieces.push_back(
+        CanonicalChild{piece.sig, PositionsOf(scope, piece.attrs)});
+  }
+  DataflowNode node;
+  node.kind = DataflowNode::Kind::kJoin;
+  node.sig = CanonicalJoinSignature(std::move(pieces));
+  node.attrs = std::move(scope);
+  node.children = std::move(children);
+  node.component = component;
+  nodes.push_back(std::move(node));
+  return static_cast<int>(nodes.size() - 1);
+}
+
+StatusOr<SensitivityDataflow> BuildGhdDataflow(
+    const ConjunctiveQuery& q, const Ghd& ghd,
+    const std::vector<int>& skip_atoms) {
   const int num_atoms = q.num_atoms();
   const size_t num_bags = ghd.bags.size();
-
-  // S_a: shared-variable projections with predicates applied.
-  std::vector<CountedRelation> s;
-  s.reserve(static_cast<size_t>(num_atoms));
-  for (int a = 0; a < num_atoms; ++a) {
-    auto rel = db.Get(q.atom(a).relation);
-    if (!rel.ok()) return rel.status();
-    s.push_back(ScanAtom(**rel, q.atom(a), q.SharedVarsOf(a), &ctx));
-  }
-
   std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
   for (size_t v = 0; v < num_bags; ++v) {
-    for (int a : ghd.bags[v].atom_indices) bag_of[static_cast<size_t>(a)] =
-        static_cast<int>(v);
+    for (int a : ghd.bags[v].atom_indices) {
+      if (a < 0 || a >= num_atoms) {
+        return Status::InvalidArgument("GHD names atom " + std::to_string(a) +
+                                       " outside the query");
+      }
+      bag_of[static_cast<size_t>(a)] = static_cast<int>(v);
+    }
   }
   for (int a = 0; a < num_atoms; ++a) {
     if (bag_of[static_cast<size_t>(a)] == -1) {
@@ -115,247 +170,413 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
     }
   }
 
-  const size_t num_trees = ghd.forest.trees.size();
-  // Capture slots are pre-sized: the passes below fill them by bag, tree
-  // and atom index.
-  if (options.capture != nullptr) {
-    options.capture->bot_join.assign(num_bags, std::nullopt);
-    options.capture->top_join.assign(num_bags, std::nullopt);
-    options.capture->root_join.assign(num_trees, std::nullopt);
-    options.capture->atom_components.assign(static_cast<size_t>(num_atoms),
-                                            {});
+  // S_a: shared-variable projections.
+  SensitivityDataflow df;
+  std::vector<int> s(static_cast<size_t>(num_atoms));
+  for (int a = 0; a < num_atoms; ++a) {
+    s[static_cast<size_t>(a)] = df.AddSource(q, a, q.SharedVarsOf(a));
   }
-  std::vector<Count> tree_total(num_trees, Count::Zero());
-  // ⊥ and ⊤ per bag; *_use are the (possibly top-k truncated) versions
-  // consumed by the recursions, *_full the untruncated ones consumed by the
-  // multiplicity-table step.
-  std::vector<std::optional<CountedRelation>> bot_full(num_bags);
-  std::vector<std::optional<CountedRelation>> bot_use(num_bags);
-  std::vector<std::optional<CountedRelation>> top_full(num_bags);
-  std::vector<std::optional<CountedRelation>> top_use(num_bags);
-  bool truncation_applied = false;
-  auto maybe_truncate = [&](const CountedRelation& full) {
-    CountedRelation trunc = full;
-    if (options.top_k > 0 && trunc.NumRows() > options.top_k) {
-      trunc.TruncateTopK(options.top_k, &ctx);
-      truncation_applied = true;
+  // One bag's fold grouped onto `group`: a single-atom bag in driver form,
+  // a multi-atom bag as a join node then a group node.
+  auto fold = [&](const GhdBag& bag, std::vector<int> pieces,
+                  AttributeSet group) {
+    if (bag.atom_indices.size() == 1) {
+      return df.AddGroup(std::move(pieces), std::move(group), /*link=*/true,
+                         /*component=*/false);
     }
-    return trunc;
+    const int join = df.AddJoin(std::move(pieces), /*component=*/false);
+    return df.AddGroup({join}, std::move(group), /*link=*/true,
+                       /*component=*/false);
+  };
+  auto bag_sources = [&](const GhdBag& bag) {
+    std::vector<int> pieces;
+    for (int a : bag.atom_indices) pieces.push_back(s[static_cast<size_t>(a)]);
+    return pieces;
   };
 
-  // The ⊥/⊤ recursions of each tree of the decomposition forest.
+  const size_t num_trees = ghd.forest.trees.size();
+  std::vector<int> bot(num_bags, -1);
+  std::vector<int> top(num_bags, -1);
   for (size_t t = 0; t < num_trees; ++t) {
     const JoinTree& tree = ghd.forest.trees[t];
-    // Botjoins, leaves to root (Eq. 7 generalized to bags).
+    // ⊥(v) = γ_{vars(v) ∩ vars(parent)} r⋈({S_a : a ∈ v}, {⊥(c)}), leaves
+    // to root (Eq. 7 generalized to bags). The root's full fold is the
+    // tree's join size, needed only as the other trees' scale factor.
     for (int bag : tree.PostOrder()) {
       const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
-      std::vector<const CountedRelation*> pieces;
-      for (int a : spec.atom_indices) {
-        pieces.push_back(&s[static_cast<size_t>(a)]);
-      }
+      std::vector<int> pieces = bag_sources(spec);
       for (int c : tree.Children(bag)) {
-        pieces.push_back(&*bot_use[static_cast<size_t>(c)]);
+        pieces.push_back(bot[static_cast<size_t>(c)]);
       }
-      CountedRelation folded = FoldJoin(std::move(pieces), options.join);
-      int parent = tree.Parent(bag);
-      if (parent == -1) {
-        tree_total[t] = folded.TotalCount();
-        if (options.capture != nullptr && num_trees >= 2) {
-          options.capture->root_join[t] = std::move(folded);
+      const int parent = tree.Parent(bag);
+      if (parent != -1) {
+        bot[static_cast<size_t>(bag)] = fold(
+            spec, std::move(pieces),
+            Intersect(spec.vars, ghd.bags[static_cast<size_t>(parent)].vars));
+      } else if (num_trees >= 2) {
+        int total;
+        if (spec.atom_indices.size() == 1) {
+          AttributeSet all = df.nodes[static_cast<size_t>(pieces[0])].attrs;
+          total = df.AddGroup(std::move(pieces), std::move(all),
+                              /*link=*/false, /*component=*/false);
+        } else {
+          total = df.AddJoin(std::move(pieces), /*component=*/false);
         }
-      } else {
-        AttributeSet link = Intersect(
-            spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
-        bot_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &ctx);
-        bot_use[static_cast<size_t>(bag)] =
-            maybe_truncate(*bot_full[static_cast<size_t>(bag)]);
-        if (options.capture != nullptr && spec.atom_indices.size() >= 2) {
-          options.capture->bot_join[static_cast<size_t>(bag)] =
-              std::move(folded);
-        }
+        df.tree_totals.push_back(total);
       }
     }
-    // Topjoins, root to leaves (Eq. 8 generalized to bags).
+    // ⊤(v) = γ_{vars(v) ∩ vars(p)} r⋈({S_a : a ∈ p}, ⊤(p), {⊥(sibling)}),
+    // root to leaves (Eq. 8 generalized to bags).
     for (int bag : tree.PreOrder()) {
-      int p = tree.Parent(bag);
+      const int p = tree.Parent(bag);
       if (p == -1) continue;
-      const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
       const GhdBag& pspec = ghd.bags[static_cast<size_t>(p)];
-      std::vector<const CountedRelation*> pieces;
-      for (int a : pspec.atom_indices) {
-        pieces.push_back(&s[static_cast<size_t>(a)]);
-      }
-      if (tree.Parent(p) != -1) {
-        pieces.push_back(&*top_use[static_cast<size_t>(p)]);
-      }
+      std::vector<int> pieces = bag_sources(pspec);
+      if (tree.Parent(p) != -1) pieces.push_back(top[static_cast<size_t>(p)]);
       for (int sibling : tree.Neighbors(bag)) {
-        pieces.push_back(&*bot_use[static_cast<size_t>(sibling)]);
+        pieces.push_back(bot[static_cast<size_t>(sibling)]);
       }
-      CountedRelation folded = FoldJoin(std::move(pieces), options.join);
-      AttributeSet link = Intersect(spec.vars, pspec.vars);
-      top_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &ctx);
-      top_use[static_cast<size_t>(bag)] =
-          maybe_truncate(*top_full[static_cast<size_t>(bag)]);
-      if (options.capture != nullptr && pspec.atom_indices.size() >= 2) {
-        options.capture->top_join[static_cast<size_t>(bag)] =
-            std::move(folded);
-      }
+      top[static_cast<size_t>(bag)] =
+          fold(pspec, std::move(pieces),
+               Intersect(ghd.bags[static_cast<size_t>(bag)].vars, pspec.vars));
     }
   }
 
-  // Multiplicity tables T_a (Eq. 6 generalized: within-bag co-atoms join
-  // in), one per atom; the winner reduction runs afterwards in atom order.
-  SensitivityResult result;
-  result.local_sensitivity = Count::Zero();
-  result.atoms.resize(static_cast<size_t>(num_atoms));
+  // T_a = γ_{shared(a)} r⋈(⊤(bag(a)), {⊥(c) : c child}, {S_b : b ∈ bag(a),
+  // b ≠ a}) (Eq. 6 generalized), one node per attribute-connectivity
+  // component: T_a = ⨯ components, and γ/max/argmax distribute over the
+  // product. A component that is one piece already grouped onto T_a's
+  // attributes is read in place.
   for (int a = 0; a < num_atoms; ++a) {
-    AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-    out.atom_index = a;
-    out.relation = q.atom(a).relation;
-    out.table_attrs = q.SharedVarsOf(a);
-    out.free_vars = q.ExclusiveVarsOf(a);
-    out.max_sensitivity = Count::Zero();
-    if (std::find(options.skip_atoms.begin(), options.skip_atoms.end(), a) !=
-        options.skip_atoms.end()) {
-      out.skipped = true;
+    DataflowAtom unit;
+    unit.atom = a;
+    const int v = bag_of[static_cast<size_t>(a)];
+    unit.tree = ghd.forest.TreeOf(v);
+    LSENS_CHECK(unit.tree >= 0);
+    unit.skipped = std::find(skip_atoms.begin(), skip_atoms.end(), a) !=
+                   skip_atoms.end();
+    if (unit.skipped) {
+      df.assembly.push_back(std::move(unit));
       continue;
     }
-
-    const int v = bag_of[static_cast<size_t>(a)];
-    const int t = ghd.forest.TreeOf(v);
-    LSENS_CHECK(t >= 0);
-    const JoinTree& tree = ghd.forest.trees[static_cast<size_t>(t)];
-
-    std::vector<const CountedRelation*> pieces;
-    if (tree.Parent(v) != -1) {
-      pieces.push_back(&*top_full[static_cast<size_t>(v)]);
-    }
+    const JoinTree& tree = ghd.forest.trees[static_cast<size_t>(unit.tree)];
+    std::vector<int> pieces;
+    if (tree.Parent(v) != -1) pieces.push_back(top[static_cast<size_t>(v)]);
     for (int c : tree.Children(v)) {
-      pieces.push_back(&*bot_full[static_cast<size_t>(c)]);
+      pieces.push_back(bot[static_cast<size_t>(c)]);
     }
     for (int b : ghd.bags[static_cast<size_t>(v)].atom_indices) {
-      if (b != a) pieces.push_back(&s[static_cast<size_t>(b)]);
+      if (b != a) pieces.push_back(s[static_cast<size_t>(b)]);
     }
-
-    // Scale factor from the other connected components (§5.4 disconnected
-    // join trees): adding a tuple here combines with every full result of
-    // the other components.
-    Count scale = Count::One();
-    for (size_t t2 = 0; t2 < num_trees; ++t2) {
-      if (t2 != static_cast<size_t>(t)) scale *= tree_total[t2];
+    // Copies: adding component nodes below may move df.nodes.
+    std::vector<AttributeSet> piece_attrs;
+    for (int piece : pieces) {
+      piece_attrs.push_back(df.nodes[static_cast<size_t>(piece)].attrs);
     }
-
-    // Fold each attribute-connectivity component separately;
-    // T_a = ⨯ components, and γ/max/argmax distribute over the product.
-    std::vector<std::vector<size_t>> components =
-        ConnectivityComponents(pieces);
-    std::vector<CountedRelation> comp_tables;
-    comp_tables.reserve(components.size());
-    Count max_product = scale;
-    for (const auto& comp : components) {
-      std::vector<const CountedRelation*> comp_pieces;
+    const AttributeSet table_attrs = q.SharedVarsOf(a);
+    for (const std::vector<size_t>& comp :
+         ConnectivityComponents(piece_attrs)) {
+      std::vector<int> comp_pieces;
       AttributeSet comp_attrs;
       for (size_t idx : comp) {
         comp_pieces.push_back(pieces[idx]);
-        comp_attrs = Union(comp_attrs, pieces[idx]->attrs());
+        comp_attrs = Union(comp_attrs, piece_attrs[idx]);
       }
-      AttributeSet group = Intersect(out.table_attrs, comp_attrs);
-      const bool group_is_full = group == comp_attrs;
-      // Only the max row matters when nothing keeps the table and no
-      // predicate filters its rows; a grouping fold of two or more pieces
-      // then never needs materializing.
-      if (!options.keep_tables && options.capture == nullptr &&
-          comp.size() >= 2 && !group_is_full &&
-          !PredicatesTouch(q.atom(a), group)) {
-        CountedRelation table =
-            MaxOnlyTable(std::move(comp_pieces), group, options.join, ctx);
-        max_product *= table.MaxCount();
-        comp_tables.push_back(std::move(table));
+      AttributeSet group = Intersect(table_attrs, comp_attrs);
+      int node = comp_pieces.size() == 1
+                     ? comp_pieces[0]
+                     : df.AddJoin(std::move(comp_pieces), /*component=*/true);
+      if (group != comp_attrs) {
+        node = df.AddGroup({node}, std::move(group), /*link=*/false,
+                           /*component=*/true);
+      }
+      unit.components.push_back(node);
+    }
+    df.assembly.push_back(std::move(unit));
+  }
+  return df;
+}
+
+StatusOr<SensitivityResult> EvaluateDataflow(
+    const ConjunctiveQuery& q, const SensitivityDataflow& df,
+    const Database& db, const TSensOptions& options,
+    std::vector<CountedRelation>* tables) {
+  LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
+  ExecContext& ctx = ResolveExecContext(options.join.ctx);
+  const std::vector<DataflowNode>& nodes = df.nodes;
+  const size_t n = nodes.size();
+  const size_t num_units = df.assembly.size();
+
+  // Who reads each table: later nodes, and the (unit, slot) components of
+  // the assembly.
+  std::vector<int> num_consumers(n, 0);
+  for (const DataflowNode& node : nodes) {
+    for (int c : node.children) ++num_consumers[static_cast<size_t>(c)];
+  }
+  std::vector<std::vector<std::pair<size_t, size_t>>> readers(n);
+  std::vector<size_t> pending(num_units, 0);
+  for (size_t u = 0; u < num_units; ++u) {
+    const std::vector<int>& comps = df.assembly[u].components;
+    for (size_t c = 0; c < comps.size(); ++c) {
+      if (comps[c] < 0) continue;
+      readers[static_cast<size_t>(comps[c])].emplace_back(u, c);
+      ++pending[u];
+    }
+  }
+
+  // Only the max row matters for a component that groups a join when no
+  // table is kept and no predicate filters its rows: GroupMax reads it
+  // from the join's pieces and the join is never materialized.
+  std::vector<bool> max_only(n, false);
+  std::vector<bool> fused(n, false);  // a join only a max-only node reads
+  if (tables == nullptr && !options.keep_tables) {
+    for (size_t i = 0; i < n; ++i) {
+      const DataflowNode& node = nodes[i];
+      if (node.kind != DataflowNode::Kind::kGroup || !node.component ||
+          node.children.size() != 1 || num_consumers[i] != 0 ||
+          readers[i].size() != 1) {
         continue;
       }
-      CountedRelation folded = FoldJoin(std::move(comp_pieces), options.join);
-      TSensCapture::AtomComponent* cap = nullptr;
-      if (options.capture != nullptr) {
-        cap = &options.capture->atom_components[static_cast<size_t>(a)]
-                   .emplace_back();
-        // Multi-piece folds must be kept whole (no single piece covers
-        // them); grouped tables only when grouping actually projected.
-        if (comp.size() >= 2) cap->join = folded;
+      const size_t j = static_cast<size_t>(node.children[0]);
+      const int atom = df.assembly[readers[i][0].first].atom;
+      if (nodes[j].kind == DataflowNode::Kind::kJoin &&
+          num_consumers[j] == 1 && !PredicatesTouch(q.atom(atom), node.attrs)) {
+        max_only[i] = true;
+        fused[j] = true;
       }
-      CountedRelation table = group_is_full
-                                  ? std::move(folded)
-                                  : GroupBySum(folded, group, &ctx);
-      if (cap != nullptr && !group_is_full) cap->table = table;
-      ApplyPredicates(q.atom(a), &table);
-      max_product *= table.MaxCount();
-      comp_tables.push_back(std::move(table));
-    }
-    out.max_sensitivity = max_product;
-    out.approximate = truncation_applied;
-
-    // Stitch the argmax row from the per-component argmax rows.
-    if (!out.max_sensitivity.IsZero()) {
-      bool argmax_known = true;
-      std::vector<Value> argmax(out.table_attrs.size(), 0);
-      for (const CountedRelation& table : comp_tables) {
-        size_t r = table.ArgMaxRow();
-        if (table.arity() == 0) continue;  // scalar component, no values
-        if (r == SIZE_MAX) {
-          argmax_known = false;  // empty or attained by a top-k default
-          break;
-        }
-        std::span<const Value> row = table.Row(r);
-        for (size_t j = 0; j < table.attrs().size(); ++j) {
-          auto it = std::lower_bound(out.table_attrs.begin(),
-                                     out.table_attrs.end(), table.attrs()[j]);
-          LSENS_CHECK(it != out.table_attrs.end() && *it == table.attrs()[j]);
-          argmax[static_cast<size_t>(it - out.table_attrs.begin())] = row[j];
-        }
-      }
-      if (argmax_known) out.argmax = std::move(argmax);
-    }
-
-    if (options.keep_tables) {
-      // Materialize the cross product of the components (all pairwise
-      // attribute-disjoint, so FoldJoin emits pure cross products).
-      std::vector<const CountedRelation*> comp_ptrs;
-      for (const auto& ct : comp_tables) comp_ptrs.push_back(&ct);
-      CountedRelation table =
-          comp_tables.empty() ? CountedRelation::Unit()
-                              : FoldJoin(std::move(comp_ptrs), options.join);
-      // FoldJoin rejects all-defaulted inputs; top-k combined with
-      // keep_tables is not supported (exact tables are the point).
-      table.ScaleCounts(scale, &ctx);
-      if (table.attrs() != out.table_attrs) {
-        // Components may be scalars (empty attrs); regroup to be safe.
-        table = GroupBySum(table, Intersect(out.table_attrs, table.attrs()),
-                           &ctx);
-      }
-      out.table = std::move(table);
     }
   }
-
-  for (int a = 0; a < num_atoms; ++a) {
-    const AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-    if (out.max_sensitivity > result.local_sensitivity ||
-        (result.argmax_atom == -1 && !out.max_sensitivity.IsZero())) {
-      result.local_sensitivity = out.max_sensitivity;
-      result.argmax_atom = a;
+  auto reads = [&](size_t i) -> const std::vector<int>& {
+    return max_only[i]
+               ? nodes[static_cast<size_t>(nodes[i].children[0])].children
+               : nodes[i].children;
+  };
+  // A join or component table is dropped after the last node reading it
+  // (the assembly reads a table at the node itself). S and ⊥/⊤ tables live
+  // for the whole compute, as the algorithms keep them, and a caller taking
+  // the tables keeps every one.
+  auto transient = [&](size_t i) {
+    return tables == nullptr && nodes[i].kind != DataflowNode::Kind::kSource &&
+           !nodes[i].link;
+  };
+  std::vector<size_t> last_use(n);
+  for (size_t i = 0; i < n; ++i) last_use[i] = i;
+  for (size_t i = 0; i < n; ++i) {
+    if (fused[i]) continue;
+    for (int c : reads(i)) {
+      last_use[static_cast<size_t>(c)] =
+          std::max(last_use[static_cast<size_t>(c)], i);
     }
   }
-  if (options.capture != nullptr) {
-    options.capture->s_sig.clear();
-    options.capture->s_sig.reserve(s.size());
-    for (size_t a = 0; a < s.size(); ++a) {
-      options.capture->s_sig.push_back(CanonicalSourceSignature(
-          q.atom(static_cast<int>(a)), s[a].attrs()));
+  std::vector<int> total_of(n, -1);
+  for (size_t t = 0; t < df.tree_totals.size(); ++t) {
+    total_of[static_cast<size_t>(df.tree_totals[t])] = static_cast<int>(t);
+  }
+
+  // Per node its table and, for a link table under top_k, the truncated
+  // copy the recursions fold.
+  std::vector<std::optional<CountedRelation>> full(n);
+  std::vector<std::optional<CountedRelation>> cut(n);
+  std::vector<Count> totals(df.tree_totals.size(), Count::Zero());
+  std::vector<std::vector<ComponentMax>> parts(num_units);
+  // keep_tables: each atom's filtered components, then their cross product.
+  std::vector<std::vector<std::optional<CountedRelation>>> kept(num_units);
+  std::vector<std::optional<CountedRelation>> t_tables(num_units);
+  auto cross = [&](size_t u) {
+    std::vector<const CountedRelation*> comps;
+    for (const auto& table : kept[u]) {
+      if (table.has_value()) comps.push_back(&*table);
     }
-    options.capture->s = std::move(s);
-    options.capture->bot = std::move(bot_full);
-    options.capture->top = std::move(top_full);
-    options.capture->tree_total = tree_total;
+    // Components are pairwise attribute-disjoint: a pure cross product.
+    t_tables[u] = comps.empty() ? CountedRelation::Unit()
+                                : FoldJoin(std::move(comps), options.join);
+    kept[u].clear();
+  };
+  for (size_t u = 0; u < num_units; ++u) {
+    parts[u].resize(df.assembly[u].components.size());
+    kept[u].resize(df.assembly[u].components.size());
+    if (options.keep_tables && !df.assembly[u].skipped && pending[u] == 0) {
+      cross(u);
+    }
+  }
+  bool truncated = false;
+
+  for (size_t i = 0; i < n; ++i) {
+    if (fused[i]) continue;
+    const DataflowNode& node = nodes[i];
+    std::vector<const CountedRelation*> pieces;
+    for (int c : reads(i)) {
+      const size_t child = static_cast<size_t>(c);
+      LSENS_CHECK(full[child].has_value());
+      pieces.push_back(!node.component && cut[child].has_value()
+                           ? &*cut[child]
+                           : &*full[child]);
+    }
+    CountedRelation table(AttributeSet{});
+    switch (node.kind) {
+      case DataflowNode::Kind::kSource: {
+        const Atom& atom = q.atom(node.atom);
+        auto rel = db.Get(atom.relation);
+        if (!rel.ok()) return rel.status();
+        table = ScanAtom(**rel, atom, node.attrs, &ctx);
+        break;
+      }
+      case DataflowNode::Kind::kJoin:
+        table = FoldJoin(std::move(pieces), options.join);
+        break;
+      case DataflowNode::Kind::kGroup:
+        if (max_only[i]) {
+          table = MaxOnlyTable(std::move(pieces), node.attrs, options.join,
+                               ctx);
+        } else if (pieces.size() == 1) {
+          table = GroupBySum(*pieces[0], node.attrs, &ctx);
+        } else {
+          CountedRelation folded = FoldJoin(std::move(pieces), options.join);
+          table = folded.attrs() == node.attrs
+                      ? std::move(folded)
+                      : GroupBySum(folded, node.attrs, &ctx);
+        }
+        break;
+    }
+    if (total_of[i] >= 0) {
+      totals[static_cast<size_t>(total_of[i])] = table.TotalCount();
+    }
+    // Each reading atom's view: the table filtered by its predicates (an
+    // inserted tuple must satisfy them), reduced to its max and argmax.
+    for (const auto& [u, slot] : readers[i]) {
+      const Atom& atom = q.atom(df.assembly[u].atom);
+      std::optional<CountedRelation> filtered;
+      if (PredicatesTouch(atom, table.attrs())) {
+        filtered = table;
+        ApplyPredicates(atom, &*filtered);
+      }
+      const CountedRelation& view = filtered.has_value() ? *filtered : table;
+      ComponentMax& part = parts[u][slot];
+      part.max = view.MaxCount();
+      const size_t r = view.ArgMaxRow();
+      if (r != SIZE_MAX) {
+        std::span<const Value> row = view.Row(r);
+        part.argmax.assign(row.begin(), row.end());
+      }
+      if (options.keep_tables) {
+        kept[u][slot] = filtered.has_value() ? *std::move(filtered) : table;
+        if (--pending[u] == 0) cross(u);
+      }
+    }
+    if (node.link && options.top_k > 0 && table.NumRows() > options.top_k) {
+      cut[i] = table;
+      cut[i]->TruncateTopK(options.top_k, &ctx);
+      truncated = true;
+    }
+    full[i] = std::move(table);
+    for (int c : reads(i)) {
+      const size_t child = static_cast<size_t>(c);
+      if (transient(child) && last_use[child] == i) full[child].reset();
+    }
+    if (transient(i) && last_use[i] == i) full[i].reset();
+  }
+
+  SensitivityResult result = AssembleSensitivity(
+      q, df, totals, [&](size_t u, size_t c) -> const ComponentMax& {
+        return parts[u][c];
+      });
+  for (size_t u = 0; u < num_units; ++u) {
+    const DataflowAtom& unit = df.assembly[u];
+    if (unit.skipped) continue;
+    AtomSensitivity& out = result.atoms[static_cast<size_t>(unit.atom)];
+    out.approximate = truncated;
+    if (!options.keep_tables) continue;
+    CountedRelation table = *std::move(t_tables[u]);
+    // FoldJoin rejects all-defaulted inputs; top-k combined with
+    // keep_tables is not supported (exact tables are the point).
+    table.ScaleCounts(TreeScale(totals, unit.tree), &ctx);
+    if (table.attrs() != out.table_attrs) {
+      // Components may be scalars (empty attrs); regroup to be safe.
+      table = GroupBySum(table, Intersect(out.table_attrs, table.attrs()),
+                         &ctx);
+    }
+    out.table = std::move(table);
+  }
+  if (tables != nullptr) {
+    tables->clear();
+    tables->reserve(n);
+    for (std::optional<CountedRelation>& table : full) {
+      tables->push_back(*std::move(table));
+    }
   }
   return result;
+}
+
+SensitivityResult AssembleSensitivity(
+    const ConjunctiveQuery& q, const SensitivityDataflow& df,
+    std::span<const Count> tree_totals,
+    const std::function<const ComponentMax&(size_t, size_t)>& part) {
+  SensitivityResult result;
+  result.atoms.resize(static_cast<size_t>(q.num_atoms()));
+  std::vector<int> order;
+  order.reserve(df.assembly.size());
+  for (size_t u = 0; u < df.assembly.size(); ++u) {
+    const DataflowAtom& unit = df.assembly[u];
+    order.push_back(unit.atom);
+    AtomSensitivity& out = result.atoms[static_cast<size_t>(unit.atom)];
+    out.atom_index = unit.atom;
+    out.relation = q.atom(unit.atom).relation;
+    out.table_attrs = q.SharedVarsOf(unit.atom);
+    out.free_vars = q.ExclusiveVarsOf(unit.atom);
+    out.max_sensitivity = Count::Zero();
+    if (unit.skipped) {
+      out.skipped = true;
+      continue;
+    }
+    // The unit relation's max is 1, and it binds no attribute.
+    Count product = TreeScale(tree_totals, unit.tree);
+    for (size_t c = 0; c < unit.components.size(); ++c) {
+      if (unit.components[c] >= 0) product *= part(u, c).max;
+    }
+    out.max_sensitivity = product;
+    if (product.IsZero()) continue;
+    // Stitch the argmax row from the components' argmax rows.
+    std::vector<Value> argmax(out.table_attrs.size(), 0);
+    bool known = true;
+    for (size_t c = 0; c < unit.components.size() && known; ++c) {
+      if (unit.components[c] < 0) continue;
+      const AttributeSet& attrs =
+          df.nodes[static_cast<size_t>(unit.components[c])].attrs;
+      const ComponentMax& p = part(u, c);
+      known = p.argmax.size() == attrs.size();
+      for (size_t j = 0; j < attrs.size() && known; ++j) {
+        auto it = std::lower_bound(out.table_attrs.begin(),
+                                   out.table_attrs.end(), attrs[j]);
+        LSENS_CHECK(it != out.table_attrs.end() && *it == attrs[j]);
+        argmax[static_cast<size_t>(it - out.table_attrs.begin())] =
+            p.argmax[j];
+      }
+    }
+    if (known) out.argmax = std::move(argmax);
+  }
+  ReduceWinner(order, &result);
+  return result;
+}
+
+void ReduceWinner(std::span<const int> order, SensitivityResult* result) {
+  result->local_sensitivity = Count::Zero();
+  result->argmax_atom = -1;
+  for (int a : order) {
+    const Count max = result->atoms[static_cast<size_t>(a)].max_sensitivity;
+    if (max > result->local_sensitivity ||
+        (result->argmax_atom == -1 && !max.IsZero())) {
+      result->local_sensitivity = max;
+      result->argmax_atom = a;
+    }
+  }
+}
+
+StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
+                                         const Ghd& ghd, const Database& db,
+                                         const TSensOptions& options) {
+  auto df = BuildGhdDataflow(q, ghd, options.skip_atoms);
+  if (!df.ok()) return df.status();
+  return EvaluateDataflow(q, *df, db, options);
 }
 
 StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,

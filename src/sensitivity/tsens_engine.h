@@ -1,7 +1,9 @@
 #ifndef LSENS_SENSITIVITY_TSENS_ENGINE_H_
 #define LSENS_SENSITIVITY_TSENS_ENGINE_H_
 
-#include <optional>
+#include <functional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -11,63 +13,6 @@
 #include "storage/database.h"
 
 namespace lsens {
-
-// Internal engine state exported for the incremental sensitivity subsystem
-// (sensitivity/incremental.h) when TSensOptions::capture is set: the
-// per-atom projections and the untruncated fold tables the result was
-// derived from, so a cache can repair them under updates instead of
-// rebuilding. Indexing follows the producing engine: TSensOverGhd fills
-// `s` per atom and `bot`/`top` per bag; TSensPath fills all three per
-// chain position (bot[i] = botjoin[i], top[i] = topjoin[i], positions
-// 1..m-1; index 0 stays disengaged).
-//
-// TSensOverGhd additionally exports the intermediate fold tables the
-// grouped results were derived from, exactly where a repairing cache needs
-// to materialize them as its own maintained state: per-bag pre-group-by
-// joins (multi-atom bags have no single relation covering the fold, so the
-// join itself must be kept to route deltas through), per-tree root folds
-// and totals (§5.4 disconnected scale factors), and per-atom
-// multiplicity-table components. TSensPath leaves these empty.
-struct TSensCapture {
-  std::vector<CountedRelation> s;
-
-  // Canonical subtree tag per s[i] (query/conjunctive_query.h:
-  // CanonicalSourceSignature over the producing atom and its keep set),
-  // filled by both engines alongside `s`. The cross-query plan cache keys
-  // shared S_a tables by these; BuildState cross-checks them against its
-  // own derivation so engine and cache can never disagree silently about
-  // what a captured table is.
-  std::vector<std::string> s_sig;
-  std::vector<std::optional<CountedRelation>> bot;
-  std::vector<std::optional<CountedRelation>> top;
-
-  // Per bag: the fold behind bot[v] / top[v] before the group-by onto the
-  // parent link. bot_join[v] is filled when bag v holds >= 2 atoms;
-  // top_join[v] when v's *parent* bag does (otherwise the fold is covered
-  // by a single S table and needs no separate state).
-  std::vector<std::optional<CountedRelation>> bot_join;
-  std::vector<std::optional<CountedRelation>> top_join;
-
-  // Per tree of the decomposition forest: the root bag's full fold (whose
-  // TotalCount is the tree's join size) and that total. root_join is only
-  // filled for forests with >= 2 trees — connected queries never consume
-  // the cross-tree scale factors.
-  std::vector<std::optional<CountedRelation>> root_join;
-  std::vector<Count> tree_total;
-
-  // Per atom, per attribute-connectivity component of its multiplicity
-  // table (engine component order): `join` is the fold over the
-  // component's pieces (filled when the component has >= 2 pieces), and
-  // `table` the grouped — but not yet predicate-filtered — component table
-  // (filled when grouping actually projected the fold, i.e. the group
-  // attributes are a proper subset of the fold's). Skipped atoms keep an
-  // empty component list.
-  struct AtomComponent {
-    std::optional<CountedRelation> join;
-    std::optional<CountedRelation> table;
-  };
-  std::vector<std::vector<AtomComponent>> atom_components;
-};
 
 // Options shared by all TSens algorithm variants.
 struct TSensOptions {
@@ -91,13 +36,101 @@ struct TSensOptions {
   // paper skips Lineitem in q3 this way). Skipped atoms report
   // max_sensitivity 0 and do not participate in the argmax.
   std::vector<int> skip_atoms;
-
-  // When non-null, the engine additionally exports its internal tables
-  // here (copies made after the run; the result is unaffected). Used by
-  // SensitivityCache to seed its repairable state from the exact tables
-  // the from-scratch answer was computed from.
-  TSensCapture* capture = nullptr;
 };
+
+// The dataflow of Algorithms 1 and 2, written down once: the nodes the cold
+// engines evaluate (EvaluateDataflow) and SensitivityCache maintains and
+// repairs, and the per-atom assembly that reads them. Built by
+// BuildGhdDataflow (Algorithm 2 / §5.4) or BuildChainDataflow (Algorithm
+// 1); PlanSensitivity carries the one a plan runs.
+struct DataflowNode {
+  enum class Kind {
+    kSource,  // S_a = γ_attrs(σ_pred(R_a)) for atom `atom`
+    kGroup,   // γ_attrs(r⋈(children)): children[0] drives, and the others
+              // are keyed on columns of it
+    kJoin,    // r⋈(children), over the union of their attributes
+  };
+  Kind kind = Kind::kSource;
+  AttributeSet attrs;
+  // Canonical subtree signature (query/conjunctive_query.h): the key under
+  // which SensitivityCache shares the node's table across queries.
+  std::string sig;
+  int atom = -1;              // kSource
+  std::vector<int> children;  // earlier nodes
+  // A ⊥/⊤ table: under top_k the recursions fold a truncated copy of it.
+  bool link = false;
+  // Part of one atom's multiplicity table: reads untruncated tables.
+  bool component = false;
+};
+
+// One atom's multiplicity table T_a: the cross product of its
+// attribute-connectivity components, scaled (§5.4) by the total of every
+// other tree of the forest.
+struct DataflowAtom {
+  int atom = -1;
+  int tree = 0;
+  bool skipped = false;         // TSensOptions::skip_atoms; no components
+  std::vector<int> components;  // node per component; -1 = the unit relation
+};
+
+struct SensitivityDataflow {
+  std::vector<DataflowNode> nodes;     // dependency order
+  std::vector<DataflowAtom> assembly;  // every atom, in reduction order
+  // The node whose TotalCount is tree t's join size, per tree; empty for a
+  // connected forest, which scales by nothing.
+  std::vector<int> tree_totals;
+
+  // Append a node, deriving its attributes and signature; return its index.
+  int AddSource(const ConjunctiveQuery& q, int atom, AttributeSet keep);
+  int AddGroup(std::vector<int> children, AttributeSet group, bool link,
+               bool component);
+  int AddJoin(std::vector<int> children, bool component);
+};
+
+// Algorithm 2 over a GHD (acyclic queries use the trivial width-1 GHD):
+// sources S_a = γ_shared(a)(σ(R_a)), then per tree ⊥ leaves to root and ⊤
+// root to leaves (see TSensOverGhd), the root fold only when the forest has
+// >= 2 trees, then per atom one node per multiplicity-table component. A
+// single-atom bag folds in driver form (its S table drives, the other
+// tables are keyed on its columns); a multi-atom bag folds as a join node
+// grouped by a group node.
+StatusOr<SensitivityDataflow> BuildGhdDataflow(
+    const ConjunctiveQuery& q, const Ghd& ghd,
+    const std::vector<int>& skip_atoms);
+
+// The max of one multiplicity-table component after the atom's predicates,
+// and its first attaining row (component attribute order). The row is
+// shorter than the component's attributes when unknown (only a top-k
+// default attains the max, or the component is empty).
+struct ComponentMax {
+  Count max = Count::Zero();
+  std::vector<Value> argmax;
+};
+
+// Runs `df` over `db`. Under top_k the ⊥/⊤ recursions fold truncated copies
+// of link tables and every atom reads the untruncated tables. When no table
+// is kept and no predicate touches its group, a component grouping a join
+// is reduced to its max row (GroupMax) instead of being materialized. With
+// `tables`, every node's untruncated table is moved there (by node index)
+// for a caller that maintains them. Otherwise S and ⊥/⊤ tables live for the
+// whole run, and a join or component table is dropped after the last node
+// or atom reading it.
+StatusOr<SensitivityResult> EvaluateDataflow(
+    const ConjunctiveQuery& q, const SensitivityDataflow& df,
+    const Database& db, const TSensOptions& options,
+    std::vector<CountedRelation>* tables = nullptr);
+
+// The result of `df` from its per-component maxima (`part(u, c)` for slot c
+// of df.assembly[u]) and its tree totals: per atom the product of the
+// scale and the maxima, the stitched argmax, and the winner reduction.
+SensitivityResult AssembleSensitivity(
+    const ConjunctiveQuery& q, const SensitivityDataflow& df,
+    std::span<const Count> tree_totals,
+    const std::function<const ComponentMax&(size_t, size_t)>& part);
+
+// Sets result's local sensitivity and argmax atom from its atoms' maxima,
+// walking `order`: the first atom attaining the largest nonzero maximum.
+void ReduceWinner(std::span<const int> order, SensitivityResult* result);
 
 // TSens over a generalized hypertree decomposition (Algorithm 2 and its
 // §5.4 GHD extension; acyclic queries use the trivial width-1 GHD).
@@ -118,11 +151,8 @@ struct TSensOptions {
 // The T_a expression can factor into attribute-disjoint groups (always the
 // case for path queries: ⊤ and ⊥ share nothing). The engine exploits
 // γ_{X∪Y}(A × B) = γ_X(A) × γ_Y(B) to avoid materializing such cross
-// products unless keep_tables requires the full table. Likewise, when
-// neither keep_tables nor capture needs a table, a component that groups
-// a fold of two or more pieces (and carries no predicate on its group
-// attributes) is reduced to its max row by GroupMax (exec/group_max.h)
-// instead of being materialized.
+// products unless keep_tables requires the full table. Builds
+// BuildGhdDataflow and runs EvaluateDataflow.
 StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                          const Ghd& ghd, const Database& db,
                                          const TSensOptions& options = {});

@@ -22,10 +22,20 @@ namespace lsens {
 //
 // keep_tables is not supported here (the tables are cross products the
 // algorithm exists to avoid); use TSensOverGhd when tables are needed.
+// Builds BuildChainDataflow and runs EvaluateDataflow.
 StatusOr<SensitivityResult> TSensPath(const ConjunctiveQuery& q,
                                       const std::vector<int>& order,
                                       const Database& db,
                                       const TSensOptions& options = {});
+
+// Algorithm 1's dataflow over the chain `order`: sources keyed on the link
+// attributes, the ⊤ chain ⊤_i = γ_link(i-1)(S_{i-1} ⋈ ⊤_{i-1}) left to
+// right, the ⊥ chain ⊥_i = γ_link(i-1)(S_i ⋈ ⊥_{i+1}) right to left, and
+// per position, in chain order, the components ⊤_i and ⊥_{i+1} (the unit
+// relation past either end).
+StatusOr<SensitivityDataflow> BuildChainDataflow(
+    const ConjunctiveQuery& q, const std::vector<int>& order,
+    const std::vector<int>& skip_atoms);
 
 }  // namespace lsens
 

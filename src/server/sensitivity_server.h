@@ -40,8 +40,8 @@ struct Epoch;
 struct ServingConfig {
   SensitivityCacheConfig cache;
 
-  // Result-affecting compute options shared by all sessions. join.ctx and
-  // capture are owned by the server and overridden per call.
+  // Result-affecting compute options shared by all sessions. join.ctx is
+  // owned by the server and overridden per call.
   TSensComputeOptions options;
 
   // Admission cap: queued DatabaseDelta batches coalesced into one writer

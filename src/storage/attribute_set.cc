@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/macros.h"
+
 namespace lsens {
 
 AttributeSet MakeAttributeSet(std::vector<AttrId> attrs) {
@@ -59,6 +61,17 @@ bool Intersects(const AttributeSet& a, const AttributeSet& b) {
     }
   }
   return false;
+}
+
+std::vector<int> PositionsOf(const AttributeSet& set, const AttributeSet& sub) {
+  std::vector<int> positions;
+  positions.reserve(sub.size());
+  for (AttrId a : sub) {
+    auto it = std::lower_bound(set.begin(), set.end(), a);
+    LSENS_CHECK(it != set.end() && *it == a);
+    positions.push_back(static_cast<int>(it - set.begin()));
+  }
+  return positions;
 }
 
 }  // namespace lsens

@@ -24,6 +24,10 @@ bool Contains(const AttributeSet& set, AttrId attr);
 bool IsSubset(const AttributeSet& sub, const AttributeSet& super);
 bool Intersects(const AttributeSet& a, const AttributeSet& b);
 
+// The position in `set` of each attribute of `sub`, in `sub`'s order.
+// CHECK-fails unless `sub` is a subset of `set`.
+std::vector<int> PositionsOf(const AttributeSet& set, const AttributeSet& sub);
+
 }  // namespace lsens
 
 #endif  // LSENS_STORAGE_ATTRIBUTE_SET_H_

@@ -148,13 +148,19 @@ Status LoadCsvText(Database& db, const std::string& relation,
 
   // Cells parse straight into per-column buffers — the same shape as the
   // relation's columnar storage — and the whole file lands with one
-  // AppendColumns call (one contiguous copy per column). String cells
-  // intern through the database dictionary; any column that interned at
-  // least one cell is marked dictionary-encoded in the catalog. The
-  // relation is added only once every line has parsed, so a failed load
-  // leaves none.
+  // AppendColumns call (one contiguous copy per column). String cells are
+  // staged and intern through the database dictionary, in file order, only
+  // once every line has parsed; any column that interned at least one cell
+  // is marked dictionary-encoded in the catalog. So a failed load leaves
+  // neither a relation nor dictionary entries behind.
+  struct StagedString {
+    size_t column;
+    size_t row;
+    std::string text;
+  };
   std::vector<std::vector<Value>> columns(header.size());
   std::vector<bool> interned(header.size(), false);
+  std::vector<StagedString> strings;
   std::vector<std::string> cells;
   size_t line_no = 1;
   while (std::getline(in, line)) {
@@ -178,10 +184,14 @@ Status LoadCsvText(Database& db, const std::string& relation,
         }
         columns[c].push_back(static_cast<Value>(parsed));
       } else {
-        columns[c].push_back(db.dict().Intern(cells[c]));
+        strings.push_back({c, columns[c].size(), std::move(cells[c])});
+        columns[c].push_back(0);
         interned[c] = true;
       }
     }
+  }
+  for (const StagedString& cell : strings) {
+    columns[cell.column][cell.row] = db.dict().Intern(cell.text);
   }
   Relation* rel = db.AddRelation(relation, header);
   rel->AppendColumns(columns);
@@ -207,7 +217,14 @@ StatusOr<std::string> SaveCsvText(const Database& db,
       Value v = rel->At(r, c);
       if (c > 0) out << ',';
       if (render_dictionary && db.dict().ContainsValue(v)) {
-        LSENS_RETURN_IF_ERROR(WriteCell(db.dict().String(v), out));
+        // The loader reads an integer-shaped cell as an integer, quoted or
+        // not, so such a string cannot round-trip and is refused.
+        const std::string& text = db.dict().String(v);
+        if (IsInteger(text)) {
+          return Status::InvalidArgument(
+              "dictionary string reads back as an integer: " + text);
+        }
+        LSENS_RETURN_IF_ERROR(WriteCell(text, out));
       } else {
         out << v;
       }

@@ -214,9 +214,27 @@ TEST(CsvTest, FailedLoadLeavesNoRelation) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("line 3"), std::string::npos) << s.ToString();
   EXPECT_EQ(db.Find("R"), nullptr);
+  // Nor does it intern the strings of the lines before the failing one.
+  const size_t dict_size = db.dict().size();
+  EXPECT_FALSE(LoadCsvText(db, "S", "a,b\nhello,2\n3\n").ok());
+  EXPECT_EQ(db.Find("S"), nullptr);
+  EXPECT_EQ(db.dict().size(), dict_size);
   // The corrected retry under the same name succeeds.
   ASSERT_TRUE(LoadCsvText(db, "R", "a,b\n1,2\n3,4\n").ok());
   EXPECT_EQ(db.Find("R")->NumRows(), 2u);
+}
+
+TEST(CsvTest, SaveRefusesIntegerShapedDictionaryStrings) {
+  Database db;
+  ASSERT_TRUE(LoadCsvText(db, "R", "k,v\n1,\"x\"\n").ok());
+  Relation* rel = db.Find("R");
+  rel->AppendRow({2, db.dict().Intern("42")});
+  auto saved = SaveCsvText(db, "R", /*render_dictionary=*/true);
+  EXPECT_EQ(saved.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(saved.status().message().find("42"), std::string::npos)
+      << saved.status().ToString();
+  // Unrendered, the code itself is written and nothing is refused.
+  EXPECT_TRUE(SaveCsvText(db, "R", /*render_dictionary=*/false).ok());
 }
 
 TEST(CsvTest, SaveUnknownRelationFails) {

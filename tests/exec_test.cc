@@ -373,6 +373,25 @@ TEST(EvalTest, Figure3CountIsFour) {
   EXPECT_EQ(*count, Count(4));
 }
 
+// A caller's private context sees the whole evaluation, atom scans
+// included: every relation row passes through one scan's normalize.
+TEST(EvalTest, CountQueryRecordsScansOnTheCallersContext) {
+  auto ex = MakeFigure3Example();
+  ExecContext ctx;
+  JoinOptions opts;
+  opts.ctx = &ctx;
+  auto count = CountQuery(ex.query, ex.db, opts);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, Count(4));
+  uint64_t scanned = 0;
+  for (const Atom& atom : ex.query.atoms()) {
+    scanned += ex.db.Find(atom.relation)->NumRows();
+  }
+  const OperatorStats* normalize = ctx.FindStats("normalize");
+  ASSERT_NE(normalize, nullptr);
+  EXPECT_GE(normalize->rows_in, scanned);
+}
+
 TEST(EvalTest, BruteForceJoinMaterializesOutput) {
   auto ex = MakeFigure1Example();
   auto join = BruteForceJoin(ex.query, ex.db);

@@ -29,6 +29,9 @@
 namespace lsens {
 namespace {
 
+using testing::BagInstance;
+using testing::MakeRandomBagInstance;
+
 // The max row of γ_g(a ⋈ b) as the materialized path computes it.
 CountedRelation ReferenceMaxRow(const CountedRelation& a,
                                 const CountedRelation& b,
@@ -268,91 +271,6 @@ TEST(FoldJoinButLastTest, PrefixJoinedWithLastEqualsFoldJoin) {
 }
 
 // --- keep_tables = false vs true, engine level ----------------------------
-
-struct BagInstance {
-  Database db;
-  ConjunctiveQuery query;
-  std::vector<std::vector<int>> bags;
-};
-
-// A random query over a random forest of `trees` bag trees, with the bag
-// partition that is a valid GHD by construction: each bag's variable pool
-// inherits a nonempty subset of its parent bag's pool plus fresh
-// variables (so every variable's bags form a connected subtree), and the
-// bag's 1-3 atoms together cover the pool, possibly cyclically. About
-// half the relations are keyed on their first column (an FK-PK
-// dependency, which is what makes GroupMax's grouping injective).
-BagInstance MakeRandomBagInstance(Rng& rng, int trees) {
-  BagInstance inst;
-  int next_var = 0;
-  int next_rel = 0;
-  for (int t = 0; t < trees; ++t) {
-    const int num_bags = static_cast<int>(rng.NextInRange(1, 3));
-    std::vector<std::vector<std::string>> pools;
-    for (int b = 0; b < num_bags; ++b) {
-      std::vector<std::string> pool;
-      if (b > 0) {
-        const auto& parent = pools[rng.NextBounded(pools.size())];
-        for (const std::string& v : parent) {
-          if (rng.NextDouble() < 0.5) pool.push_back(v);
-        }
-        if (pool.empty()) {
-          pool.push_back(parent[rng.NextBounded(parent.size())]);
-        }
-      }
-      const int fresh = static_cast<int>(rng.NextInRange(b == 0 ? 2 : 1, 3));
-      for (int f = 0; f < fresh; ++f) {
-        pool.push_back("v" + std::to_string(next_var++));
-      }
-      pools.push_back(pool);
-
-      const int num_atoms = static_cast<int>(rng.NextInRange(1, 3));
-      std::vector<std::vector<std::string>> atom_vars(
-          static_cast<size_t>(num_atoms));
-      for (const std::string& v : pool) {
-        // Every pool variable lands in one random atom, and sometimes in
-        // another one too.
-        atom_vars[rng.NextBounded(atom_vars.size())].push_back(v);
-        auto& extra = atom_vars[rng.NextBounded(atom_vars.size())];
-        if (rng.NextDouble() < 0.5 &&
-            std::find(extra.begin(), extra.end(), v) == extra.end()) {
-          extra.push_back(v);
-        }
-      }
-      std::vector<int> bag;
-      for (auto& vars : atom_vars) {
-        if (vars.empty()) vars.push_back(pool[rng.NextBounded(pool.size())]);
-        const std::string name = "R" + std::to_string(next_rel++);
-        Relation* rel = inst.db.AddRelation(name, vars);
-        const int rows = static_cast<int>(rng.NextInRange(0, 8));
-        const bool keyed = vars.size() >= 2 && rng.NextDouble() < 0.5;
-        std::vector<Value> row(vars.size());
-        for (int r = 0; r < rows; ++r) {
-          for (Value& cell : row) {
-            cell = static_cast<Value>(rng.NextBounded(4));
-          }
-          if (keyed) row[0] = r;
-          rel->AppendRow(row);
-          // Duplicates raise multiplicities (bag semantics).
-          if (rng.NextDouble() < 0.2) rel->AppendRow(row);
-        }
-        const int atom = inst.query.AddAtom(inst.db, name, vars);
-        for (const std::string& v : vars) {
-          if (rng.NextDouble() < 0.1) {
-            Predicate p;
-            p.var = inst.db.attrs().Lookup(v);
-            p.op = static_cast<Predicate::Op>(rng.NextBounded(6));
-            p.rhs = static_cast<Value>(rng.NextBounded(4));
-            inst.query.AddPredicate(atom, p);
-          }
-        }
-        bag.push_back(atom);
-      }
-      inst.bags.push_back(std::move(bag));
-    }
-  }
-  return inst;
-}
 
 // Per-atom fields the max-only path must reproduce.
 void ExpectSameAtoms(const SensitivityResult& lean,

@@ -89,11 +89,21 @@ TEST(ParserTest, IntegerLiteralsCoverInt64AndRejectOverflow) {
     auto q = ParseQuery(std::string(":- R3(A,E), A < ") + literal, db);
     ASSERT_FALSE(q.ok()) << literal;
     EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument) << literal;
-    // Positions count from the rule body, after ":-", like every other
-    // parse error's.
-    EXPECT_NE(q.status().message().find("position 14"), std::string::npos)
+    // Positions are offsets into the caller's text: the literal starts
+    // at offset 16.
+    EXPECT_NE(q.status().message().find("position 16"), std::string::npos)
         << q.status().ToString();
   }
+  // A head before ":-" shifts the body; the position still points at the
+  // literal in the caller's text.
+  const std::string ruled = "Q(A,E) :- R3(A,E), A < 99999999999999999999";
+  auto q = ParseQuery(ruled, db);
+  ASSERT_FALSE(q.ok());
+  EXPECT_NE(q.status().message().find(
+                "position " + std::to_string(ruled.find("999"))),
+            std::string::npos)
+      << q.status().ToString();
+  EXPECT_EQ(ruled.find("999"), 23u);
 }
 
 TEST(ParserTest, ParsedQueryComputesSensitivity) {

@@ -147,6 +147,142 @@ PaperExample MakeRandomTriangleInstance(Rng& rng, int max_rows,
   return ex;
 }
 
+BagInstance MakeRandomBagInstance(Rng& rng, int trees) {
+  BagInstance inst;
+  int next_var = 0;
+  int next_rel = 0;
+  for (int t = 0; t < trees; ++t) {
+    const int num_bags = static_cast<int>(rng.NextInRange(1, 3));
+    std::vector<std::vector<std::string>> pools;
+    for (int b = 0; b < num_bags; ++b) {
+      std::vector<std::string> pool;
+      if (b > 0) {
+        const auto& parent = pools[rng.NextBounded(pools.size())];
+        for (const std::string& v : parent) {
+          if (rng.NextDouble() < 0.5) pool.push_back(v);
+        }
+        if (pool.empty()) {
+          pool.push_back(parent[rng.NextBounded(parent.size())]);
+        }
+      }
+      const int fresh = static_cast<int>(rng.NextInRange(b == 0 ? 2 : 1, 3));
+      for (int f = 0; f < fresh; ++f) {
+        pool.push_back("v" + std::to_string(next_var++));
+      }
+      pools.push_back(pool);
+
+      const int num_atoms = static_cast<int>(rng.NextInRange(1, 3));
+      std::vector<std::vector<std::string>> atom_vars(
+          static_cast<size_t>(num_atoms));
+      for (const std::string& v : pool) {
+        // Every pool variable lands in one random atom, and sometimes in
+        // another one too.
+        atom_vars[rng.NextBounded(atom_vars.size())].push_back(v);
+        auto& extra = atom_vars[rng.NextBounded(atom_vars.size())];
+        if (rng.NextDouble() < 0.5 &&
+            std::find(extra.begin(), extra.end(), v) == extra.end()) {
+          extra.push_back(v);
+        }
+      }
+      std::vector<int> bag;
+      for (auto& vars : atom_vars) {
+        if (vars.empty()) vars.push_back(pool[rng.NextBounded(pool.size())]);
+        const std::string name = "R" + std::to_string(next_rel++);
+        Relation* rel = inst.db.AddRelation(name, vars);
+        const int rows = static_cast<int>(rng.NextInRange(0, 8));
+        const bool keyed = vars.size() >= 2 && rng.NextDouble() < 0.5;
+        std::vector<Value> row(vars.size());
+        for (int r = 0; r < rows; ++r) {
+          for (Value& cell : row) {
+            cell = static_cast<Value>(rng.NextBounded(4));
+          }
+          if (keyed) row[0] = r;
+          rel->AppendRow(row);
+          // Duplicates raise multiplicities (bag semantics).
+          if (rng.NextDouble() < 0.2) rel->AppendRow(row);
+        }
+        const int atom = inst.query.AddAtom(inst.db, name, vars);
+        for (const std::string& v : vars) {
+          if (rng.NextDouble() < 0.1) {
+            Predicate p;
+            p.var = inst.db.attrs().Lookup(v);
+            p.op = static_cast<Predicate::Op>(rng.NextBounded(6));
+            p.rhs = static_cast<Value>(rng.NextBounded(4));
+            inst.query.AddPredicate(atom, p);
+          }
+        }
+        bag.push_back(atom);
+      }
+      inst.bags.push_back(std::move(bag));
+    }
+  }
+  return inst;
+}
+
+namespace {
+
+// Appends up to `max_rows` random rows over [0, domain_size) to `rel`.
+void FillRandomRows(Rng& rng, Relation* rel, int max_rows, int domain_size) {
+  const int rows = static_cast<int>(rng.NextInRange(0, max_rows));
+  std::vector<Value> row(rel->arity());
+  for (int r = 0; r < rows; ++r) {
+    for (Value& cell : row) {
+      cell = static_cast<Value>(
+          rng.NextBounded(static_cast<uint64_t>(domain_size)));
+    }
+    rel->AppendRow(row);
+  }
+}
+
+}  // namespace
+
+BagInstance MakeRandomCycleInstance(Rng& rng, int length, int max_rows,
+                                    int domain_size, bool predicates) {
+  LSENS_CHECK(length >= 3);
+  BagInstance inst;
+  for (int i = 0; i < length; ++i) {
+    const std::vector<std::string> vars = {
+        "v" + std::to_string(i), "v" + std::to_string((i + 1) % length)};
+    const std::string name = "C" + std::to_string(i);
+    FillRandomRows(rng, inst.db.AddRelation(name, vars), max_rows,
+                   domain_size);
+    const int atom = inst.query.AddAtom(inst.db, name, vars);
+    if (predicates && rng.NextDouble() < 0.25) {
+      Predicate p;
+      p.var = inst.db.attrs().Lookup(vars[rng.NextBounded(2)]);
+      p.op = static_cast<Predicate::Op>(rng.NextBounded(6));
+      p.rhs = static_cast<Value>(
+          rng.NextBounded(static_cast<uint64_t>(domain_size)));
+      inst.query.AddPredicate(atom, p);
+    }
+  }
+  // Any two arcs of a cycle form an acyclic pair of bags.
+  const int start = static_cast<int>(rng.NextBounded(
+      static_cast<uint64_t>(length)));
+  const int split = static_cast<int>(rng.NextInRange(1, length - 1));
+  inst.bags.resize(2);
+  for (int k = 0; k < length; ++k) {
+    inst.bags[k < split ? 0 : 1].push_back((start + k) % length);
+  }
+  return inst;
+}
+
+BagInstance MakeRandomQ3Instance(Rng& rng, int max_rows, int domain_size) {
+  BagInstance inst;
+  const std::vector<std::pair<std::string, std::vector<std::string>>> atoms =
+      {{"Region", {"RK"}},         {"Nation", {"RK", "NK"}},
+       {"Supplier", {"NK", "SK"}}, {"Partsupp", {"SK", "PK"}},
+       {"Part", {"PK"}},           {"Customer", {"NK", "CK"}},
+       {"Orders", {"CK", "OK"}},   {"Lineitem", {"OK", "SK", "PK"}}};
+  for (const auto& [name, vars] : atoms) {
+    FillRandomRows(rng, inst.db.AddRelation(name, vars), max_rows,
+                   domain_size);
+    inst.query.AddAtom(inst.db, name, vars);
+  }
+  inst.bags = {{0, 1, 7}, {6, 5}, {2, 4}, {3}};
+  return inst;
+}
+
 PaperExample MakeStreamInstance(Rng& rng, StreamShape shape) {
   switch (shape) {
     case StreamShape::kPath:

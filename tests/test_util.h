@@ -49,6 +49,40 @@ PaperExample MakeRandomAcyclicInstance(Rng& rng, const RandomQuerySpec& spec);
 PaperExample MakeRandomTriangleInstance(Rng& rng, int max_rows,
                                         int domain_size);
 
+// --- Random GHD shapes ----------------------------------------------------
+// Cyclic and multi-atom-bag instances for the engine oracles: each comes
+// with the atom bags of a valid GHD, for BuildGhd.
+
+struct BagInstance {
+  Database db;
+  ConjunctiveQuery query;
+  std::vector<std::vector<int>> bags;
+};
+
+// A random query over a random forest of `trees` bag trees, with the bag
+// partition that is a valid GHD by construction: each bag's variable pool
+// inherits a nonempty subset of its parent bag's pool plus fresh
+// variables (so every variable's bags form a connected subtree), and the
+// bag's 1-3 atoms together cover the pool, possibly cyclically. About
+// half the relations are keyed on their first column (an FK-PK
+// dependency, which is what makes GroupMax's grouping injective). Values
+// lie in [0, 4); about one variable in ten carries a random predicate.
+BagInstance MakeRandomBagInstance(Rng& rng, int trees);
+
+// The cycle C0(v0,v1), C1(v1,v2), ..., C{n-1}(v{n-1},v0) of `length` >= 3
+// binary atoms, each with up to `max_rows` rows over [0, domain_size),
+// and the two bags of a random split of the cycle into two arcs. With
+// `predicates`, about one atom in four carries a random comparison.
+BagInstance MakeRandomCycleInstance(Rng& rng, int length, int max_rows,
+                                    int domain_size, bool predicates);
+
+// TPC-H q3's shape on random data: Region(RK), Nation(RK,NK),
+// Supplier(NK,SK), Partsupp(SK,PK), Part(PK), Customer(NK,CK),
+// Orders(CK,OK), Lineitem(OK,SK,PK), in that atom order, with Figure 5a's
+// bags {R,N,L} {O,C} {S,P} {PS}. Up to `max_rows` rows per relation over
+// [0, domain_size).
+BagInstance MakeRandomQ3Instance(Rng& rng, int max_rows, int domain_size);
+
 // --- Seeded stream workloads ---------------------------------------------
 // Shared by the streaming suites (incremental_test, plan_cache_test,
 // serving_test): one seed determines both the instance build and the delta
