@@ -44,7 +44,6 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exec/exec_context.h"
 #include "query/explain.h"
@@ -171,14 +170,13 @@ int Run() {
     sessions.push_back(server.OpenSession("reader-" + std::to_string(i)));
   }
 
-  ThreadPool& pool = GlobalThreadPool();
+  std::vector<std::thread> reader_threads;
   WallTimer reader_phase;
   for (long i = 0; i < readers; ++i) {
-    pool.Submit([&, i](size_t) {
+    reader_threads.emplace_back([&, i] {
       ServerSession& session = *sessions[static_cast<size_t>(i)];
       ReaderReport& report = reports[static_cast<size_t>(i)];
-      // Oracle recomputes run on a pool worker: pass an explicit context
-      // rather than tripping the thread-local fallback guard.
+      // Each reader owns the context its oracle recomputes run on.
       ExecContext oracle_ctx;
       TSensComputeOptions oracle_options;
       oracle_options.join.ctx = &oracle_ctx;
@@ -219,7 +217,7 @@ int Run() {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  pool.Wait();
+  for (std::thread& reader : reader_threads) reader.join();
   const double reader_seconds = reader_phase.ElapsedSeconds();
   server.Shutdown();
 

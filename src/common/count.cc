@@ -36,6 +36,4 @@ std::ostream& operator<<(std::ostream& os, Count c) {
   return os << c.ToString();
 }
 
-void PrintTo(Count c, std::ostream* os) { *os << c.ToString(); }
-
 }  // namespace lsens

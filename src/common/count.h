@@ -72,9 +72,6 @@ class Count {
 
 std::ostream& operator<<(std::ostream& os, Count c);
 
-// gtest integration.
-void PrintTo(Count c, std::ostream* os);
-
 }  // namespace lsens
 
 #endif  // LSENS_COMMON_COUNT_H_

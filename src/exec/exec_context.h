@@ -50,27 +50,20 @@ struct OperatorStats {
 // normalize rebuild buffers, a covering join's per-row multipliers and
 // the slot path's count table — all three in count_buf — and the covering
 // join's slot table of covered runs in perm_a) so hot operators allocate
-// O(1) times per context instead of per invocation, collects per-operator
-// stats, and carries execution knobs.
+// O(1) times per context instead of per invocation, and collects
+// per-operator stats.
 //
 // Ownership rule: a context is single-threaded state with one owner thread
 // at a time, never shared across concurrently running threads. Callers
 // pass a context through JoinOptions::ctx (and thus TSensOptions::join.ctx).
 // Operators that receive none fall back to a thread-local default so arena
-// reuse still happens — but ONLY on non-pool threads: on a ThreadPool
-// worker the fallback would collect stats nobody reads and, on a later
-// reuse of that worker for another caller, mix arenas, so
-// DefaultExecContext() asserts (debug builds) that a pool worker never
-// reaches it.
+// reuse still happens. Nobody reads that default's stats, so a caller that
+// wants the operator rows of its work passes its own context.
 class ExecContext {
  public:
   ExecContext() = default;
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
-
-  // --- Knobs -------------------------------------------------------------
-  // When false, Record() is a no-op (arenas still reused).
-  bool collect_stats = true;
 
   // --- Arenas ------------------------------------------------------------
   // Distinct slots so concurrently-live uses inside one operator never
@@ -96,7 +89,6 @@ class ExecContext {
   void Record(std::string_view op, uint64_t rows_in, uint64_t rows_out,
               uint64_t build_rows, double wall_seconds);
   const std::vector<OperatorStats>& stats() const { return stats_; }
-  bool has_stats() const { return !stats_.empty(); }
   void ResetStats() { stats_.clear(); }
   // Stats for one operator, or nullptr if it never ran.
   const OperatorStats* FindStats(std::string_view op) const;
@@ -118,8 +110,7 @@ class ExecContext {
   std::vector<OperatorStats> stats_;  // small: one entry per operator kind
 };
 
-// The thread-local fallback context used when callers pass none. Asserts
-// (debug builds) that it is not reached from a ThreadPool worker — see the
+// The thread-local fallback context used when callers pass none — see the
 // ownership rule on ExecContext.
 ExecContext& DefaultExecContext();
 

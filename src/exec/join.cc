@@ -461,7 +461,7 @@ JoinAlgorithm PickJoinAlgorithm(size_t na, size_t nb, size_t est_rows,
   constexpr double kEmitHash = 1.25;
   constexpr double kEmitMerge = 1.0;
   // merge − hash falls as est_rows grows, so a merge win at 0 holds at any
-  // est_rows: PickAuto relies on this to skip the count.
+  // est_rows: JoinImpl relies on this to skip the count.
   static_assert(kEmitMerge <= kEmitHash);
   auto sort_cost = [](size_t n, bool sorted) {
     if (sorted || n < 2) return 0.0;
@@ -477,30 +477,6 @@ JoinAlgorithm PickJoinAlgorithm(size_t na, size_t nb, size_t est_rows,
                            kEmitHash * est;
   return merge_cost < hash_cost ? JoinAlgorithm::kSortMerge
                                 : JoinAlgorithm::kHash;
-}
-
-// The kAuto decision for a keyed join of non-defaulted sides, shared by
-// NaturalJoin and ChooseJoinAlgorithm so the exposed pick is the kernel
-// that runs. `estimate()` returns the exact pre-merge output size; it is
-// called only when sort-merge does not already win at zero output rows.
-struct AutoPick {
-  JoinAlgorithm algorithm;
-  bool sorted_a;
-  bool sorted_b;
-};
-
-template <typename EstimateFn>
-AutoPick PickAuto(const CountedRelation& a, const CountedRelation& b,
-                  const JoinLayout& layout, EstimateFn&& estimate) {
-  AutoPick pick{JoinAlgorithm::kHash, RowsSortedBy(a, layout.a_key_cols),
-                RowsSortedBy(b, layout.b_key_cols)};
-  pick.algorithm = PickJoinAlgorithm(a.NumRows(), b.NumRows(), 0,
-                                     pick.sorted_a, pick.sorted_b);
-  if (pick.algorithm == JoinAlgorithm::kHash) {
-    pick.algorithm = PickJoinAlgorithm(a.NumRows(), b.NumRows(), estimate(),
-                                       pick.sorted_a, pick.sorted_b);
-  }
-  return pick;
 }
 
 // The covering side of a keyed join if kAuto runs it as a covering join
@@ -540,11 +516,6 @@ CountedRelation JoinImpl(const CountedRelation& a, const CountedRelation& b,
       return CoveringJoin(*covering, sides, &ctx);
     }
   }
-  if (options.algorithm == JoinAlgorithm::kSortMerge) {
-    return SortMergeJoin(a, b, layout, known_rows,
-                         RowsSortedBy(a, layout.a_key_cols),
-                         RowsSortedBy(b, layout.b_key_cols), ctx);
-  }
 
   // Without a known count, the hash kernel is preceded by the count pass
   // (CountJoinRows, the same work the public estimator does): it builds
@@ -561,11 +532,18 @@ CountedRelation JoinImpl(const CountedRelation& a, const CountedRelation& b,
     }
     return est_rows;
   };
-  if (options.algorithm == JoinAlgorithm::kAuto) {
-    const AutoPick pick = PickAuto(a, b, layout, estimate);
-    if (pick.algorithm == JoinAlgorithm::kSortMerge) {
-      return SortMergeJoin(a, b, layout, est_rows, pick.sorted_a,
-                           pick.sorted_b, ctx);
+  if (options.algorithm != JoinAlgorithm::kHash) {
+    // The kAuto pick: the cost model at zero output rows first, and at the
+    // exact count only when sort-merge does not already win there.
+    const bool sorted_a = RowsSortedBy(a, layout.a_key_cols);
+    const bool sorted_b = RowsSortedBy(b, layout.b_key_cols);
+    auto merge_wins = [&](size_t rows) {
+      return PickJoinAlgorithm(a.NumRows(), b.NumRows(), rows, sorted_a,
+                               sorted_b) == JoinAlgorithm::kSortMerge;
+    };
+    if (options.algorithm == JoinAlgorithm::kSortMerge || merge_wins(0) ||
+        merge_wins(estimate())) {
+      return SortMergeJoin(a, b, layout, est_rows, sorted_a, sorted_b, ctx);
     }
   }
   return HashJoin(a, b, layout, estimate(), table_built, ctx);
@@ -582,18 +560,6 @@ CountedRelation NaturalJoinSized(const CountedRelation& a,
                                  const CountedRelation& b, size_t known_rows,
                                  const JoinOptions& options) {
   return JoinImpl(a, b, known_rows, options);
-}
-
-JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
-                                  const CountedRelation& b, ExecContext* ctx) {
-  if (a.has_default() || b.has_default()) return JoinAlgorithm::kHash;
-  JoinLayout layout = MakeLayout(a, b);
-  if (layout.key.empty() || CoveringSide(a, b) != nullptr) {
-    return JoinAlgorithm::kHash;
-  }
-  return PickAuto(a, b, layout, [&] {
-           return CountJoinRows(a, b, layout, ResolveExecContext(ctx));
-         }).algorithm;
 }
 
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,

@@ -14,14 +14,15 @@ class ExecContext;
 // topjoin/botjoin and multiplicity-table join: an atom's projection with
 // a table grouped on its link attributes): one merge-walk pass over the
 // covering side, with no size count, no hash table and no second probe
-// (CoveringJoin below). Other keyed joins go to the cost-based picker
-// (ChooseJoinAlgorithm): it weighs hash build/probe against sort-merge,
-// crediting sides that are already ordered on the join key (a sorted
-// merge needs no sort at all), and consults the exact output size from
-// the estimator only when that size can change the pick. kHash /
-// kSortMerge force one kernel; every kernel produces the same normalized
-// output (the paper describes its algorithms with sort-merge joins, so
-// that kernel is also the cross-check oracle).
+// (CoveringJoin below). Other keyed joins go to a cost-based pick: it
+// weighs hash build/probe against sort-merge, crediting sides that are
+// already ordered on the join key (a sorted merge needs no sort at all),
+// and consults the exact output size from the estimator only when that
+// size can change the pick. The kernel that ran is recorded on the
+// context as join.covering, join.hash, join.sort_merge or join.cross.
+// kHash / kSortMerge force one kernel; every kernel produces the same
+// normalized output (the paper describes its algorithms with sort-merge
+// joins, so that kernel is also the cross-check oracle).
 enum class JoinAlgorithm { kAuto, kHash, kSortMerge };
 
 struct JoinOptions {
@@ -78,24 +79,11 @@ CountedRelation NaturalJoinSized(const CountedRelation& a,
                                  const CountedRelation& b, size_t known_rows,
                                  const JoinOptions& options = {});
 
-// The algorithm kAuto would run for NaturalJoin(a, b): a cost model over
-// the input sizes, key-order of each side (RowsSortedBy), and the exact
-// join cardinality from EstimateJoinRows. The cost model's sort-merge
-// margin only grows with the output size, so when sort-merge wins at zero
-// output rows the estimate is skipped; NaturalJoin decides by the same
-// code. Exposed for tests and explain output. Joins that never reach the
-// hash/sort-merge decision — covering pairs, defaulted sides and empty
-// join keys — report kHash without counting (their dedicated kernels
-// ignore the picker).
-JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
-                                  const CountedRelation& b,
-                                  ExecContext* ctx = nullptr);
-
 // Exact number of result rows NaturalJoin(a, b) would produce, computed in
 // O(|a| + |b|) with a flat hash-group table on the smaller side (key
 // verification included, so the count is exact even under hash
 // collisions). Used by FoldJoin's greedy join order when more than one
-// candidate can win, and by the cost-based picker of a non-covering join
+// candidate can win, and by the cost-based pick of a non-covering join
 // when sort-merge does not win regardless of output size; covering joins
 // never count.
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,

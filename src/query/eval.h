@@ -15,6 +15,10 @@ namespace lsens {
 // (greedy join order — bag-internal cross products are deferred until
 // selective pieces have pruned the accumulator); Yannakakis-style over an
 // acyclic query's trivial GHD.
+//
+// It keeps its own ⊥ fold instead of evaluating the sensitivity dataflow
+// (sensitivity/tsens_engine.h) on purpose: NaiveLocalSensitivity counts
+// through it, so the naive oracle would otherwise share the code it checks.
 StatusOr<Count> CountGhd(const ConjunctiveQuery& q, const Ghd& ghd,
                          const Database& db, const JoinOptions& options = {});
 

@@ -174,13 +174,4 @@ StatusOr<Decomposition> ResolveDecomposition(const ConjunctiveQuery& q,
   return d;
 }
 
-int BagOf(const Ghd& ghd, int atom) {
-  for (size_t i = 0; i < ghd.bags.size(); ++i) {
-    for (int a : ghd.bags[i].atom_indices) {
-      if (a == atom) return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 }  // namespace lsens

@@ -65,9 +65,6 @@ struct Decomposition {
 StatusOr<Decomposition> ResolveDecomposition(const ConjunctiveQuery& q,
                                              const Ghd* user = nullptr);
 
-// Bag index containing `atom`, or -1.
-int BagOf(const Ghd& ghd, int atom);
-
 }  // namespace lsens
 
 #endif  // LSENS_QUERY_GHD_H_

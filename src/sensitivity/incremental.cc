@@ -263,11 +263,9 @@ namespace {
 // The cache's policy on top of the facade's plan (PlanSensitivity): top_k
 // and keep_tables change what the engines compute (truncated tables /
 // retained T_a's) in ways the maintained state deliberately does not
-// model, so they stay version-memoized fallbacks. Empty when repairable.
-std::string UnsupportedReason(const TSensComputeOptions& options) {
-  if (options.top_k > 0) return "top-k approximation";
-  if (options.keep_tables) return "keep_tables requested";
-  return "";
+// model, so they stay version-memoized fallbacks.
+bool Repairable(const TSensComputeOptions& options) {
+  return options.top_k == 0 && !options.keep_tables;
 }
 
 // The repair state a repairable plan maintains. A single-atom query's
@@ -420,6 +418,7 @@ using incremental_detail::DeltaGroupCount;
 using incremental_detail::MarkStale;
 using incremental_detail::NodeStore;
 using incremental_detail::Project;
+using incremental_detail::Repairable;
 using incremental_detail::RepairModeOf;
 using incremental_detail::RepairState;
 using incremental_detail::RescanTracker;
@@ -427,7 +426,6 @@ using incremental_detail::SharedNode;
 using incremental_detail::SortChanged;
 using incremental_detail::SortUnique;
 using incremental_detail::Tracker;
-using incremental_detail::UnsupportedReason;
 using incremental_detail::UpdateTracker;
 
 struct SensitivityCache::Store {
@@ -578,18 +576,6 @@ std::string SensitivityCache::Fingerprint(const ConjunctiveQuery& q,
     }
   }
   return out.str();
-}
-
-bool SensitivityCache::RepairSupported(const ConjunctiveQuery& q,
-                                       const TSensComputeOptions& options,
-                                       std::string* reason) {
-  std::string why = UnsupportedReason(options);
-  if (why.empty()) {
-    auto plan = PlanSensitivity(q, options);
-    if (!plan.ok()) why = "no decomposition: " + plan.status().ToString();
-  }
-  if (reason != nullptr) *reason = why;
-  return why.empty();
 }
 
 namespace {
@@ -1275,12 +1261,12 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
     }
   }
   const SensitivityPlan& plan = entry != nullptr ? entry->plan : *fresh_plan;
-  const bool repairable = UnsupportedReason(options).empty();
+  const bool repairable = Repairable(options);
   std::unique_ptr<RepairState> state;
   uint64_t build_rows = 0;
   auto run_full = [&]() -> StatusOr<SensitivityResult> {
     if (!repairable || RepairModeOf(q) == RepairState::Mode::kConstant) {
-      auto r = RunSensitivityPlan(q, plan, db, options);
+      auto r = EvaluateDataflow(q, plan.dataflow, db, options);
       if (r.ok() && repairable) {
         state = std::make_unique<RepairState>();  // kConstant
       }

@@ -153,18 +153,11 @@ class SensitivityCache {
   // Drops every entry and every shared node (stats are kept; gauges reset).
   void Clear();
 
-  // Canonical fingerprint of (query, result-affecting options); exposed
-  // for tests. The execution context (join.ctx) is excluded — results do
-  // not depend on it.
+  // Canonical fingerprint of (query, result-affecting options): the cache's
+  // entry key, and the server's key for registered queries. The execution
+  // context (join.ctx) is excluded — results do not depend on it.
   static std::string Fingerprint(const ConjunctiveQuery& q,
                                  const TSensComputeOptions& options);
-
-  // True when Compute would maintain repairable state for this query
-  // shape (exposed for tests; reason receives a short explanation when
-  // false and may be null).
-  static bool RepairSupported(const ConjunctiveQuery& q,
-                              const TSensComputeOptions& options,
-                              std::string* reason = nullptr);
 
  private:
   struct Entry;

@@ -33,13 +33,6 @@ StatusOr<SensitivityPlan> PlanSensitivity(const ConjunctiveQuery& q,
   return plan;
 }
 
-StatusOr<SensitivityResult> RunSensitivityPlan(const ConjunctiveQuery& q,
-                                               const SensitivityPlan& plan,
-                                               const Database& db,
-                                               const TSensOptions& options) {
-  return EvaluateDataflow(q, plan.dataflow, db, options);
-}
-
 StatusOr<SensitivityResult> ComputeLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options) {
@@ -50,7 +43,7 @@ StatusOr<SensitivityResult> ComputeLocalSensitivity(
              db.TotalRows());
   auto plan = PlanSensitivity(q, options);
   if (!plan.ok()) return plan.status();
-  return RunSensitivityPlan(q, *plan, db, options);
+  return EvaluateDataflow(q, plan->dataflow, db, options);
 }
 
 std::string ExplainQuery(const ConjunctiveQuery& q,

@@ -51,12 +51,6 @@ struct SensitivityPlan {
 StatusOr<SensitivityPlan> PlanSensitivity(
     const ConjunctiveQuery& q, const TSensComputeOptions& options = {});
 
-// Evaluates the plan's dataflow (no planning, no facade timer).
-StatusOr<SensitivityResult> RunSensitivityPlan(const ConjunctiveQuery& q,
-                                               const SensitivityPlan& plan,
-                                               const Database& db,
-                                               const TSensOptions& options);
-
 // Entry point for the local sensitivity problem (Definition 2.3): computes
 // LS(Q, D) and a most sensitive tuple. Validates, plans (PlanSensitivity)
 // and runs the plan: Algorithm 1 (path queries), Algorithm 2 (acyclic

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "exec/exec_context.h"
@@ -584,7 +585,12 @@ StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
                                                 const Database& db,
                                                 int atom_index,
                                                 const TSensOptions& options) {
-  if (atom_index < 0 || atom_index >= static_cast<int>(result.atoms.size())) {
+  if (Status valid = q.Validate(db); !valid.ok()) {
+    return Status::InvalidArgument("query does not match the database: " +
+                                   valid.message());
+  }
+  if (atom_index < 0 || atom_index >= q.num_atoms() ||
+      atom_index >= static_cast<int>(result.atoms.size())) {
     return Status::InvalidArgument("atom index out of range");
   }
   const AtomSensitivity& as = result.atoms[static_cast<size_t>(atom_index)];
@@ -593,9 +599,15 @@ StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
         "multiplicity table not stored; compute with keep_tables = true");
   }
   const Atom& atom = q.atom(atom_index);
-  auto rel_or = db.Get(atom.relation);
-  if (!rel_or.ok()) return rel_or.status();
-  const Relation& rel = **rel_or;
+  // The column routing below finds every table attribute among the atom's
+  // variables, so a result computed for another query is refused here.
+  if (as.relation != atom.relation ||
+      !IsSubset(as.table_attrs, atom.VarSet())) {
+    return Status::InvalidArgument(
+        "result was computed for another query: atom " +
+        std::to_string(atom_index) + " does not bind its table");
+  }
+  const Relation& rel = *db.Find(atom.relation);
 
   // Column routing: table attr j lives at relation column cols[j].
   std::vector<size_t> cols(as.table_attrs.size());

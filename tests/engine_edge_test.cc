@@ -225,6 +225,40 @@ TEST(EngineEdgeTest, TupleSensitivitiesValidatesInputs) {
   EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, 99).ok());
 }
 
+TEST(EngineEdgeTest, TupleSensitivitiesRefusesAResultOfAnotherQuery) {
+  Database db;
+  db.AddRelation("R", {"A", "B"})->AppendRow({1, 2});
+  db.AddRelation("S", {"B", "C"})->AppendRow({2, 3});
+  ConjunctiveQuery q;
+  q.AddAtom(db, "R", {"A", "B"});
+  q.AddAtom(db, "S", {"B", "C"});
+  TSensComputeOptions keep;
+  keep.keep_tables = true;
+  auto result = ComputeLocalSensitivity(q, db, keep);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(TupleSensitivities(*result, q, db, 0).ok());
+
+  // Same relations under other variables: R's table is keyed on B, which
+  // R(X, Y) does not bind.
+  ConjunctiveQuery renamed;
+  renamed.AddAtom(db, "R", {"X", "Y"});
+  renamed.AddAtom(db, "S", {"Y", "Z"});
+  EXPECT_EQ(TupleSensitivities(*result, renamed, db, 0).status().code(),
+            Status::Code::kInvalidArgument);
+  // The atoms in the other order: atom 0 binds S, the table is R's.
+  ConjunctiveQuery swapped;
+  swapped.AddAtom(db, "S", {"B", "C"});
+  swapped.AddAtom(db, "R", {"A", "B"});
+  EXPECT_EQ(TupleSensitivities(*result, swapped, db, 0).status().code(),
+            Status::Code::kInvalidArgument);
+  // A database the query does not fit: S has arity 1 there.
+  Database other;
+  other.AddRelation("R", {"A", "B"})->AppendRow({1, 2});
+  other.AddRelation("S", {"B"})->AppendRow({2});
+  EXPECT_EQ(TupleSensitivities(*result, q, other, 0).status().code(),
+            Status::Code::kInvalidArgument);
+}
+
 TEST(EngineEdgeDeathTest, DoubleDefaultedJoinIsRejected) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   CountedRelation a({1});

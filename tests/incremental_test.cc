@@ -332,9 +332,6 @@ TEST(SensitivityCacheTest, CyclicQueriesRepairViaGhd) {
   // a data change patches, it no longer recomputes.
   Rng rng(7);
   PaperExample tri = MakeRandomTriangleInstance(rng, 6, 3);
-  std::string reason;
-  EXPECT_TRUE(SensitivityCache::RepairSupported(tri.query, {}, &reason));
-  EXPECT_TRUE(reason.empty()) << reason;
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;
   SensitivityCache cache(config);
@@ -359,9 +356,6 @@ TEST(SensitivityCacheTest, TopKStaysMemoizedWithReason) {
   PaperExample ex = MakeFigure3Example();
   TSensComputeOptions topk;
   topk.top_k = 1;
-  std::string reason;
-  EXPECT_FALSE(SensitivityCache::RepairSupported(ex.query, topk, &reason));
-  EXPECT_NE(reason.find("top-k"), std::string::npos) << reason;
   SensitivityCache cache;
   ASSERT_TRUE(cache.Compute(ex.query, ex.db, topk).ok());
   ASSERT_TRUE(cache.Compute(ex.query, ex.db, topk).ok());
@@ -382,9 +376,6 @@ TEST(SensitivityCacheTest, KeepTablesStaysMemoizedWithReason) {
   PaperExample fig1 = MakeFigure1Example();
   TSensComputeOptions keep;
   keep.keep_tables = true;
-  std::string reason;
-  EXPECT_FALSE(SensitivityCache::RepairSupported(fig1.query, keep, &reason));
-  EXPECT_NE(reason.find("keep_tables"), std::string::npos) << reason;
   SensitivityCache cache;
   auto kt = cache.Compute(fig1.query, fig1.db, keep);
   ASSERT_TRUE(kt.ok());
@@ -879,7 +870,6 @@ TEST_P(IncrementalStreamTest, ExplicitGhdPrefixesRepairAndMatchScratch) {
   options.ghd = &*ghd;
   EXPECT_NE(SensitivityCache::Fingerprint(ex.query, options),
             SensitivityCache::Fingerprint(ex.query, {}));
-  EXPECT_TRUE(SensitivityCache::RepairSupported(ex.query, options));
   SensitivityCacheConfig config;
   config.max_delta_fraction = 1.0;
   SensitivityCache cache(config);

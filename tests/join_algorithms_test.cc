@@ -300,9 +300,6 @@ TEST(CoveringJoinTest, MatchesForcedKernelsBitForBit) {
       if (a.normalized() && b.normalized()) {
         EXPECT_EQ(ctx.FindStats("normalize"), nullptr) << label;
       }
-      EXPECT_EQ(ChooseJoinAlgorithm(a, b, &ctx), JoinAlgorithm::kHash)
-          << label;
-      EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr) << label;
 
       // With equal attributes the smaller side covers.
       const bool a_covers = IsSubset(b.attrs(), a.attrs()) &&
@@ -532,7 +529,6 @@ TEST(JoinPickerTest, PrefersSortMergeWhenBothSidesKeySorted) {
   CountedRelation a = MakeRandom(rng, {1, 2}, 2000, 50);
   CountedRelation b = MakeRandom(rng, {1, 3}, 2000, 50);
   ASSERT_GT(a.NumRows(), 500u);
-  EXPECT_EQ(ChooseJoinAlgorithm(a, b), JoinAlgorithm::kSortMerge);
   // Sort-merge wins at any output size here, so kAuto never counts it.
   ExecContext ctx;
   JoinOptions opts;
@@ -549,7 +545,12 @@ TEST(JoinPickerTest, PrefersHashWhenSortWouldDominate) {
   CountedRelation a = MakeRandom(rng, {1, 2}, 2000, 2000);
   CountedRelation b = MakeRandom(rng, {2, 3}, 2000, 2000);
   ASSERT_GT(a.NumRows(), 500u);
-  EXPECT_EQ(ChooseJoinAlgorithm(a, b), JoinAlgorithm::kHash);
+  ExecContext ctx;
+  JoinOptions opts;
+  opts.ctx = &ctx;
+  NaturalJoin(a, b, opts);
+  EXPECT_NE(ctx.FindStats("join.hash"), nullptr);
+  EXPECT_EQ(ctx.FindStats("join.sort_merge"), nullptr);
 }
 
 TEST(JoinPickerTest, SkewFlipsThePickToSortMerge) {
@@ -562,9 +563,6 @@ TEST(JoinPickerTest, SkewFlipsThePickToSortMerge) {
   CountedRelation a = MakeSkewed(rng, {1, 2}, 1500, 1, 42, 3000);
   CountedRelation b = MakeSkewed(rng, {2, 3}, 1500, 0, 42, 3000);
   ASSERT_GT(EstimateJoinRows(a, b), 100 * (a.NumRows() + b.NumRows()));
-  EXPECT_EQ(ChooseJoinAlgorithm(a, b), JoinAlgorithm::kSortMerge);
-  // And kAuto must agree with the exposed picker: pinned via the stats of
-  // the kernel that actually ran.
   ExecContext ctx;
   JoinOptions opts;
   opts.ctx = &ctx;
@@ -585,8 +583,9 @@ JoinAlgorithm KernelThatRan(const ExecContext& ctx) {
 
 TEST(JoinPickerTest, KernelThatRanIsTheExposedPick) {
   // Key-sorted and unsorted sides, skewed and uniform keys, empty sides:
-  // kAuto — with and without a count handed in — runs exactly the kernel
-  // ChooseJoinAlgorithm reports, and its output is the forced kernels'.
+  // kAuto runs the same kernel with and without a count handed in (the
+  // pick is exposed as the join.* row of a fresh context), the sized call
+  // never counts, and the output is the forced kernels'.
   Rng rng(31);
   const std::vector<std::pair<AttributeSet, AttributeSet>> shapes = {
       {{1, 2}, {1, 3}},  // key leading on both sides: both key-sorted
@@ -609,10 +608,6 @@ TEST(JoinPickerTest, KernelThatRanIsTheExposedPick) {
     CountedRelation b = make(attrs_b, trial % 8 < 2);
     const std::string label = "trial " + std::to_string(trial);
 
-    const JoinAlgorithm picked = ChooseJoinAlgorithm(a, b);
-    if (a.NumRows() == 0 && b.NumRows() == 0) {
-      EXPECT_EQ(picked, JoinAlgorithm::kHash) << label;  // costs tie at 0
-    }
     const CountedRelation hash = NaturalJoin(a, b, {JoinAlgorithm::kHash});
     ExpectSameRelation(NaturalJoin(a, b, {JoinAlgorithm::kSortMerge}), hash,
                        label.c_str());
@@ -620,7 +615,10 @@ TEST(JoinPickerTest, KernelThatRanIsTheExposedPick) {
     JoinOptions opts;
     opts.ctx = &ctx;
     ExpectSameRelation(NaturalJoin(a, b, opts), hash, label.c_str());
-    EXPECT_EQ(KernelThatRan(ctx), picked) << label;
+    const JoinAlgorithm picked = KernelThatRan(ctx);
+    if (a.NumRows() == 0 && b.NumRows() == 0) {
+      EXPECT_EQ(picked, JoinAlgorithm::kHash) << label;  // costs tie at 0
+    }
 
     const size_t rows = EstimateJoinRows(a, b);
     ExecContext sized_ctx;
@@ -646,7 +644,7 @@ TEST(ExecContextTest, TSensOverGhdReportsOperatorStats) {
   auto result = TSensOverGhd(ex.query, ghd, ex.db, options);
   ASSERT_TRUE(result.ok());
 
-  EXPECT_TRUE(ctx.has_stats());
+  EXPECT_FALSE(ctx.stats().empty());
   const OperatorStats* fold = ctx.FindStats("fold_join");
   ASSERT_NE(fold, nullptr);
   EXPECT_GT(fold->calls, 0u);
@@ -657,7 +655,7 @@ TEST(ExecContextTest, TSensOverGhdReportsOperatorStats) {
   EXPECT_NE(report.find("group_by_sum"), std::string::npos);
 
   ctx.ResetStats();
-  EXPECT_FALSE(ctx.has_stats());
+  EXPECT_TRUE(ctx.stats().empty());
   EXPECT_NE(RenderExecStats(ctx).find("none collected"), std::string::npos);
 }
 
@@ -671,10 +669,6 @@ TEST(ExecContextTest, StatsAccumulateAcrossCalls) {
   const OperatorStats* first = ctx.FindStats("join.hash");
   ASSERT_NE(first, nullptr);
   const uint64_t calls_after_one = first->calls;
-  NaturalJoin(a, b, opts);
-  EXPECT_EQ(ctx.FindStats("join.hash")->calls, calls_after_one + 1);
-
-  ctx.collect_stats = false;
   NaturalJoin(a, b, opts);
   EXPECT_EQ(ctx.FindStats("join.hash")->calls, calls_after_one + 1);
 }

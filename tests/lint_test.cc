@@ -75,8 +75,8 @@ TEST(LintLayering, SilentOnDownwardIncludes) {
 
 TEST(LintEntropy, FiresOnRandRandomDeviceAndClock) {
   const Report report = RunLint(Fixture("entropy_bad"));
-  // random_device + rand() + steady_clock.
-  EXPECT_EQ(CountRule(report, "entropy"), 3) << FormatReport(report);
+  // random_device + rand() + steady_clock + getenv().
+  EXPECT_EQ(CountRule(report, "entropy"), 4) << FormatReport(report);
 }
 
 TEST(LintEntropy, SilentInEntropyHomesAndSeededConsumers) {

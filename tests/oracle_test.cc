@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "exec/exec_context.h"
+#include "query/eval.h"
 #include "query/ghd.h"
 #include "sensitivity/incremental.h"
 #include "sensitivity/naive.h"
@@ -71,8 +72,9 @@ void ExpectSameResult(const SensitivityResult& a, const SensitivityResult& b,
 
 class GhdOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
-// LS over the instance's own GHD and over the facade's choice (GYO or
-// searched) both equal the naive oracle's.
+// |Q(D)| over the instance's own GHD equals the brute-force join's size, and
+// LS over that GHD and over the facade's choice (GYO or searched) both
+// equal the naive oracle's.
 TEST_P(GhdOracleTest, EngineMatchesNaive) {
   Rng rng(GetParam() * 7919 + 3);
   for (const Shape& shape : Shapes()) {
@@ -83,6 +85,11 @@ TEST_P(GhdOracleTest, EngineMatchesNaive) {
                                   inst.query.ToString(inst.db.attrs());
       auto ghd = BuildGhd(inst.query, inst.bags);
       ASSERT_TRUE(ghd.ok()) << context << ghd.status().ToString();
+      auto count = CountGhd(inst.query, *ghd, inst.db);
+      auto brute = BruteForceCount(inst.query, inst.db);
+      ASSERT_TRUE(count.ok()) << context << count.status().ToString();
+      ASSERT_TRUE(brute.ok()) << context << brute.status().ToString();
+      EXPECT_EQ(*count, *brute) << context;
       NaiveOptions naive_options;
       naive_options.ghd = &*ghd;
       auto naive = NaiveLocalSensitivity(inst.query, inst.db, naive_options);

@@ -307,8 +307,11 @@ TEST(GhdTest, TrivialGhdMirrorsForest) {
   auto forest = BuildJoinForestGYO(ex.query);
   Ghd ghd = MakeTrivialGhd(ex.query, *forest);
   EXPECT_EQ(ghd.Width(), 1);
-  EXPECT_EQ(ghd.bags.size(), 4u);
-  EXPECT_EQ(BagOf(ghd, 2), 2);
+  ASSERT_EQ(ghd.bags.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(ghd.bags[static_cast<size_t>(i)].atom_indices,
+              std::vector<int>{i});
+  }
 }
 
 TEST(AnalysisTest, StarRootJoinIsCyclicQuery) {

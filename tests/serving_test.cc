@@ -19,7 +19,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "dp/privsql.h"
 #include "exec/exec_context.h"
 #include "query/explain.h"
@@ -292,18 +291,17 @@ TEST(ServingFreeRunningTest, StressEveryReadBitIdenticalAcross200Turns) {
   }
   std::atomic<bool> stop{false};
 
-  ThreadPool& pool = GlobalThreadPool();
-  ASSERT_GE(pool.num_workers(), static_cast<size_t>(kReaders));
+  std::vector<std::thread> readers;
   for (int i = 0; i < kReaders; ++i) {
-    pool.Submit([&, i](size_t) {
+    readers.emplace_back([&, i] {
       ServerSession& session = *sessions[i];
       ReaderReport& report = reports[i];
       auto note = [&](const std::string& what) {
         ++report.violations;
         if (report.first_violation.empty()) report.first_violation = what;
       };
-      // The oracle recomputes run on a pool worker, so they must carry
-      // their own context — the thread-local fallback is off-limits here.
+      // Each reader owns the context its oracle recomputes run on (an
+      // ExecContext has one owner thread at a time).
       ExecContext oracle_ctx;
       TSensComputeOptions oracle_options;
       oracle_options.join.ctx = &oracle_ctx;
@@ -343,8 +341,8 @@ TEST(ServingFreeRunningTest, StressEveryReadBitIdenticalAcross200Turns) {
   // Feed single-delta turns until 200 have published; deltas are sized
   // against a freshly pinned snapshot, so a few may race a queued resize
   // and get rejected — those surface as empty turns, not corruption.
-  // No fatal assertions between here and pool.Wait(): an early return
-  // would unwind locals the reader tasks still reference.
+  // No fatal assertions before the readers are joined: an early return
+  // would destroy running std::threads and the locals they reference.
   Rng rng(2024);
   auto feeder = server.OpenSession("feeder");
   uint64_t submitted = 0;
@@ -372,7 +370,7 @@ TEST(ServingFreeRunningTest, StressEveryReadBitIdenticalAcross200Turns) {
     if (!drained) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stop.store(true, std::memory_order_release);
-  pool.Wait();
+  for (std::thread& reader : readers) reader.join();
   server.Shutdown();
   EXPECT_TRUE(submit_ok);
   ASSERT_TRUE(drained) << "writer failed to drain " << submitted
@@ -844,15 +842,15 @@ TEST(PrivSqlBudgetTest, ChargesRefusesAndRefunds) {
 TEST(PrivSqlBudgetTest, ConcurrentChargesNeverOverspend) {
   PrivSqlBudget budget(1.0);
   std::atomic<int> successes{0};
-  ThreadPool& pool = GlobalThreadPool();
+  std::vector<std::thread> chargers;
   for (int t = 0; t < 8; ++t) {
-    pool.Submit([&](size_t) {
+    chargers.emplace_back([&] {
       for (int i = 0; i < 50; ++i) {
         if (budget.TryCharge(0.25)) successes.fetch_add(1);
       }
     });
   }
-  pool.Wait();
+  for (std::thread& charger : chargers) charger.join();
   EXPECT_EQ(successes.load(), 4);  // exactly 4 * 0.25 fit in 1.0
   EXPECT_LE(budget.spent(), 1.0 + 1e-9);
 }

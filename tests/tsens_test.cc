@@ -125,8 +125,9 @@ void ExpectBitIdentical(const SensitivityResult& a, const SensitivityResult& b,
 
 // The facade, the cache and a direct engine call agree on every query
 // shape: ComputeLocalSensitivity runs exactly PlanSensitivity's engine,
-// SensitivityCache returns the same result, and RepairSupported follows
-// the plan and the cache's own policy.
+// SensitivityCache returns the same result, and after a one-row delta the
+// cache repairs exactly the shapes its policy keeps state for (top-k and
+// keep_tables recompute; a single atom needs no repair).
 TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
   struct Case {
     std::string name;
@@ -207,14 +208,28 @@ TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
       ASSERT_TRUE(facade.ok()) << context << facade.status().ToString();
       ExpectBitIdentical(*facade, *direct, context);
 
-      std::string reason;
-      EXPECT_EQ(SensitivityCache::RepairSupported(q, options, &reason),
-                options.top_k == 0 && !options.keep_tables)
-          << context << " " << reason;
-      SensitivityCache cache;
+      SensitivityCacheConfig config;
+      config.max_delta_fraction = 1.0;
+      SensitivityCache cache(config);
       auto cached = cache.Compute(q, c.ex.db, options);
       ASSERT_TRUE(cached.ok()) << context << cached.status().ToString();
       ExpectBitIdentical(*cached, *facade, context + " cache");
+
+      Relation* first = c.ex.db.Find(q.atom(0).relation);
+      first->AppendRow(std::vector<Value>(first->arity(), 1));
+      auto repaired = cache.Compute(q, c.ex.db, options);
+      ASSERT_TRUE(repaired.ok()) << context << repaired.status().ToString();
+      auto fresh = ComputeLocalSensitivity(q, c.ex.db, options);
+      ASSERT_TRUE(fresh.ok()) << context << fresh.status().ToString();
+      ExpectBitIdentical(*repaired, *fresh, context + " after delta");
+      // A single-atom LS is data-independent, so its delta is a hit.
+      const bool repairable = options.top_k == 0 && !options.keep_tables;
+      const bool constant = repairable && q.num_atoms() == 1;
+      EXPECT_EQ(cache.stats().hits, constant ? 1u : 0u) << context;
+      EXPECT_EQ(cache.stats().repairs, repairable && !constant ? 1u : 0u)
+          << context;
+      EXPECT_EQ(cache.stats().fallback_unsupported, repairable ? 0u : 1u)
+          << context;
     }
   }
 }

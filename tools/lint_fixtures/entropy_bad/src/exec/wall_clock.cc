@@ -1,6 +1,6 @@
 // MUST-FIRE fixture for rule entropy: libc rand(), std::random_device,
-// and a wall-clock read, all outside common/rng and common/timer. Any one
-// of these makes a sensitivity run unreplayable.
+// a wall-clock read and an environment read, all outside common/rng and
+// common/timer. Any one of these makes a sensitivity run unreplayable.
 #include <chrono>
 #include <cstdlib>
 #include <random>
@@ -15,5 +15,7 @@ int NoisySeed() {
 long NowNanos() {
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
+
+const char* Knob() { return std::getenv("FIXTURE_KNOB"); }
 
 }  // namespace fixture

@@ -690,7 +690,7 @@ void ScanEntropy(const std::string& rel, const FileText& text,
                  const std::set<int>& allowed_lines,
                  std::vector<Finding>* findings) {
   if (IsEntropyHome(rel)) return;
-  static constexpr std::array<EntropyPattern, 13> kPatterns = {{
+  static constexpr std::array<EntropyPattern, 15> kPatterns = {{
       {"rand", true},
       {"srand", true},
       {"time", true},
@@ -704,6 +704,8 @@ void ScanEntropy(const std::string& rel, const FileText& text,
       {"localtime", false},
       {"gmtime", false},
       {"mktime", false},
+      {"getenv", true},
+      {"secure_getenv", true},
   }};
   for (size_t i = 0; i < text.code.size(); ++i) {
     const std::string& code = text.code[i];
@@ -722,9 +724,10 @@ void ScanEntropy(const std::string& rel, const FileText& text,
         findings->push_back(
             {"entropy", rel, line,
              "'" + std::string(p.ident) +
-                 "' outside common/rng and common/timer — all randomness "
-                 "and timing must flow through seeded Rng / WallTimer so "
-                 "runs replay bit-for-bit"});
+                 "' outside common/rng and common/timer is a hidden input — "
+                 "randomness and timing flow through seeded Rng / WallTimer "
+                 "and the library reads no environment variable, so runs "
+                 "replay bit-for-bit from their inputs"});
       }
     }
   }

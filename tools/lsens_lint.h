@@ -37,10 +37,12 @@
 //
 //   entropy      rand()/srand(), std::random_device, wall-clock and cpu-
 //                clock reads (system_clock, steady_clock, time(), clock(),
-//                ...) are banned outside common/rng and common/timer:
+//                ...) and environment reads (getenv(), secure_getenv())
+//                are banned outside common/rng and common/timer:
 //                everything random or timed flows through explicitly
-//                seeded Rng instances and WallTimer so runs replay
-//                bit-for-bit.
+//                seeded Rng instances and WallTimer, and the library
+//                takes no hidden input from the environment, so runs
+//                replay bit-for-bit from their inputs.
 //
 //   row-materialize
 //                Advisory, scoped to src/exec/: calling Relation::Row()
