@@ -515,7 +515,7 @@ int Run() {
   std::vector<StreamResult> results;
 
   {
-    // 4-atom path query (Algorithm 1 / path repair mode).
+    // 4-atom path query (Algorithm 1 on its join tree).
     Rng rng(20200712);
     Database db = MakeSyntheticDb(
         rng, {"P1", "P2", "P3", "P4"},

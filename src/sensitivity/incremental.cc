@@ -552,8 +552,7 @@ std::string SensitivityCache::Fingerprint(const ConjunctiveQuery& q,
     }
     out << ';';
   }
-  out << "|top_k=" << options.top_k << "|keep=" << options.keep_tables
-      << "|path=" << options.prefer_path_algorithm;
+  out << "|top_k=" << options.top_k << "|keep=" << options.keep_tables;
   std::vector<int> skips = options.skip_atoms;
   std::sort(skips.begin(), skips.end());
   skips.erase(std::unique(skips.begin(), skips.end()), skips.end());

@@ -1,7 +1,6 @@
 #include "sensitivity/tsens.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "exec/exec_context.h"
@@ -16,18 +15,8 @@ StatusOr<SensitivityPlan> PlanSensitivity(const ConjunctiveQuery& q,
   if (!decomposition.ok()) return decomposition.status();
   SensitivityPlan plan;
   plan.decomposition = *std::move(decomposition);
-  if (plan.decomposition.source == DecompositionSource::kGyo &&
-      options.prefer_path_algorithm && !options.keep_tables) {
-    std::vector<int> order = PathOrder(q);
-    if (order.size() >= 2) {
-      plan.engine = SensitivityEngine::kPath;
-      plan.path_order = std::move(order);
-    }
-  }
   auto dataflow =
-      plan.engine == SensitivityEngine::kPath
-          ? BuildChainDataflow(q, plan.path_order, options.skip_atoms)
-          : BuildGhdDataflow(q, plan.decomposition.ghd(), options.skip_atoms);
+      BuildGhdDataflow(q, plan.decomposition.ghd(), options.skip_atoms);
   if (!dataflow.ok()) return dataflow.status();
   plan.dataflow = *std::move(dataflow);
   return plan;
@@ -69,9 +58,6 @@ std::string ExplainQuery(const ConjunctiveQuery& q,
            std::to_string(d.ghd().Width()) + "):\n";
   }
   out += RenderGhdTree(q, attrs, d.ghd());
-  if (plan->engine == SensitivityEngine::kPath) {
-    return out + "algorithm: TSensPath (Algorithm 1, O(n log n))\n";
-  }
   if (d.source == DecompositionSource::kGyo) {
     return out + "algorithm: TSensOverGhd (Algorithm 2 over the GYO tree)\n";
   }
@@ -122,9 +108,7 @@ StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
       }
     }
   }
-  std::vector<int> order(result.atoms.size());
-  std::iota(order.begin(), order.end(), 0);
-  ReduceWinner(order, &result);
+  ReduceWinner(&result);
   return result;
 }
 

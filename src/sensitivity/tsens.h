@@ -10,15 +10,15 @@
 #include "sensitivity/result.h"
 #include "storage/catalog.h"
 #include "sensitivity/tsens_engine.h"
-#include "sensitivity/tsens_path.h"
 #include "storage/database.h"
 
 namespace lsens {
 
 // Facade options for ComputeLocalSensitivity.
 struct TSensComputeOptions : TSensOptions {
-  // Use Algorithm 1 when the query is a single-attribute-link path query
-  // (ignored when keep_tables is set — Algorithm 1 does not build tables).
+  // Read by no code: every query runs BuildGhdDataflow, which on a path
+  // query's join tree is Algorithm 1. Kept only because the repository
+  // benchmark still assigns it; a change to the benchmark deletes it.
   bool prefer_path_algorithm = true;
 
   // Decomposition to run over, held by pointer (never copied). When null,
@@ -27,34 +27,27 @@ struct TSensComputeOptions : TSensOptions {
   const Ghd* ghd = nullptr;
 };
 
-// The engines of the facade.
-enum class SensitivityEngine {
-  kPath,  // TSensPath: Algorithm 1 over `path_order`
-  kGhd,   // TSensOverGhd: Algorithm 2 / §5.4 over the decomposition
-};
-
 // What the facade runs, chosen only by PlanSensitivity; the facade, the
 // SensitivityCache and ExplainQuery all execute or render this one plan.
 struct SensitivityPlan {
-  SensitivityEngine engine = SensitivityEngine::kGhd;
-  std::vector<int> path_order;  // kPath: the chain from PathOrder()
-  Decomposition decomposition;  // always resolved, even for kPath
-  // The engine's dataflow (BuildChainDataflow for kPath, else
-  // BuildGhdDataflow), for options.skip_atoms: the cold engines evaluate
-  // it, and SensitivityCache maintains and repairs its nodes.
+  Decomposition decomposition;
+  // BuildGhdDataflow over the decomposition, for options.skip_atoms: the
+  // cold engines evaluate it, and SensitivityCache maintains and repairs
+  // its nodes.
   SensitivityDataflow dataflow;
 };
 
-// ResolveDecomposition(q, options.ghd), then Algorithm 1 for the GYO forest
-// of a path query of >= 2 atoms when prefer_path_algorithm is set and
-// keep_tables is not, else Algorithm 2 over the decomposition.
+// ResolveDecomposition(q, options.ghd), then BuildGhdDataflow over it:
+// Algorithm 2 (Algorithm 1 on a path query's join tree) or its §5.4 GHD
+// extension.
 StatusOr<SensitivityPlan> PlanSensitivity(
     const ConjunctiveQuery& q, const TSensComputeOptions& options = {});
 
 // Entry point for the local sensitivity problem (Definition 2.3): computes
 // LS(Q, D) and a most sensitive tuple. Validates, plans (PlanSensitivity)
-// and runs the plan: Algorithm 1 (path queries), Algorithm 2 (acyclic
-// queries via GYO join trees) or the §5.4 GHD extension (cyclic queries).
+// and runs the plan: Algorithm 2 for acyclic queries via GYO join trees
+// (Algorithm 1 on a path query's), or the §5.4 GHD extension for cyclic
+// queries.
 StatusOr<SensitivityResult> ComputeLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options = {});

@@ -514,11 +514,8 @@ SensitivityResult AssembleSensitivity(
     const std::function<const ComponentMax&(size_t, size_t)>& part) {
   SensitivityResult result;
   result.atoms.resize(static_cast<size_t>(q.num_atoms()));
-  std::vector<int> order;
-  order.reserve(df.assembly.size());
   for (size_t u = 0; u < df.assembly.size(); ++u) {
     const DataflowAtom& unit = df.assembly[u];
-    order.push_back(unit.atom);
     AtomSensitivity& out = result.atoms[static_cast<size_t>(unit.atom)];
     out.atom_index = unit.atom;
     out.relation = q.atom(unit.atom).relation;
@@ -555,19 +552,18 @@ SensitivityResult AssembleSensitivity(
     }
     if (known) out.argmax = std::move(argmax);
   }
-  ReduceWinner(order, &result);
+  ReduceWinner(&result);
   return result;
 }
 
-void ReduceWinner(std::span<const int> order, SensitivityResult* result) {
+void ReduceWinner(SensitivityResult* result) {
   result->local_sensitivity = Count::Zero();
   result->argmax_atom = -1;
-  for (int a : order) {
-    const Count max = result->atoms[static_cast<size_t>(a)].max_sensitivity;
-    if (max > result->local_sensitivity ||
-        (result->argmax_atom == -1 && !max.IsZero())) {
+  for (size_t a = 0; a < result->atoms.size(); ++a) {
+    const Count max = result->atoms[a].max_sensitivity;
+    if (max > result->local_sensitivity) {
       result->local_sensitivity = max;
-      result->argmax_atom = a;
+      result->argmax_atom = static_cast<int>(a);
     }
   }
 }

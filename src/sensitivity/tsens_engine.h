@@ -41,8 +41,7 @@ struct TSensOptions {
 // The dataflow of Algorithms 1 and 2, written down once: the nodes the cold
 // engines evaluate (EvaluateDataflow) and SensitivityCache maintains and
 // repairs, and the per-atom assembly that reads them. Built by
-// BuildGhdDataflow (Algorithm 2 / §5.4) or BuildChainDataflow (Algorithm
-// 1); PlanSensitivity carries the one a plan runs.
+// BuildGhdDataflow; PlanSensitivity carries the one a plan runs.
 struct DataflowNode {
   enum class Kind {
     kSource,  // S_a = γ_attrs(σ_pred(R_a)) for atom `atom`
@@ -75,7 +74,7 @@ struct DataflowAtom {
 
 struct SensitivityDataflow {
   std::vector<DataflowNode> nodes;     // dependency order
-  std::vector<DataflowAtom> assembly;  // every atom, in reduction order
+  std::vector<DataflowAtom> assembly;  // every atom, in atom order
   // The node whose TotalCount is tree t's join size, per tree; empty for a
   // connected forest, which scales by nothing.
   std::vector<int> tree_totals;
@@ -94,6 +93,14 @@ struct SensitivityDataflow {
 // single-atom bag folds in driver form (its S table drives, the other
 // tables are keyed on its columns); a multi-atom bag folds as a join node
 // grouped by a group node.
+//
+// On a path query's join tree this is Algorithm 1, in O(n log n) and
+// independent of the output size: the ⊥ chain and the ⊤ chain are running
+// aggregations toward and away from the root over the single link
+// attributes, and each T_a splits into attribute-disjoint components, one
+// per tree neighbour (⊤(a) from its parent, ⊥(c) from each child c). So
+// δ_a is the product of their maxima, and the cross product J × K of the
+// paper's step III is never built.
 StatusOr<SensitivityDataflow> BuildGhdDataflow(
     const ConjunctiveQuery& q, const Ghd& ghd,
     const std::vector<int>& skip_atoms);
@@ -128,9 +135,9 @@ SensitivityResult AssembleSensitivity(
     std::span<const Count> tree_totals,
     const std::function<const ComponentMax&(size_t, size_t)>& part);
 
-// Sets result's local sensitivity and argmax atom from its atoms' maxima,
-// walking `order`: the first atom attaining the largest nonzero maximum.
-void ReduceWinner(std::span<const int> order, SensitivityResult* result);
+// Sets result's local sensitivity and argmax atom from its atoms' maxima:
+// the lowest-index atom attaining the largest nonzero maximum.
+void ReduceWinner(SensitivityResult* result);
 
 // TSens over a generalized hypertree decomposition (Algorithm 2 and its
 // §5.4 GHD extension; acyclic queries use the trivial width-1 GHD).

@@ -159,7 +159,6 @@ TEST(TSensDpTest, AdditiveTruncatedCountsMatchRealTruncation) {
 
   TSensComputeOptions opts;
   opts.keep_tables = true;
-  opts.prefer_path_algorithm = false;
   auto tsens = ComputeLocalSensitivity(q1.query, db, opts);
   ASSERT_TRUE(tsens.ok());
   auto sens = TupleSensitivities(*tsens, q1.query, db, q1.private_atom);

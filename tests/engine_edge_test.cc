@@ -7,11 +7,9 @@
 #include "query/enumerate.h"
 #include "query/eval.h"
 #include "query/ghd.h"
-#include "query/join_tree.h"
 #include "sensitivity/naive.h"
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
-#include "sensitivity/tsens_path.h"
 #include "test_util.h"
 
 namespace lsens {
@@ -189,17 +187,6 @@ TEST(EngineEdgeTest, SkipAtomsNeverRaisesLs) {
   }
 }
 
-TEST(EngineEdgeTest, PathAlgorithmRejectsBadInputs) {
-  auto ex = MakeFigure3Example();
-  std::vector<int> order = PathOrder(ex.query);
-  TSensOptions keep;
-  keep.keep_tables = true;
-  EXPECT_EQ(TSensPath(ex.query, order, ex.db, keep).status().code(),
-            Status::Code::kUnsupported);
-  EXPECT_FALSE(TSensPath(ex.query, {0, 1}, ex.db).ok());       // short order
-  EXPECT_FALSE(TSensPath(ex.query, {0, 2, 1, 3}, ex.db).ok()); // not a chain
-}
-
 TEST(EngineEdgeTest, SearchGhdRefusesHugeQueries) {
   Database db;
   ConjunctiveQuery q;
@@ -216,9 +203,7 @@ TEST(EngineEdgeTest, SearchGhdRefusesHugeQueries) {
 
 TEST(EngineEdgeTest, TupleSensitivitiesValidatesInputs) {
   auto ex = MakeFigure3Example();
-  TSensComputeOptions no_tables;
-  no_tables.prefer_path_algorithm = false;
-  auto result = ComputeLocalSensitivity(ex.query, ex.db, no_tables);
+  auto result = ComputeLocalSensitivity(ex.query, ex.db);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, 0).ok());
   EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, -1).ok());

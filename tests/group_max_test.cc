@@ -299,7 +299,6 @@ uint64_t CheckLeanMatchesKept(const ConjunctiveQuery& q, const Database& db,
     ExecContext ctx;
     TSensComputeOptions o;
     o.ghd = ghd;
-    o.prefer_path_algorithm = false;  // TSensPath builds no tables
     o.keep_tables = keep;
     o.top_k = top_k;
     o.skip_atoms = skip_atoms;

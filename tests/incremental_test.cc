@@ -428,32 +428,32 @@ TEST(SensitivityCacheTest, DeleteHeavyStreamRepairsDownToEmpty) {
 
 TEST(SensitivityCacheTest, DistinctOptionsGetDistinctEntries) {
   PaperExample ex = MakeFigure3Example();
-  TSensComputeOptions path_on;
-  TSensComputeOptions path_off;
-  path_off.prefer_path_algorithm = false;
-  EXPECT_NE(SensitivityCache::Fingerprint(ex.query, path_on),
-            SensitivityCache::Fingerprint(ex.query, path_off));
+  TSensComputeOptions all;
+  TSensComputeOptions skip;
+  skip.skip_atoms = {0};
+  EXPECT_NE(SensitivityCache::Fingerprint(ex.query, all),
+            SensitivityCache::Fingerprint(ex.query, skip));
   SensitivityCache cache;
-  ASSERT_TRUE(cache.Compute(ex.query, ex.db, path_on).ok());
-  ASSERT_TRUE(cache.Compute(ex.query, ex.db, path_off).ok());
+  ASSERT_TRUE(cache.Compute(ex.query, ex.db, all).ok());
+  ASSERT_TRUE(cache.Compute(ex.query, ex.db, skip).ok());
   EXPECT_EQ(cache.stats().misses, 2u);
   // The entries are distinct but their source nodes are shared: the first
   // Compute's delta pass repairs every pending node, so the second entry
   // only reassembles from already-current nodes.
   ex.db.Find("R3")->AppendRow({1, 1});
-  auto a = cache.Compute(ex.query, ex.db, path_on);
-  auto b = cache.Compute(ex.query, ex.db, path_off);
+  auto a = cache.Compute(ex.query, ex.db, all);
+  auto b = cache.Compute(ex.query, ex.db, skip);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(cache.stats().repairs, 1u);
   EXPECT_EQ(cache.stats().shared_assemblies, 1u);
   EXPECT_GT(cache.stats().shared_attaches, 0u);
-  auto fresh_on = ComputeLocalSensitivity(ex.query, ex.db, path_on);
-  auto fresh_off = ComputeLocalSensitivity(ex.query, ex.db, path_off);
-  ASSERT_TRUE(fresh_on.ok());
-  ASSERT_TRUE(fresh_off.ok());
-  ExpectResultsIdentical(*a, *fresh_on, "path engine entry");
-  ExpectResultsIdentical(*b, *fresh_off, "tree engine entry");
+  auto fresh_all = ComputeLocalSensitivity(ex.query, ex.db, all);
+  auto fresh_skip = ComputeLocalSensitivity(ex.query, ex.db, skip);
+  ASSERT_TRUE(fresh_all.ok());
+  ASSERT_TRUE(fresh_skip.ok());
+  ExpectResultsIdentical(*a, *fresh_all, "all-atoms entry");
+  ExpectResultsIdentical(*b, *fresh_skip, "skip entry");
 }
 
 TEST(SensitivityCacheTest, SingleAtomQueryIsConstant) {
@@ -497,7 +497,7 @@ TEST(SensitivityCacheTest, LruEvictionBoundsEntries) {
   SensitivityCache cache(config);
   TSensComputeOptions a;
   TSensComputeOptions b;
-  b.prefer_path_algorithm = false;  // distinct fingerprint
+  b.skip_atoms = {0};  // distinct fingerprint
   ASSERT_TRUE(cache.Compute(ex.query, ex.db, a).ok());
   ASSERT_TRUE(cache.Compute(ex.query, ex.db, b).ok());  // evicts `a`
   ASSERT_TRUE(cache.Compute(ex.query, ex.db, a).ok());  // recomputed
@@ -804,29 +804,6 @@ TEST_P(IncrementalStreamTest, RandomAcyclicPrefixesMatchScratchAndNaive) {
       RandomMutation(rng, ex.query, ex.db, spec.domain_size + 1, extra);
     }
   }
-}
-
-TEST_P(IncrementalStreamTest, TreeEngineEntriesMatchScratch) {
-  // prefer_path_algorithm = false forces the tree engine onto path-shaped
-  // queries too, covering the ⊥/⊤-per-bag repair on multi-level trees.
-  const auto [seed, extra] = GetParam();
-  Rng rng(seed * 151 + 29);
-  TSensComputeOptions options;
-  options.prefer_path_algorithm = false;
-  PaperExample ex = MakeFigure3Example();
-  SensitivityCacheConfig config;
-  config.max_delta_fraction = 1.0;
-  SensitivityCache cache(config);
-  for (int step = 0; step < 14; ++step) {
-    auto cached = cache.Compute(ex.query, ex.db, options);
-    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-    auto fresh = ComputeLocalSensitivity(ex.query, ex.db, options);
-    ASSERT_TRUE(fresh.ok());
-    ExpectResultsIdentical(*cached, *fresh,
-                           "tree step " + std::to_string(step));
-    RandomMutation(rng, ex.query, ex.db, 3, extra);
-  }
-  EXPECT_GT(cache.stats().repairs, 0u);
 }
 
 TEST_P(IncrementalStreamTest, CyclicPrefixesRepairAndMatchScratchAndNaive) {

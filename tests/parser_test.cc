@@ -128,7 +128,9 @@ TEST(ExplainTest, PathQueryPicksAlgorithm1) {
   auto ex = testing::MakeFigure3Example();
   std::string report = ExplainQuery(ex.query, ex.db.attrs());
   EXPECT_NE(report.find("path query"), std::string::npos);
-  EXPECT_NE(report.find("TSensPath (Algorithm 1"), std::string::npos);
+  // Algorithm 2 over a path's join tree is Algorithm 1.
+  EXPECT_NE(report.find("TSensOverGhd (Algorithm 2 over the GYO tree)"),
+            std::string::npos);
 }
 
 TEST(ExplainTest, CyclicReportShowsDecomposition) {
@@ -162,7 +164,7 @@ std::string ExplainedEngine(const std::string& report) {
 }
 
 TEST(ExplainTest, ReportsTheEngineTheFacadeRuns) {
-  // Single atom: PathOrder returns {0}, but the facade runs TSensOverGhd.
+  // Every query shape runs TSensOverGhd.
   Database db;
   db.AddRelation("R", {"A", "B"});
   ConjunctiveQuery single;
@@ -172,10 +174,6 @@ TEST(ExplainTest, ReportsTheEngineTheFacadeRuns) {
 
   auto ex = testing::MakeFigure3Example();  // a path query
   EXPECT_EQ(ExplainedEngine(ExplainQuery(ex.query, ex.db.attrs())),
-            "TSensPath");
-  TSensComputeOptions no_path;
-  no_path.prefer_path_algorithm = false;
-  EXPECT_EQ(ExplainedEngine(ExplainQuery(ex.query, ex.db.attrs(), no_path)),
             "TSensOverGhd");
   TSensComputeOptions keep;
   keep.keep_tables = true;

@@ -7,12 +7,10 @@
 
 #include "query/eval.h"
 #include "query/ghd.h"
-#include "query/join_tree.h"
 #include "sensitivity/incremental.h"
 #include "sensitivity/naive.h"
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
-#include "sensitivity/tsens_path.h"
 #include "test_util.h"
 
 namespace lsens {
@@ -76,25 +74,6 @@ TEST(TSensTest, Figure3PathSensitivity) {
   EXPECT_EQ(best->argmax[1], ex.db.dict().Lookup("c1"));
 }
 
-TEST(TSensTest, Figure3PathAndEngineAgree) {
-  auto ex = MakeFigure3Example();
-  std::vector<int> order = PathOrder(ex.query);
-  ASSERT_FALSE(order.empty());
-  auto path = TSensPath(ex.query, order, ex.db);
-  ASSERT_TRUE(path.ok());
-
-  auto forest = BuildJoinForestGYO(ex.query);
-  auto engine = TSensOverGhd(ex.query, MakeTrivialGhd(ex.query, *forest),
-                             ex.db);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(path->local_sensitivity, engine->local_sensitivity);
-  for (int i = 0; i < ex.query.num_atoms(); ++i) {
-    EXPECT_EQ(path->atoms[i].max_sensitivity,
-              engine->atoms[i].max_sensitivity)
-        << "atom " << i;
-  }
-}
-
 // Every field of two results, multiplicity tables included.
 void ExpectBitIdentical(const SensitivityResult& a, const SensitivityResult& b,
                         const std::string& context) {
@@ -124,17 +103,16 @@ void ExpectBitIdentical(const SensitivityResult& a, const SensitivityResult& b,
 }
 
 // The facade, the cache and a direct engine call agree on every query
-// shape: ComputeLocalSensitivity runs exactly PlanSensitivity's engine,
-// SensitivityCache returns the same result, and after a one-row delta the
-// cache repairs exactly the shapes its policy keeps state for (top-k and
-// keep_tables recompute; a single atom needs no repair).
+// shape: ComputeLocalSensitivity runs exactly PlanSensitivity's
+// decomposition, SensitivityCache returns the same result, and after a
+// one-row delta the cache repairs exactly the shapes its policy keeps state
+// for (top-k and keep_tables recompute; a single atom needs no repair).
 TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
   struct Case {
     std::string name;
     testing::PaperExample ex;
     std::optional<Ghd> ghd;
     DecompositionSource source = DecompositionSource::kGyo;
-    bool path = false;
   };
   std::vector<Case> cases;
 
@@ -144,8 +122,7 @@ TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
   single.ex.query.AddAtom(single.ex.db, "R", {"A", "B"});
   cases.push_back(std::move(single));
 
-  cases.push_back({"path", MakeFigure3Example(), std::nullopt,
-                   DecompositionSource::kGyo, true});
+  cases.push_back({"path", MakeFigure3Example(), std::nullopt});
   cases.push_back({"tree", MakeFigure1Example(), std::nullopt});
 
   Case disconnected{"disconnected", {}, std::nullopt};
@@ -180,29 +157,21 @@ TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
   for (Case& c : cases) {
     TSensComputeOptions base;
     base.ghd = c.ghd ? &*c.ghd : nullptr;
-    TSensComputeOptions no_path = base;
-    no_path.prefer_path_algorithm = false;
     TSensComputeOptions keep = base;
     keep.keep_tables = true;
     TSensComputeOptions top_k = base;
     top_k.top_k = 1;
     const std::vector<std::pair<std::string, TSensComputeOptions>> variants =
-        {{"default", base}, {"no-path", no_path}, {"keep", keep},
-         {"top-k", top_k}};
+        {{"default", base}, {"keep", keep}, {"top-k", top_k}};
     for (const auto& [variant, options] : variants) {
       const std::string context = c.name + "/" + variant;
       const ConjunctiveQuery& q = c.ex.query;
       auto plan = PlanSensitivity(q, options);
       ASSERT_TRUE(plan.ok()) << context << ": " << plan.status().ToString();
       EXPECT_EQ(plan->decomposition.source, c.source) << context;
-      const bool path = c.path && options.prefer_path_algorithm &&
-                        !options.keep_tables;
-      EXPECT_EQ(plan->engine == SensitivityEngine::kPath, path) << context;
 
       auto direct =
-          plan->engine == SensitivityEngine::kPath
-              ? TSensPath(q, plan->path_order, c.ex.db, options)
-              : TSensOverGhd(q, plan->decomposition.ghd(), c.ex.db, options);
+          TSensOverGhd(q, plan->decomposition.ghd(), c.ex.db, options);
       auto facade = ComputeLocalSensitivity(q, c.ex.db, options);
       ASSERT_TRUE(direct.ok()) << context << direct.status().ToString();
       ASSERT_TRUE(facade.ok()) << context << facade.status().ToString();
