@@ -193,7 +193,7 @@ class LegacyMultimapTable {
 
   explicit LegacyMultimapTable(size_t arity) : arity_(arity) {}
 
-  void Load(const CountedRelation& rel) {
+  void LoadRows(const CountedRelation& rel) {
     for (size_t i = 0; i < rel.NumRows(); ++i) {
       InsertRow(rel.Row(i), rel.CountAt(i));
     }
@@ -433,14 +433,14 @@ IndexMicroResult RunIndexMicro(long rows, long ops, long domain, long reps) {
     const uint64_t seed = 90210 + static_cast<uint64_t>(rep);
     {
       DynTable table(AttributeSet{1, 2});
-      table.Load(seed_rel);
+      table.LoadRows(seed_rel);
       int idx = table.AddIndex({0});
       flat_ns.push_back(
           TimeIndexOps(table, idx, ops, seed, domain, &flat_sum));
     }
     {
       LegacyMultimapTable table(2);
-      table.Load(seed_rel);
+      table.LoadRows(seed_rel);
       int idx = table.AddIndex({0});
       multimap_ns.push_back(
           TimeIndexOps(table, idx, ops, seed, domain, &multimap_sum));

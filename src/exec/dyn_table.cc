@@ -31,11 +31,6 @@ bool DynTable::KeyEquals(uint32_t row, std::span<const Value> key) const {
   return true;
 }
 
-void DynTable::Load(const CountedRelation& rel) {
-  LSENS_CHECK(rel.attrs() == attrs_);
-  LoadRows(rel);
-}
-
 void DynTable::Release() {
   data_ = {};
   counts_ = {};

@@ -30,7 +30,7 @@ namespace lsens {
 // Counts must stay exact for repair to be sound (x + y - y != x once
 // saturated), so any saturated count poisons the table; owners check
 // saturated() before repairing and fall back to full recomputation
-// (RepairInPlace in sensitivity/incremental.cc does exactly that).
+// (SensitivityCache's delta pass marks such a node stale).
 //
 // Indexes are flat open-addressing arrays with tombstones (FlatRowIndex —
 // the same probing scheme as FlatGroupTable, see exec/flat_row_index.h):
@@ -39,7 +39,7 @@ namespace lsens {
 // Adjust hash their key exactly once. Secondary indexes keep one entry
 // per distinct projected key and chain that key's rows through intrusive
 // doubly-linked row lists, so a group lookup reads exactly the group and
-// erasing a non-head row never probes at all. Load pre-reserves every
+// erasing a non-head row never probes at all. LoadRows pre-reserves every
 // index for the snapshot size; rehashes compact tombstones.
 //
 // Thread-safety: const lookups (Get / FindRow / LookupIndex / row
@@ -69,24 +69,22 @@ class DynTable {
   size_t num_rows() const { return live_rows_; }
   bool saturated() const { return saturated_; }
 
-  // Replaces the contents with the rows of a normalized CountedRelation
-  // (same attrs; no default). Registered secondary indexes are rebuilt;
-  // row storage and every index are pre-reserved for the snapshot size so
-  // the load itself never rehashes.
-  void Load(const CountedRelation& rel);
-
-  // Load without requiring equal attribute ids — only equal arity (and no
-  // default). The cross-query plan cache keys shared tables by canonical
+  // Replaces the contents with the rows of a normalized CountedRelation of
+  // equal arity and no default, column by column: attribute ids need not
+  // match. The cross-query plan cache keys shared tables by canonical
   // subtree signature: the attribute *ids* differ per query, but equal
   // signatures guarantee the same column order, so rows transfer
-  // positionally. Clears any saturation poison exactly like Load.
+  // positionally. Registered secondary indexes are rebuilt; row storage
+  // and every index are pre-reserved for the snapshot size so the load
+  // itself never rehashes. Clears any saturation poison unless a loaded
+  // count is saturated.
   void LoadRows(const CountedRelation& rel);
 
   // Drops every row, count, and index bucket array and returns their
   // memory, keeping only the table identity (attrs and registered
   // secondary-index column lists, so parent recipes holding index ids
   // survive). The byte-budget spill policy in SensitivityCache releases
-  // least-recently-used shared nodes with this; a later Load rebuilds
+  // least-recently-used shared nodes with this; a later LoadRows rebuilds
   // everything from a fresh snapshot.
   void Release();
 

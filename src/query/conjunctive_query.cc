@@ -209,14 +209,6 @@ std::string CanonicalJoinSignature(std::vector<CanonicalChild> pieces) {
   return out;
 }
 
-uint64_t CanonicalFingerprint(const std::string& sig) {
-  uint64_t h = kValueHashSeed;
-  for (char c : sig) {
-    h = HashValueFold(h, static_cast<Value>(static_cast<unsigned char>(c)));
-  }
-  return h;
-}
-
 Status ConjunctiveQuery::ValidateForSensitivity(const Database& db) const {
   LSENS_RETURN_IF_ERROR(Validate(db));
   std::set<std::string> seen;

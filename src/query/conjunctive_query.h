@@ -50,8 +50,7 @@ struct Atom {
 // let a single delta repair every dependent query. Signatures embed child
 // signatures verbatim (length-prefixed), making equality exact by
 // induction: equal signatures imply identical table contents *and* column
-// order, with no hash-collision caveat. CanonicalFingerprint condenses a
-// signature with the shared Mix64 fold for stats and display only.
+// order, with no hash-collision caveat.
 
 // Signature of S_a = γ_keep(σ_pred(R_a)): the relation name, the relation
 // column backing each keep attribute (in keep order — sharing requires the
@@ -80,11 +79,6 @@ std::string CanonicalGroupSignature(const std::string& driver_sig,
 // Signature of a join node out = r⋈(pieces...): the pieces (signature plus
 // scope-column pattern) as a sorted multiset.
 std::string CanonicalJoinSignature(std::vector<CanonicalChild> pieces);
-
-// 64-bit digest of a signature, folded byte-by-byte with the shared
-// HashValueFold/Mix64 scheme from storage/value.h. Display/stats only —
-// node identity always compares full signatures.
-uint64_t CanonicalFingerprint(const std::string& sig);
 
 // A full conjunctive query without projection, Q(vars) :- R1(..),...,Rm(..),
 // evaluated as a counting query under bag semantics (Section 2 of the

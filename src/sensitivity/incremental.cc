@@ -26,8 +26,7 @@ namespace lsens {
 //   join nodes   out[t] = Π_i pieces[i][proj_i(t)]   materialized r⋈
 //
 // A group node's inputs are keyed on column subsets of its driver (running
-// intersection guarantees this for join trees), so a node's group `g`
-// re-aggregates as
+// intersection guarantees this for join trees), so a node's group `g` is
 //
 //   out[g] = Σ_{driver rows r, r.group = g} cnt(r) · Π_i inputs[i][r.key_i]
 //
@@ -36,11 +35,12 @@ namespace lsens {
 // (saturating + and · are order-independent over a fixed multiset). Repair
 // applies this per changed driver row instead of re-summing the group:
 // out[g] += new term − old term, with each changed key's pre-pass count
-// recorded where the pass changes it; when any count involved saturates,
-// the delta is not exact and the group re-aggregates as above. Where
-// no single relation covers a fold — multi-atom GHD bags, multiplicity-
-// table components whose pieces share attributes, the per-tree root folds
-// behind the §5.4 cross-tree totals — a join node materializes the fold
+// recorded where the pass changes it. A delta is exact until a count
+// saturates, and a group whose terms saturate sums to a saturated count
+// too, so the group is set saturated and the node goes stale. Where no
+// single relation covers a fold — multi-atom GHD bags, multiplicity-table
+// components whose pieces share attributes, the per-tree root folds behind
+// the §5.4 cross-tree totals — a join node materializes the fold
 // itself: pieces are normalized, so every output row combines exactly one
 // row per piece and its count is a pure product, recomputable per row from
 // point lookups.
@@ -64,13 +64,13 @@ namespace lsens {
 // lexicographically smallest, row attaining the max), falling back to a
 // table rescan only when the tracked argmax group itself decays.
 // Disconnected forests additionally keep one running join total per tree
-// root node (exact subtract-old/add-new per changed root-fold row),
-// re-multiplied into every atom's scale factor at assembly. Nodes the pass
-// cannot repair (unanswerable log, over-budget delta, saturation, spill)
-// are marked stale with a reason that cascades to their dependents;
-// entries touching a stale node recompute from scratch, and the rebuild
-// reloads the node from the table the evaluator just computed for it, for
-// everyone at once.
+// (exact subtract-old/add-new per changed row of its total node, a root
+// fold or a single-atom tree's source), re-multiplied into every atom's
+// scale factor at assembly. Nodes the pass cannot repair (unanswerable
+// log, over-budget delta, saturation, spill) are marked stale with a
+// reason that cascades to their dependents; entries touching a stale node
+// recompute from scratch, and the rebuild reloads the node from the table
+// the evaluator just computed for it, for everyone at once.
 namespace incremental_detail {
 
 namespace {
@@ -174,7 +174,6 @@ struct SharedNode {
   }
 
   std::string sig;
-  uint64_t fp = 0;  // CanonicalFingerprint(sig); stats/display only
   Kind kind;
   DynTable table;  // canonical attrs {0..arity-1}
 
@@ -187,14 +186,14 @@ struct SharedNode {
   // kGroup
   std::shared_ptr<SharedNode> driver;
   std::vector<int> group_cols;  // driver columns forming the out key
-  int driver_group_index = -1;  // secondary index on the driver for them
   std::vector<Input> inputs;
 
   // kJoin
   std::vector<Piece> pieces;
 
-  // §5.4: this node is a tree's root fold and `total` is its running join
-  // size (TotalCount), consumed as the other trees' scale factor.
+  // §5.4: this node is a tree's total (its root fold, or a single-atom
+  // tree's source) and `total` is its running join size (TotalCount),
+  // consumed as the other trees' scale factor.
   bool track_total = false;
   Count total = Count::Zero();
 
@@ -219,7 +218,7 @@ struct SharedNode {
 };
 
 // Marks a node unrepairable and cascades to every dependent fold node (a
-// stale child makes the parent's re-aggregation read stale state). The
+// stale child makes the parent's repair read stale state). The
 // first reason sticks; an already-stale node implies already-stale
 // ancestors, so the walk stops there.
 void MarkStale(SharedNode* node, SharedNode::StaleReason reason) {
@@ -331,24 +330,44 @@ void SortUnique(std::vector<std::vector<Value>>* keys) {
   keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
 }
 
-// Sorts a source's changed keys (recorded once per adjustment, in
-// adjustment order) and drops repeats, keeping each key's first recorded
-// old count: its count before the pass.
-void SortChanged(SharedNode* node) {
-  std::vector<uint32_t> perm(node->changed.size());
+// Sorts a source's adjusted keys (recorded once per adjustment, in
+// adjustment order, with the count each adjustment found) and drops
+// repeats, keeping each key's first recorded count: its count before the
+// pass.
+void SortAdjusted(std::vector<std::vector<Value>>* keys,
+                  std::vector<Count>* olds) {
+  std::vector<uint32_t> perm(keys->size());
   std::iota(perm.begin(), perm.end(), 0u);
   std::stable_sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
-    return node->changed[x] < node->changed[y];
+    return (*keys)[x] < (*keys)[y];
   });
-  std::vector<std::vector<Value>> keys;
-  std::vector<Count> olds;
+  std::vector<std::vector<Value>> sorted_keys;
+  std::vector<Count> sorted_olds;
   for (uint32_t p : perm) {
-    if (!keys.empty() && keys.back() == node->changed[p]) continue;
-    keys.push_back(std::move(node->changed[p]));
-    olds.push_back(node->changed_old[p]);
+    if (!sorted_keys.empty() && sorted_keys.back() == (*keys)[p]) continue;
+    sorted_keys.push_back(std::move((*keys)[p]));
+    sorted_olds.push_back((*olds)[p]);
   }
-  node->changed.swap(keys);
-  node->changed_old.swap(olds);
+  keys->swap(sorted_keys);
+  olds->swap(sorted_olds);
+}
+
+// Records that `key`'s count in `node` moved over the pass from `old` to
+// `value`: the key joins `changed` for the parents, and the attached
+// trackers and the running tree total follow. False when the total can no
+// longer be kept exact (a count on the way saturates).
+bool RecordChange(SharedNode& node, std::vector<Value> key, Count old,
+                  Count value) {
+  for (Tracker* t : node.trackers) UpdateTracker(*t, key, value);
+  node.changed.push_back(std::move(key));
+  node.changed_old.push_back(old);
+  if (!node.track_total) return true;
+  if (node.total.IsSaturated() || old.IsSaturated() || value.IsSaturated() ||
+      node.total < old) {
+    return false;
+  }
+  node.total = node.total.SaturatingSub(old) + value;
+  return !node.total.IsSaturated();
 }
 
 // `key`'s count in `node`'s table before the current pass: the recorded
@@ -369,13 +388,13 @@ Count CountBeforePass(const SharedNode& node, std::span<const Value> key) {
 
 // A group node's new count for group `group` from its current one and the
 // terms of `rows` — the driver rows whose term (driver count × input
-// counts) the pass changed: out[g] − Σ old terms + Σ new terms. nullopt
-// when a value saturates (the delta is then not exact; the caller
-// re-aggregates the group instead).
-std::optional<Count> DeltaGroupCount(const SharedNode& node,
-                                     std::span<const Value> group,
-                                     std::span<const std::vector<Value>> rows,
-                                     std::vector<Value>& key) {
+// counts) the pass changed: out[g] − Σ old terms + Σ new terms. Saturated
+// when a count on the way saturates: the delta is then not exact, and the
+// group's full sum saturates too, so Set flags the table and the pass marks
+// the node stale.
+Count DeltaGroupCount(const SharedNode& node, std::span<const Value> group,
+                      std::span<const std::vector<Value>> rows,
+                      std::vector<Value>& key) {
   const SharedNode& driver = *node.driver;
   Count sum_old = Count::Zero();
   Count sum_new = Count::Zero();
@@ -394,11 +413,9 @@ std::optional<Count> DeltaGroupCount(const SharedNode& node,
   const Count old = node.table.Get(group);
   if (old.IsSaturated() || sum_old.IsSaturated() || sum_new.IsSaturated() ||
       old < sum_old) {
-    return std::nullopt;
+    return Count::Max();
   }
-  const Count updated = old.SaturatingSub(sum_old) + sum_new;
-  if (updated.IsSaturated()) return std::nullopt;
-  return updated;
+  return old.SaturatingSub(sum_old) + sum_new;
 }
 
 }  // namespace
@@ -418,15 +435,15 @@ using incremental_detail::DeltaGroupCount;
 using incremental_detail::MarkStale;
 using incremental_detail::NodeStore;
 using incremental_detail::Project;
+using incremental_detail::RecordChange;
 using incremental_detail::Repairable;
 using incremental_detail::RepairModeOf;
 using incremental_detail::RepairState;
 using incremental_detail::RescanTracker;
 using incremental_detail::SharedNode;
-using incremental_detail::SortChanged;
+using incremental_detail::SortAdjusted;
 using incremental_detail::SortUnique;
 using incremental_detail::Tracker;
-using incremental_detail::UpdateTracker;
 
 struct SensitivityCache::Store {
   NodeStore ns;
@@ -614,7 +631,6 @@ std::shared_ptr<SharedNode> MakeNode(
       const int driver = spec.children[0];
       n->driver = built[static_cast<size_t>(driver)];
       n->group_cols = PositionsOf(attrs_of(driver), spec.attrs);
-      n->driver_group_index = n->driver->table.AddIndex(n->group_cols);
       n->driver->parents.push_back(n.get());
       for (size_t i = 1; i < spec.children.size(); ++i) {
         SharedNode::Input in;
@@ -708,7 +724,6 @@ std::unique_ptr<RepairState> BuildState(const ConjunctiveQuery& q,
       }
     } else {
       node = MakeNode(q, df, spec, state->nodes);
-      node->fp = CanonicalFingerprint(spec.sig);
       node->seq = store.next_seq++;
       node->last_used = tick;
       node->table.LoadRows(table);
@@ -868,6 +883,8 @@ void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
   // the key columns of passing changes are copied, never whole rows — and
   // the Adjust calls apply in log order.
   std::vector<ProjectedRowChange> changes;
+  std::vector<std::vector<Value>> adjusted;
+  std::vector<Count> adjusted_old;
   for (SharedNode* src : pending) {
     const Relation* rel = db.Find(src->relation);
     LSENS_CHECK(rel != nullptr);  // the pre-pass just found it
@@ -882,28 +899,32 @@ void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
     LSENS_CHECK(rel->CollectProjectedChangesSince(
         src->version, src->keep_cols, filter, &changes, &num_changes));
     delta_rows += num_changes;
+    adjusted.clear();
+    adjusted_old.clear();
     bool ok = true;
     for (ProjectedRowChange& pc : changes) {
       Count old;
       ok = src->table.Adjust(pc.key, Count::One(), pc.insert, &old);
       if (!ok) break;
-      src->changed.push_back(std::move(pc.key));
-      src->changed_old.push_back(old);
+      adjusted.push_back(std::move(pc.key));
+      adjusted_old.push_back(old);
+    }
+    if (ok) {
+      src->version = rel->version();
+      SortAdjusted(&adjusted, &adjusted_old);
+      for (size_t k = 0; k < adjusted.size() && ok; ++k) {
+        const Count value = src->table.Get(adjusted[k]);
+        ok = RecordChange(*src, std::move(adjusted[k]), adjusted_old[k],
+                          value);
+      }
     }
     if (!ok) {
-      // Inexact adjustment (saturation / stale log): the table is poisoned
-      // and everything downstream with it. The rest of the pass continues.
+      // Inexact adjustment (saturation / stale log) or running total: the
+      // table is poisoned and everything downstream with it. The rest of
+      // the pass continues.
       MarkStale(src, SharedNode::StaleReason::kSaturated);
       src->ClearChanged();
       continue;
-    }
-    src->version = rel->version();
-    SortChanged(src);
-    // Trackers sitting directly on this S table (single-piece multiplicity
-    // components): fold in each changed key's final value.
-    for (const std::vector<Value>& changed : src->changed) {
-      const Count value = src->table.Get(changed);
-      for (Tracker* t : src->trackers) UpdateTracker(*t, changed, value);
     }
     if (!src->changed.empty()) ++nodes_patched;
   }
@@ -915,16 +936,15 @@ void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
   // Group nodes collect the driver rows whose term changed — the driver's
   // changed keys, plus the rows a changed input key reaches through the
   // driver's index — grouped by output key, and move each group's count by
-  // those rows' term deltas (DeltaGroupCount), re-aggregating the group
-  // only when a count saturates. Join nodes collect, per changed piece
-  // key, the existing output rows matching it (the piece's out index) plus
-  // the newly joinable scope tuples (expansion through the other pieces'
-  // indexes), and recompute each row's count as the product of point
-  // lookups.
+  // those rows' term deltas (DeltaGroupCount). Join nodes collect, per
+  // changed piece key, the existing output rows matching it (the piece's
+  // out index) plus the newly joinable scope tuples (expansion through the
+  // other pieces' indexes), and recompute each row's count as the product
+  // of point lookups.
   //
   // Either way the recomputation reads only upstream state: every
-  // affected key's count is computed first, then applied (with tracker and
-  // tree-total maintenance) in sorted key order.
+  // affected key's count is computed first, then applied in sorted key
+  // order (RecordChange, as for sources).
   std::vector<uint32_t> rows;
   std::vector<Value> key;
   for (SharedNode* node : nodes) {
@@ -1023,28 +1043,7 @@ void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
         const std::span<const std::vector<Value>> changed_rows(
             drivers.data() + run[g], run[g + 1] - run[g]);
         rows_touched += changed_rows.size() + 1;
-        const std::optional<Count> delta =
-            DeltaGroupCount(*node, affected[g], changed_rows, key);
-        if (delta.has_value()) {
-          sums[g] = *delta;
-          continue;
-        }
-        const DynTable& driver = node->driver->table;
-        rows.clear();
-        driver.LookupIndex(node->driver_group_index, affected[g], &rows);
-        rows_touched += rows.size() + 1;
-        Count sum = Count::Zero();
-        for (uint32_t r : rows) {
-          std::span<const Value> row = driver.RowValues(r);
-          Count term = driver.RowCount(r);
-          for (const SharedNode::Input& input : node->inputs) {
-            Project(row, input.driver_cols, &key);
-            term *= input.node->table.Get(key);
-            if (term.IsZero()) break;
-          }
-          sum += term;
-        }
-        sums[g] = sum;
+        sums[g] = DeltaGroupCount(*node, affected[g], changed_rows, key);
       } else {
         rows_touched += 1;
         Count product = Count::One();
@@ -1058,26 +1057,13 @@ void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
     }
     bool ok = true;
     for (size_t g = 0; g < affected.size() && ok; ++g) {
-      Count old = node->table.Set(affected[g], sums[g]);
-      if (old == sums[g]) continue;
-      node->changed.push_back(affected[g]);
-      node->changed_old.push_back(old);
-      for (Tracker* t : node->trackers) {
-        UpdateTracker(*t, affected[g], sums[g]);
-      }
-      if (node->track_total) {
-        // Exact subtract-old/add-new; any saturation en route makes the
-        // running total untrustworthy — mark stale and let a dependent
-        // recompute reload the node with a fresh total.
-        if (node->total.IsSaturated() || old.IsSaturated() ||
-            sums[g].IsSaturated() || node->total < old) {
-          ok = false;
-          break;
-        }
-        node->total = node->total.SaturatingSub(old) + sums[g];
-        if (node->total.IsSaturated()) ok = false;
+      const Count old = node->table.Set(affected[g], sums[g]);
+      if (old != sums[g]) {
+        ok = RecordChange(*node, std::move(affected[g]), old, sums[g]);
       }
     }
+    // A saturated count makes later deltas inexact: mark stale and let a
+    // dependent recompute reload the node (and its total) from scratch.
     if (ok && node->table.saturated()) ok = false;
     if (!ok) {
       MarkStale(node, SharedNode::StaleReason::kSaturated);
@@ -1093,26 +1079,6 @@ void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
   stats_.node_repairs += nodes_patched;
   ctx.Record("cache.node_repair", delta_rows, rows_touched, 0,
              timer.ElapsedSeconds());
-}
-
-bool SensitivityCache::Peek(const ConjunctiveQuery& q, const Database& db,
-                            const TSensComputeOptions& options,
-                            SensitivityResult* out) const {
-  const std::string key = Fingerprint(q, options);
-  for (const auto& e : entries_) {
-    if (e->key != key) continue;
-    const bool constant =
-        e->state != nullptr && e->state->mode == RepairState::Mode::kConstant;
-    if (!constant) {
-      for (size_t i = 0; i < e->relations.size(); ++i) {
-        const Relation* rel = db.Find(e->relations[i]);
-        if (rel == nullptr || rel->version() != e->versions[i]) return false;
-      }
-    }
-    if (out != nullptr) *out = e->result;
-    return true;
-  }
-  return false;
 }
 
 StatusOr<SensitivityResult> SensitivityCache::Compute(

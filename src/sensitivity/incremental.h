@@ -79,18 +79,22 @@ struct SensitivityCacheStats {
 // per-relation versions) and keeps the tables of the plan's dataflow
 // (SensitivityPlan::dataflow: per-atom projections S_a, the ⊥/⊤ fold
 // tables, materialized bag and multiplicity-component joins, per-tree join
-// totals) in incrementally repairable form. Every query shape the engines
+// totals) in incrementally repairable form, one table per dataflow node. A
+// ⊥/⊤ table or tree total that would copy its only input is that input
+// (BuildGhdDataflow), so a source can also be a link table or carry a tree
+// total, and no table is maintained twice. Every query shape the engines
 // evaluate is repairable — acyclic trees and paths, attribute-sharing
 // multiplicity components, disconnected forests (cross-tree scale factors
 // re-multiplied from maintained per-tree totals), and cyclic queries via
-// searched or explicitly supplied GHDs. When the underlying relations change between
-// calls, the cache pulls the row-level delta from each relation's change
-// log and re-aggregates only the affected join-key groups (or join rows)
-// instead of rebuilding every table, falling back to a full recompute only
-// when the delta is large, the log window was exceeded, or the options ask
-// for what repair deliberately does not model: top-k approximation and
-// keep_tables stay version-memoized fallbacks. Results are bit-identical
-// to the from-scratch engines in every case.
+// searched or explicitly supplied GHDs. When the underlying relations
+// change between calls, the cache pulls the row-level delta from each
+// relation's change log and moves only the affected join-key groups (or
+// join rows) by their changed terms instead of rebuilding every table,
+// falling back to a full recompute only when the delta is large, the log
+// window was exceeded, a count saturates, or the options ask for what
+// repair deliberately does not model: top-k approximation and keep_tables
+// stay version-memoized fallbacks. Results are bit-identical to the
+// from-scratch engines in every case.
 //
 // Cross-query plan sharing: maintained tables are not owned per entry but
 // by a store keyed by canonical subtree signature — an order-normalized,
@@ -130,17 +134,6 @@ class SensitivityCache {
   StatusOr<SensitivityResult> Compute(const ConjunctiveQuery& q, Database& db,
                                       const TSensComputeOptions& options = {});
 
-  // Epoch-style lookup: true iff a memoized result for (q, options) is
-  // current at `db`'s relation versions, copied into *out (which may be
-  // null to probe only). Touches nothing — no LRU tick, no change-log
-  // install, no repair, no stats — so it is safe wherever concurrent const
-  // reads are (the serving layer assembles warm per-epoch result maps from
-  // it after the writer's repair pass). A version mismatch returns false
-  // rather than repairing; Compute is the mutating path.
-  bool Peek(const ConjunctiveQuery& q, const Database& db,
-            const TSensComputeOptions& options,
-            SensitivityResult* out = nullptr) const;
-
   const SensitivityCacheStats& stats() const { return stats_; }
   void ResetStats() {
     uint64_t nodes = stats_.shared_nodes;
@@ -164,10 +157,10 @@ class SensitivityCache {
   struct Store;  // canonical-signature -> shared node map (incremental.cc)
 
   // One global delta pass: pulls every live source node's pending change-
-  // log window, applies it, and re-aggregates affected keys through the
-  // store's fold nodes in dependency order — each node exactly once,
-  // updating all attached trackers. Nodes it cannot repair are marked
-  // stale (with a reason) instead of aborting the pass.
+  // log window, applies it, and moves the affected keys' counts through
+  // the store's fold nodes in dependency order — each node exactly once,
+  // updating all attached trackers and running totals. Nodes it cannot
+  // repair are marked stale (with a reason) instead of aborting the pass.
   void SyncStore(Database& db, ExecContext& ctx);
 
   // Spills shared-node tables — stale first, then LRU — until the DynTable

@@ -109,7 +109,11 @@ int SensitivityDataflow::AddSource(const ConjunctiveQuery& q, int atom,
 int SensitivityDataflow::AddGroup(std::vector<int> children,
                                   AttributeSet group, bool link,
                                   bool component) {
-  const DataflowNode& driver = nodes[static_cast<size_t>(children[0])];
+  DataflowNode& driver = nodes[static_cast<size_t>(children[0])];
+  if (children.size() == 1 && group == driver.attrs) {
+    driver.link = driver.link || link;
+    return children[0];
+  }
   std::vector<CanonicalChild> inputs;
   for (size_t i = 1; i < children.size(); ++i) {
     const DataflowNode& input = nodes[static_cast<size_t>(children[i])];
@@ -178,7 +182,8 @@ StatusOr<SensitivityDataflow> BuildGhdDataflow(
     s[static_cast<size_t>(a)] = df.AddSource(q, a, q.SharedVarsOf(a));
   }
   // One bag's fold grouped onto `group`: a single-atom bag in driver form,
-  // a multi-atom bag as a join node then a group node.
+  // a multi-atom bag as a join node then a group node (either resolves to
+  // its only input when that already has the group's columns).
   auto fold = [&](const GhdBag& bag, std::vector<int> pieces,
                   AttributeSet group) {
     if (bag.atom_indices.size() == 1) {
@@ -247,7 +252,7 @@ StatusOr<SensitivityDataflow> BuildGhdDataflow(
   // b ≠ a}) (Eq. 6 generalized), one node per attribute-connectivity
   // component: T_a = ⨯ components, and γ/max/argmax distribute over the
   // product. A component that is one piece already grouped onto T_a's
-  // attributes is read in place.
+  // attributes is read in place (AddGroup's identity rule).
   for (int a = 0; a < num_atoms; ++a) {
     DataflowAtom unit;
     unit.atom = a;
@@ -283,15 +288,12 @@ StatusOr<SensitivityDataflow> BuildGhdDataflow(
         comp_pieces.push_back(pieces[idx]);
         comp_attrs = Union(comp_attrs, piece_attrs[idx]);
       }
-      AttributeSet group = Intersect(table_attrs, comp_attrs);
       int node = comp_pieces.size() == 1
                      ? comp_pieces[0]
                      : df.AddJoin(std::move(comp_pieces), /*component=*/true);
-      if (group != comp_attrs) {
-        node = df.AddGroup({node}, std::move(group), /*link=*/false,
-                           /*component=*/true);
-      }
-      unit.components.push_back(node);
+      unit.components.push_back(
+          df.AddGroup({node}, Intersect(table_attrs, comp_attrs),
+                      /*link=*/false, /*component=*/true));
     }
     df.assembly.push_back(std::move(unit));
   }
@@ -405,13 +407,15 @@ StatusOr<SensitivityResult> EvaluateDataflow(
   for (size_t i = 0; i < n; ++i) {
     if (fused[i]) continue;
     const DataflowNode& node = nodes[i];
+    // Components and tree totals read untruncated tables (every piece of a
+    // total can be a link table, and a fold needs one untruncated cover).
+    const bool exact = node.component || total_of[i] >= 0;
     std::vector<const CountedRelation*> pieces;
     for (int c : reads(i)) {
       const size_t child = static_cast<size_t>(c);
       LSENS_CHECK(full[child].has_value());
-      pieces.push_back(!node.component && cut[child].has_value()
-                           ? &*cut[child]
-                           : &*full[child]);
+      const bool read_cut = !exact && cut[child].has_value();
+      pieces.push_back(read_cut ? &*cut[child] : &*full[child]);
     }
     CountedRelation table(AttributeSet{});
     switch (node.kind) {

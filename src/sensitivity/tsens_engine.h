@@ -56,7 +56,8 @@ struct DataflowNode {
   std::string sig;
   int atom = -1;              // kSource
   std::vector<int> children;  // earlier nodes
-  // A ⊥/⊤ table: under top_k the recursions fold a truncated copy of it.
+  // A ⊥/⊤ table: under top_k the recursions fold a truncated copy of it. A
+  // source or join can be one (AddGroup's identity rule).
   bool link = false;
   // Part of one atom's multiplicity table: reads untruncated tables.
   bool component = false;
@@ -80,6 +81,9 @@ struct SensitivityDataflow {
   std::vector<int> tree_totals;
 
   // Append a node, deriving its attributes and signature; return its index.
+  // A group over one child onto all of that child's columns is the child
+  // itself: AddGroup returns the child, marked `link` if asked, and appends
+  // nothing.
   int AddSource(const ConjunctiveQuery& q, int atom, AttributeSet keep);
   int AddGroup(std::vector<int> children, AttributeSet group, bool link,
                bool component);
@@ -92,7 +96,10 @@ struct SensitivityDataflow {
 // >= 2 trees, then per atom one node per multiplicity-table component. A
 // single-atom bag folds in driver form (its S table drives, the other
 // tables are keyed on its columns); a multi-atom bag folds as a join node
-// grouped by a group node.
+// grouped by a group node. No group node copies its only child: a
+// single-atom leaf's ⊥, the ⊤ under a single-atom root with one child and a
+// single-atom tree's total are its S table, and a multi-atom bag's ⊥ that
+// keeps every column of the bag's join is that join node.
 //
 // On a path query's join tree this is Algorithm 1, in O(n log n) and
 // independent of the output size: the ⊥ chain and the ⊤ chain are running
@@ -115,11 +122,12 @@ struct ComponentMax {
 };
 
 // Runs `df` over `db`. Under top_k the ⊥/⊤ recursions fold truncated copies
-// of link tables and every atom reads the untruncated tables. When no table
-// is kept and no predicate touches its group, a component grouping a join
-// is reduced to its max row (GroupMax) instead of being materialized. With
-// `tables`, every node's untruncated table is moved there (by node index)
-// for a caller that maintains them. Otherwise S and ⊥/⊤ tables live for the
+// of link tables; every atom and every tree total reads the untruncated
+// tables, so the §5.4 scale factors stay exact. When no table is kept and
+// no predicate touches its group, a component grouping a join is reduced to
+// its max row (GroupMax) instead of being materialized. With `tables`,
+// every node's untruncated table is moved there (by node index) for a
+// caller that maintains them. Otherwise S and ⊥/⊤ tables live for the
 // whole run, and a join or component table is dropped after the last node
 // or atom reading it.
 StatusOr<SensitivityResult> EvaluateDataflow(

@@ -229,7 +229,7 @@ TEST_P(DynTableDifferentialTest, MatchesMapModelThroughLongStreams) {
         CountedRelation rel({1, 2});
         for (const auto& [k, c] : model.rows) rel.AppendRow(k, c);
         rel.Normalize();
-        table.Load(rel);
+        table.LoadRows(rel);
         break;
       }
     }

@@ -227,7 +227,7 @@ TEST(DynTableTest, LoadGetSetAdjust) {
   rel.AppendRow({2, 20}, Count(5));
   rel.Normalize();
   DynTable table(AttributeSet{1, 2});
-  table.Load(rel);
+  table.LoadRows(rel);
   EXPECT_EQ(table.num_rows(), 2u);
   EXPECT_EQ(table.Get(std::vector<Value>{1, 10}), Count(3));
   EXPECT_EQ(table.Get(std::vector<Value>{9, 9}), Count::Zero());
@@ -325,6 +325,36 @@ TEST(SensitivityCacheTest, StaleLogFallsBack) {
   r2->AppendRow({3, 3});
   ASSERT_TRUE(cache.Compute(ex.query, ex.db).ok());
   EXPECT_EQ(cache.stats().repairs, 1u);
+}
+
+// A path of 33 atoms over relations holding 15 (P0, P1) or 16 copies of
+// one row: every maintained count is a product of those and stays below
+// Count::Max() until one more P1 row makes P0's multiplicity table 16^32 =
+// 2^128. That repair's group counts cross Count::Max(), so the pass marks
+// the node stale and the entry recomputes from scratch.
+TEST(SensitivityCacheTest, RepairCrossingCountMaxFallsBackStale) {
+  constexpr int kAtoms = 33;
+  Database db;
+  ConjunctiveQuery q;
+  for (int i = 0; i < kAtoms; ++i) {
+    const std::string name = "P" + std::to_string(i);
+    Relation* rel = db.AddRelation(name, {"u", "v"});
+    for (int c = 0; c < (i < 2 ? 15 : 16); ++c) rel->AppendRow({0, 0});
+    q.AddAtom(db, name, {"A" + std::to_string(i), "A" + std::to_string(i + 1)});
+  }
+  SensitivityCache cache;
+  auto before = cache.Compute(q, db);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_FALSE(before->local_sensitivity.IsSaturated());
+  db.Find("P1")->AppendRow({0, 0});
+  auto after = cache.Compute(q, db);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(cache.stats().fallback_stale, 1u);
+  EXPECT_EQ(cache.stats().repairs, 0u);
+  EXPECT_TRUE(after->local_sensitivity.IsSaturated());
+  auto fresh = ComputeLocalSensitivity(q, db);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectResultsIdentical(*after, *fresh, "saturated repair");
 }
 
 TEST(SensitivityCacheTest, CyclicQueriesRepairViaGhd) {
@@ -621,41 +651,21 @@ TEST(SensitivityCacheTest, RecordsExecContextOps) {
   EXPECT_GT(ctx.FindStats("cache.repair")->rows_in, 0u);
 }
 
-// Peek is the epoch-aware read-only probe the serving layer uses: it hits
-// only while the cached entry's relation versions match the database
-// exactly, and never mutates cache state (no repair, no LRU touch, no
-// stats).
-TEST(SensitivityCacheTest, PeekHitsOnlyAtMatchingVersions) {
+// The execution context is excluded from the fingerprint: a compute under
+// another context hits the entry.
+TEST(SensitivityCacheTest, OtherExecContextStillHits) {
   PaperExample ex = MakeFigure3Example();
   SensitivityCache cache;
-  EXPECT_FALSE(cache.Peek(ex.query, ex.db, {}));  // never computed
-
   auto computed = cache.Compute(ex.query, ex.db);
   ASSERT_TRUE(computed.ok());
-  SensitivityResult peeked;
-  ASSERT_TRUE(cache.Peek(ex.query, ex.db, {}, &peeked));
-  ExpectResultsIdentical(*computed, peeked, "peek after compute");
-  EXPECT_TRUE(cache.Peek(ex.query, ex.db, {}));  // out is optional
-
-  // The execution context is excluded from the fingerprint: another
-  // context still hits.
   ExecContext other_ctx;
   TSensComputeOptions other;
   other.join.ctx = &other_ctx;
-  EXPECT_TRUE(cache.Peek(ex.query, ex.db, other));
-
-  // Any version drift makes the entry stale for Peek — it does not repair.
-  const uint64_t hits_before = cache.stats().hits;
-  ex.db.Find("R3")->AppendRow({1, 1});
-  EXPECT_FALSE(cache.Peek(ex.query, ex.db, {}));
-  EXPECT_EQ(cache.stats().hits, hits_before);  // Peek never touched stats
-  EXPECT_EQ(cache.stats().repairs, 0u);
-
-  // Compute repairs the entry; Peek hits again at the new versions.
-  auto repaired = cache.Compute(ex.query, ex.db);
-  ASSERT_TRUE(repaired.ok());
-  ASSERT_TRUE(cache.Peek(ex.query, ex.db, {}, &peeked));
-  ExpectResultsIdentical(*repaired, peeked, "peek after repair");
+  auto hit = cache.Compute(ex.query, ex.db, other);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  ExpectResultsIdentical(*computed, *hit, "hit under another context");
 }
 
 // --- streaming differential suite ---------------------------------------

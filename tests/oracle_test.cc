@@ -27,6 +27,7 @@ using testing::BagInstance;
 using testing::MakeRandomBagInstance;
 using testing::MakeRandomCycleInstance;
 using testing::MakeRandomQ3Instance;
+using testing::MakeRandomScrambledPath;
 
 // The shape families, each drawn from one rng.
 struct Shape {
@@ -202,6 +203,87 @@ TEST(GhdDataflowTest, PathTopKMatchesTreeTopK) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->atoms[static_cast<size_t>(r2_atom)].max_sensitivity,
             Count(2));  // ⊤ = 1 row with B = 2, ⊥ = 2 rows of R3 with C = 6
+}
+
+// No group node copies its only child: BuildGhdDataflow resolves such a
+// group to the child. Checked on the plans of every random shape, over its
+// own GHD and the facade's choice, and on scrambled paths, whose chain ends
+// are single-atom leaves.
+TEST(GhdDataflowTest, NoGroupNodeCopiesItsOnlyChild) {
+  auto expect_no_copy = [](const ConjunctiveQuery& q, const Ghd* ghd,
+                           const std::string& context) {
+    TSensComputeOptions options;
+    options.ghd = ghd;
+    auto plan = PlanSensitivity(q, options);
+    ASSERT_TRUE(plan.ok()) << context << plan.status().ToString();
+    const std::vector<DataflowNode>& nodes = plan->dataflow.nodes;
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i].kind != DataflowNode::Kind::kGroup ||
+          nodes[i].children.size() != 1) {
+        continue;
+      }
+      const size_t child = static_cast<size_t>(nodes[i].children[0]);
+      EXPECT_NE(nodes[i].attrs, nodes[child].attrs)
+          << context << ": node " << i << " " << nodes[i].sig;
+    }
+  };
+  Rng rng(2024);
+  for (const Shape& shape : Shapes()) {
+    for (int trial = 0; trial < 10; ++trial) {
+      BagInstance inst = shape.make(rng);
+      const std::string context = shape.name + " trial " +
+                                  std::to_string(trial) + ": " +
+                                  inst.query.ToString(inst.db.attrs());
+      auto ghd = BuildGhd(inst.query, inst.bags);
+      ASSERT_TRUE(ghd.ok()) << context << ghd.status().ToString();
+      expect_no_copy(inst.query, &*ghd, context + " (own GHD)");
+      expect_no_copy(inst.query, nullptr, context + " (facade)");
+    }
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    testing::PaperExample ex = MakeRandomScrambledPath(rng);
+    expect_no_copy(ex.query, nullptr,
+                   "path trial " + std::to_string(trial) + ": " +
+                       ex.query.ToString(ex.db.attrs()));
+  }
+}
+
+// Under top_k the tree totals of a forest read untruncated tables. Each
+// tree here is a single-atom root with one child, so the child's ⊤ and ⊥
+// are the two S tables, and the recursions truncate both; the tree's total
+// folds them untruncated. Every multiplicity table is one of these S
+// tables, read untruncated too, so each atom's maximum is its exact T max
+// times the other tree's exact join size.
+TEST(GhdDataflowTest, TopKForestTotalsAreExact) {
+  Database db;
+  Relation* r1 = db.AddRelation("R1", {"a", "b"});
+  for (Value b : {1, 1, 1, 2, 3, 3}) r1->AppendRow({0, b});
+  Relation* r2 = db.AddRelation("R2", {"b", "c"});
+  for (Value b : {1, 2, 2, 3}) r2->AppendRow({b, 0});
+  Relation* r3 = db.AddRelation("R3", {"d", "e"});
+  for (Value e : {1, 1, 2}) r3->AppendRow({0, e});
+  Relation* r4 = db.AddRelation("R4", {"e", "f"});
+  for (Value e : {1, 2, 2, 2}) r4->AppendRow({e, 0});
+  ConjunctiveQuery q;
+  q.AddAtom(db, "R1", {"A", "B"});
+  q.AddAtom(db, "R2", {"B", "C"});
+  q.AddAtom(db, "R3", {"D", "E"});
+  q.AddAtom(db, "R4", {"E", "F"});
+  // Tree {R1, R2} joins 3·1 + 1·2 + 2·1 = 7 rows, tree {R3, R4} 2·1 + 1·3
+  // = 5. A total over truncated tables would read 12 and 8 or 9.
+  auto exact = ComputeLocalSensitivity(q, db);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  TSensComputeOptions top_k;
+  top_k.top_k = 1;
+  auto r = ComputeLocalSensitivity(q, db, top_k);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::vector<Count> expected{Count(2 * 5), Count(3 * 5), Count(3 * 7),
+                                    Count(2 * 7)};
+  for (size_t a = 0; a < expected.size(); ++a) {
+    EXPECT_EQ(r->atoms[a].max_sensitivity, expected[a]) << "atom " << a;
+    EXPECT_EQ(exact->atoms[a].max_sensitivity, expected[a]) << "atom " << a;
+  }
+  EXPECT_GE(r->local_sensitivity, exact->local_sensitivity);
 }
 
 }  // namespace

@@ -121,28 +121,9 @@ class PathPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(PathPropertyTest, PathAlgorithmMatchesEngineAndOracle) {
   Rng rng(GetParam() * 7919);
   for (int trial = 0; trial < 40; ++trial) {
-    // The chain R0(x0,x1), R1(x1,x2), ..., with random data.
-    const int m = static_cast<int>(rng.NextInRange(2, 7));
-    std::vector<int> declared(static_cast<size_t>(m));
-    for (int i = 0; i < m; ++i) declared[static_cast<size_t>(i)] = i;
-    for (int i = m - 1; i > 0; --i) {
-      std::swap(declared[static_cast<size_t>(i)],
-                declared[rng.NextBounded(static_cast<uint64_t>(i) + 1)]);
-    }
-    testing::PaperExample ex;
-    for (int i : declared) {
-      std::vector<std::string> vars{"x" + std::to_string(i),
-                                    "x" + std::to_string(i + 1)};
-      if (rng.NextBounded(2) == 1) std::swap(vars[0], vars[1]);
-      auto* rel = ex.db.AddRelation("R" + std::to_string(i), vars);
-      int rows = static_cast<int>(rng.NextInRange(0, 7));
-      for (int r = 0; r < rows; ++r) {
-        rel->AppendRow({static_cast<Value>(rng.NextBounded(3)),
-                        static_cast<Value>(rng.NextBounded(3))});
-      }
-      ex.query.AddAtom(ex.db, "R" + std::to_string(i), vars);
-    }
-    ASSERT_EQ(PathOrder(ex.query).size(), static_cast<size_t>(m));
+    testing::PaperExample ex = testing::MakeRandomScrambledPath(rng);
+    ASSERT_EQ(PathOrder(ex.query).size(),
+              static_cast<size_t>(ex.query.num_atoms()));
     const std::string context = ex.query.ToString(ex.db.attrs());
 
     auto tsens = ComputeLocalSensitivity(ex.query, ex.db);

@@ -283,6 +283,30 @@ BagInstance MakeRandomQ3Instance(Rng& rng, int max_rows, int domain_size) {
   return inst;
 }
 
+PaperExample MakeRandomScrambledPath(Rng& rng) {
+  const int m = static_cast<int>(rng.NextInRange(2, 7));
+  std::vector<int> declared(static_cast<size_t>(m));
+  for (int i = 0; i < m; ++i) declared[static_cast<size_t>(i)] = i;
+  for (int i = m - 1; i > 0; --i) {
+    std::swap(declared[static_cast<size_t>(i)],
+              declared[rng.NextBounded(static_cast<uint64_t>(i) + 1)]);
+  }
+  PaperExample ex;
+  for (int i : declared) {
+    std::vector<std::string> vars{"x" + std::to_string(i),
+                                  "x" + std::to_string(i + 1)};
+    if (rng.NextBounded(2) == 1) std::swap(vars[0], vars[1]);
+    auto* rel = ex.db.AddRelation("R" + std::to_string(i), vars);
+    int rows = static_cast<int>(rng.NextInRange(0, 7));
+    for (int r = 0; r < rows; ++r) {
+      rel->AppendRow({static_cast<Value>(rng.NextBounded(3)),
+                      static_cast<Value>(rng.NextBounded(3))});
+    }
+    ex.query.AddAtom(ex.db, "R" + std::to_string(i), vars);
+  }
+  return ex;
+}
+
 PaperExample MakeStreamInstance(Rng& rng, StreamShape shape) {
   switch (shape) {
     case StreamShape::kPath:

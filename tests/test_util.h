@@ -83,6 +83,11 @@ BagInstance MakeRandomCycleInstance(Rng& rng, int length, int max_rows,
 // [0, domain_size).
 BagInstance MakeRandomQ3Instance(Rng& rng, int max_rows, int domain_size);
 
+// The path R0(x0,x1), R1(x1,x2), ... of 2-6 binary atoms, declared in
+// random order with each relation's two columns in random order, and up to
+// 6 rows per relation over [0, 3).
+PaperExample MakeRandomScrambledPath(Rng& rng);
+
 // --- Seeded stream workloads ---------------------------------------------
 // Shared by the streaming suites (incremental_test, plan_cache_test,
 // serving_test): one seed determines both the instance build and the delta

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Compares the count-unit metrics of two perfbench results.
+"""Compares the deterministic metrics of two perfbench results.
 
     python3 tools/diff_perfbench_counters.py A.json B.json [--allow NAME ...]
 
 Each file holds the output of one perfbench run (perfbench/run.py); its
 last line that parses as JSON is the result. Every metric whose unit is
-"count" in either result is compared, and each one that differs (or is
-missing from one side) is printed with both values. Counters are
+"count" in either result is compared, and so are the byte gauges of table
+capacities (cache.state_mb, storage.db_mb); each one that differs (or is
+missing from one side) is printed with both values. These are
 deterministic, so two runs of one commit and seed agree exactly; wall-time
 metrics are ignored. An --allow NAME (a metric name or an fnmatch pattern
 such as 'exec.q*.fold_join.rows_out') lets a known difference through.
@@ -19,6 +20,10 @@ import argparse
 import fnmatch
 import json
 import sys
+
+# MB-unit metrics that sum table capacities, not timings: as deterministic
+# as the counters.
+GAUGES = ("cache.state_mb", "storage.db_mb")
 
 
 def last_json_line(path):
@@ -38,7 +43,7 @@ def last_json_line(path):
 def counters(result):
     return {name: m.get("value")
             for name, m in result.get("metrics", {}).items()
-            if m.get("unit") == "count"}
+            if m.get("unit") == "count" or name in GAUGES}
 
 
 def main():
