@@ -11,6 +11,7 @@
 // while staying competitive on q1 and qw.
 //
 // Environment: LSENS_DP_RUNS=20 LSENS_DP_SCALE=0.01 LSENS_EPSILON=1.0
+// Exits non-zero when a mechanism fails on any query.
 
 #include <cstdio>
 #include <vector>
@@ -84,6 +85,7 @@ int main() {
       "%-7s %-10s %-11s | %-8s %-8s %-12s %-8s | %-8s %-8s %-12s %-8s\n",
       "query", "|Q(D)|", "ell", "TS.err", "TS.bias", "TS.GS", "TS.time",
       "PS.err", "PS.bias", "PS.GS", "PS.time");
+  int failures = 0;
   for (auto& w : MakeAllWorkloadQueries(tpch, social)) {
     Database& db = (w.name.size() == 2) ? tpch : social;  // "q1".."q3" tpch
     std::vector<DpRunResult> tsens_runs;
@@ -95,11 +97,11 @@ int main() {
       dopts.ell = w.ell;
       dopts.seed = static_cast<uint64_t>(r) + 1;
       dopts.ghd = w.ghd_ptr();
-      dopts.skip_atoms = w.skip_atoms;
       auto t = RunTSensDp(w.query, db, w.private_atom, dopts);
       if (!t.ok()) {
         std::printf("%-7s TSensDP ERROR: %s\n", w.name.c_str(),
                     t.status().ToString().c_str());
+        ++failures;
         break;
       }
       true_answer = t->true_answer;
@@ -113,6 +115,7 @@ int main() {
       if (!p.ok()) {
         std::printf("%-7s PrivSQL ERROR: %s\n", w.name.c_str(),
                     p.status().ToString().c_str());
+        ++failures;
         break;
       }
       priv_runs.push_back(*p);
@@ -127,5 +130,5 @@ int main() {
         static_cast<unsigned long long>(w.ell), 100 * ts.err, 100 * ts.bias,
         ts.gs, ts.seconds, 100 * ps.err, 100 * ps.bias, ps.gs, ps.seconds);
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

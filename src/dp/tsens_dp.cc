@@ -9,8 +9,7 @@
 #include "dp/laplace.h"
 #include "dp/svt.h"
 #include "query/eval.h"
-#include "query/ghd.h"
-#include "sensitivity/tsens_engine.h"
+#include "sensitivity/tsens.h"
 
 namespace lsens {
 
@@ -22,26 +21,25 @@ StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,
     return Status::InvalidArgument("need 0 < threshold_fraction < 1, eps > 0");
   }
   if (options.ell == 0) return Status::InvalidArgument("ell must be >= 1");
+  if (private_atom < 0 || private_atom >= q.num_atoms()) {
+    return Status::InvalidArgument("private atom out of range");
+  }
   WallTimer timer;
   Rng rng(options.seed);
 
-  auto decomposition = ResolveDecomposition(q, options.ghd);
-  if (!decomposition.ok()) return decomposition.status();
-  const Ghd& ghd = decomposition->ghd();
-
-  // Tuple sensitivities of the primary private relation.
-  TSensOptions topts;
+  // Tuple sensitivities of the primary private relation only.
+  TSensComputeOptions topts;
   topts.join = options.join;
-  topts.keep_tables = true;
-  for (int a : options.skip_atoms) {
+  topts.ghd = options.ghd;
+  for (int a = 0; a < q.num_atoms(); ++a) {
     if (a != private_atom) topts.skip_atoms.push_back(a);
   }
-  auto tsens = TSensOverGhd(q, ghd, db, topts);
-  if (!tsens.ok()) return tsens.status();
-  auto sens = TupleSensitivities(*tsens, q, db, private_atom, topts);
-  if (!sens.ok()) return sens.status();
+  auto per_atom = TupleSensitivities(q, db, topts);
+  if (!per_atom.ok()) return per_atom.status();
+  const std::vector<Count>& sens =
+      (*per_atom)[static_cast<size_t>(private_atom)];
 
-  auto full = CountGhd(q, ghd, db, options.join);
+  auto full = CountQuery(q, db, options.join, options.ghd);
   if (!full.ok()) return full.status();
   const double q_full = full->ToDouble();
 
@@ -49,8 +47,8 @@ StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,
   //   Q(T(D, i)) = Q(D) - Σ_{t in PR : δ(t) > i} δ(t).
   // Precompute suffix sums over the descending-sorted sensitivities.
   std::vector<double> deltas;
-  deltas.reserve(sens->size());
-  for (Count c : *sens) {
+  deltas.reserve(sens.size());
+  for (Count c : sens) {
     if (!c.IsZero()) deltas.push_back(c.ToDouble());
   }
   std::sort(deltas.begin(), deltas.end(), std::greater<double>());

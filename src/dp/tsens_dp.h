@@ -2,7 +2,6 @@
 #define LSENS_DP_TSENS_DP_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/status.h"
 #include "exec/join.h"
@@ -47,8 +46,7 @@ struct TSensDpOptions {
   uint64_t ell = 100;               // assumed max tuple sensitivity ℓ
   uint64_t seed = 1;
   JoinOptions join;
-  const Ghd* ghd = nullptr;           // null: ResolveDecomposition's
-  std::vector<int> skip_atoms;        // forwarded to TSens
+  const Ghd* ghd = nullptr;  // null: ResolveDecomposition's
 };
 
 StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,

@@ -233,13 +233,6 @@ CountedRelation CountedRelation::FilterScale(
   return out;
 }
 
-void CountedRelation::ScaleCounts(Count factor, ExecContext* ctx) {
-  for (Count& c : counts_) c *= factor;
-  default_count_ *= factor;
-  // Scaling by zero can introduce zero-count rows; restore the invariant.
-  if (factor.IsZero() && !counts_.empty()) Normalize(ctx);
-}
-
 int CountedRelation::ColumnOf(AttrId attr) const {
   auto it = std::lower_bound(attrs_.begin(), attrs_.end(), attr);
   if (it == attrs_.end() || *it != attr) return -1;

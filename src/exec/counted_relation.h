@@ -108,11 +108,6 @@ class CountedRelation {
   // per row.
   CountedRelation FilterScale(std::span<const Count> factors) const;
 
-  // Multiplies every count (and the default) by `factor`, saturating.
-  // A zero factor triggers a Normalize (zero-count rows must drop), whose
-  // scratch comes from `ctx` (the thread-local default when null).
-  void ScaleCounts(Count factor, ExecContext* ctx = nullptr);
-
   // Column position of `attr` within attrs(), or -1.
   int ColumnOf(AttrId attr) const;
 

@@ -1,10 +1,8 @@
 #include "query/conjunctive_query.h"
 
-#include <algorithm>
 #include <limits>
 #include <map>
 #include <set>
-#include <tuple>
 #include <utility>
 
 namespace lsens {
@@ -124,89 +122,6 @@ Status ConjunctiveQuery::Validate(const Database& db) const {
     }
   }
   return Status::OK();
-}
-
-namespace {
-
-void AppendChild(std::string* out, const CanonicalChild& child) {
-  *out += std::to_string(child.sig.size());
-  *out += ':';
-  *out += child.sig;
-  *out += '<';
-  for (int c : child.cols) {
-    *out += std::to_string(c);
-    *out += ',';
-  }
-  *out += '>';
-}
-
-void SortChildren(std::vector<CanonicalChild>* children) {
-  std::sort(children->begin(), children->end(),
-            [](const CanonicalChild& a, const CanonicalChild& b) {
-              if (a.sig != b.sig) return a.sig < b.sig;
-              return a.cols < b.cols;
-            });
-}
-
-}  // namespace
-
-std::string CanonicalSourceSignature(const Atom& atom,
-                                     const AttributeSet& keep) {
-  std::string out = "src[";
-  out += atom.relation;
-  out += "](";
-  for (AttrId a : keep) {
-    size_t col = 0;
-    while (atom.vars[col] != a) ++col;
-    out += std::to_string(col);
-    out += ',';
-  }
-  out += ")s{";
-  std::vector<std::tuple<size_t, int, Value>> preds;
-  preds.reserve(atom.predicates.size());
-  for (const Predicate& p : atom.predicates) {
-    size_t col = 0;
-    while (atom.vars[col] != p.var) ++col;
-    preds.emplace_back(col, static_cast<int>(p.op), p.rhs);
-  }
-  std::sort(preds.begin(), preds.end());
-  for (const auto& [col, op, rhs] : preds) {
-    out += std::to_string(col);
-    out += ' ';
-    out += std::to_string(op);
-    out += ' ';
-    out += std::to_string(rhs);
-    out += ';';
-  }
-  out += '}';
-  return out;
-}
-
-std::string CanonicalGroupSignature(const std::string& driver_sig,
-                                    const std::vector<int>& group_cols,
-                                    std::vector<CanonicalChild> inputs) {
-  SortChildren(&inputs);
-  std::string out = "grp[";
-  out += std::to_string(driver_sig.size());
-  out += ':';
-  out += driver_sig;
-  out += "](";
-  for (int c : group_cols) {
-    out += std::to_string(c);
-    out += ',';
-  }
-  out += "){";
-  for (const CanonicalChild& input : inputs) AppendChild(&out, input);
-  out += '}';
-  return out;
-}
-
-std::string CanonicalJoinSignature(std::vector<CanonicalChild> pieces) {
-  SortChildren(&pieces);
-  std::string out = "join{";
-  for (const CanonicalChild& piece : pieces) AppendChild(&out, piece);
-  out += '}';
-  return out;
 }
 
 Status ConjunctiveQuery::ValidateForSensitivity(const Database& db) const {

@@ -39,47 +39,6 @@ struct Atom {
   AttributeSet VarSet() const;
 };
 
-// --- Canonical subtree signatures (cross-query plan cache) ----------------
-// Order-normalized, attribute-id-free descriptions of the repair-DAG
-// subtrees the incremental sensitivity subsystem maintains (S_a source
-// projections and the ⊥/⊤ fold tables). Two queries that bind the same
-// relations through structurally identical subtrees — same relation-local
-// keep columns, same (sorted) predicates, same child subtrees glued through
-// the same column pattern — produce byte-identical signatures, so
-// SensitivityCache can key one shared DynTable per canonical subtree and
-// let a single delta repair every dependent query. Signatures embed child
-// signatures verbatim (length-prefixed), making equality exact by
-// induction: equal signatures imply identical table contents *and* column
-// order, with no hash-collision caveat.
-
-// Signature of S_a = γ_keep(σ_pred(R_a)): the relation name, the relation
-// column backing each keep attribute (in keep order — sharing requires the
-// same column order, so table layouts line up without permutations), and
-// the predicates as sorted (column, op, rhs) triples. `keep` must be a
-// subset of the atom's variables.
-std::string CanonicalSourceSignature(const Atom& atom,
-                                     const AttributeSet& keep);
-
-// One child subtree reference inside a composite signature: the child's
-// full signature plus the column pattern gluing it to the parent (group
-// nodes: the driver columns carrying its key; join nodes: the output scope
-// column backing each child column).
-struct CanonicalChild {
-  std::string sig;
-  std::vector<int> cols;
-};
-
-// Signature of a group node out = γ_group(driver ⋈ inputs...): the driver's
-// signature, the driver columns forming the output key (in output order),
-// and the inputs as a sorted multiset.
-std::string CanonicalGroupSignature(const std::string& driver_sig,
-                                    const std::vector<int>& group_cols,
-                                    std::vector<CanonicalChild> inputs);
-
-// Signature of a join node out = r⋈(pieces...): the pieces (signature plus
-// scope-column pattern) as a sorted multiset.
-std::string CanonicalJoinSignature(std::vector<CanonicalChild> pieces);
-
 // A full conjunctive query without projection, Q(vars) :- R1(..),...,Rm(..),
 // evaluated as a counting query under bag semantics (Section 2 of the
 // paper). Selection predicates may be attached per atom (§5.4).

@@ -46,7 +46,7 @@ namespace lsens {
 // point lookups.
 //
 // Cross-query sharing: nodes are not owned per cache entry. Every node is
-// keyed by its canonical subtree signature (query/conjunctive_query.h) in
+// keyed by its canonical subtree signature (DataflowNode::sig) in
 // one store; entries acquire nodes by signature and attach when the node
 // already exists, so overlapping queries maintain each distinct subtree
 // once. Node tables use canonical attribute ids {0..arity-1} — equal
@@ -260,11 +260,11 @@ struct RepairState {
 namespace {
 
 // The cache's policy on top of the facade's plan (PlanSensitivity): top_k
-// and keep_tables change what the engines compute (truncated tables /
-// retained T_a's) in ways the maintained state deliberately does not
-// model, so they stay version-memoized fallbacks.
+// changes what the engines compute (truncated tables) in ways the
+// maintained state deliberately does not model, so it stays a
+// version-memoized fallback.
 bool Repairable(const TSensComputeOptions& options) {
-  return options.top_k == 0 && !options.keep_tables;
+  return options.top_k == 0;
 }
 
 // The repair state a repairable plan maintains. A single-atom query's
@@ -569,7 +569,7 @@ std::string SensitivityCache::Fingerprint(const ConjunctiveQuery& q,
     }
     out << ';';
   }
-  out << "|top_k=" << options.top_k << "|keep=" << options.keep_tables;
+  out << "|top_k=" << options.top_k;
   std::vector<int> skips = options.skip_atoms;
   std::sort(skips.begin(), skips.end());
   skips.erase(std::unique(skips.begin(), skips.end()), skips.end());

@@ -64,7 +64,7 @@ struct SensitivityCacheStats {
   uint64_t state_bytes = 0;  // current DynTable state held, in bytes
 
   // Cross-query sharing. Every maintained table lives in a store keyed by
-  // canonical subtree signature (query/conjunctive_query.h); entries whose
+  // canonical subtree signature (DataflowNode::sig); entries whose
   // repair DAGs overlap attach to the same nodes instead of duplicating
   // them, and one delta pass repairs each node exactly once no matter how
   // many entries depend on it.
@@ -92,8 +92,8 @@ struct SensitivityCacheStats {
 // join rows) by their changed terms instead of rebuilding every table,
 // falling back to a full recompute only when the delta is large, the log
 // window was exceeded, a count saturates, or the options ask for what
-// repair deliberately does not model: top-k approximation and keep_tables
-// stay version-memoized fallbacks. Results are bit-identical to the
+// repair deliberately does not model: top-k approximation stays a
+// version-memoized fallback. Results are bit-identical to the
 // from-scratch engines in every case.
 //
 // Cross-query plan sharing: maintained tables are not owned per entry but

@@ -1,12 +1,10 @@
 #ifndef LSENS_SENSITIVITY_RESULT_H_
 #define LSENS_SENSITIVITY_RESULT_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/count.h"
-#include "exec/counted_relation.h"
 #include "storage/attribute_set.h"
 #include "storage/catalog.h"
 #include "storage/dictionary.h"
@@ -38,10 +36,6 @@ struct AtomSensitivity {
   // True when max_sensitivity is an upper bound rather than exact
   // (top-k approximation touched this table).
   bool approximate = false;
-
-  // The full multiplicity table (row -> tuple sensitivity over the
-  // representative domain), populated when TSensOptions::keep_tables.
-  std::optional<CountedRelation> table;
 };
 
 // Output of the local sensitivity problem (Definition 2.3): LS(Q, D) plus a

@@ -1,7 +1,9 @@
 #include "sensitivity/tsens.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "exec/exec_context.h"
 #include "query/explain.h"
@@ -64,48 +66,117 @@ std::string ExplainQuery(const ConjunctiveQuery& q,
   return out + "algorithm: TSensOverGhd (§5.4 GHD extension)\n";
 }
 
-StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
+StatusOr<std::vector<std::vector<Count>>> TupleSensitivities(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options) {
   if (options.top_k > 0) {
     return Status::Unsupported(
-        "downward sensitivity needs exact multiplicity tables (top_k = 0)");
+        "tuple sensitivities need exact multiplicity tables (top_k = 0)");
   }
-  TSensComputeOptions engine_options = options;
-  engine_options.keep_tables = true;
-  auto full = ComputeLocalSensitivity(q, db, engine_options);
-  if (!full.ok()) return full.status();
+  if (Status valid = q.Validate(db); !valid.ok()) {
+    return Status::InvalidArgument("query does not match the database: " +
+                                   valid.message());
+  }
+  auto plan = PlanSensitivity(q, options);
+  if (!plan.ok()) return plan.status();
+  const SensitivityDataflow& df = plan->dataflow;
+  std::vector<CountedRelation> tables;
+  auto evaluated = EvaluateDataflow(q, df, db, options, &tables);
+  if (!evaluated.ok()) return evaluated.status();
+  std::vector<Count> totals;
+  for (int node : df.tree_totals) {
+    totals.push_back(tables[static_cast<size_t>(node)].TotalCount());
+  }
 
-  // Restrict every atom's view to its existing rows: the max over the
+  ExecContext& ctx = ResolveExecContext(options.join.ctx);
+  std::vector<std::vector<Count>> out(static_cast<size_t>(q.num_atoms()));
+  for (const DataflowAtom& unit : df.assembly) {
+    if (unit.skipped) continue;
+    const Atom& atom = q.atom(unit.atom);
+    const Relation& rel = *db.Find(atom.relation);
+    // The scan reads the relation's predicate and key columns in place.
+    auto column = [&](AttrId var) {
+      size_t c = 0;
+      while (atom.vars[c] != var) ++c;
+      return rel.Column(c);
+    };
+    std::vector<std::span<const Value>> pred_cols;
+    for (const Predicate& p : atom.predicates) {
+      pred_cols.push_back(column(p.var));
+    }
+    // Per component: its table, and the column behind each of its
+    // attributes. The unit relation counts 1 and is left out.
+    struct Part {
+      const CountedRelation* table = nullptr;
+      std::vector<std::span<const Value>> cols;
+    };
+    std::vector<Part> parts;
+    for (int c : unit.components) {
+      if (c < 0) continue;
+      Part part{&tables[static_cast<size_t>(c)], {}};
+      for (AttrId var : part.table->attrs()) part.cols.push_back(column(var));
+      parts.push_back(std::move(part));
+    }
+
+    OpTimer op(ctx, "tsens.tuple_sens", rel.NumRows());
+    const Count scale = TreeScale(totals, unit.tree);
+    std::vector<Count>& sens = out[static_cast<size_t>(unit.atom)];
+    sens.assign(rel.NumRows(), Count::Zero());
+    std::vector<Value> key;
+    for (size_t i = 0; i < sens.size(); ++i) {
+      bool pass = true;
+      for (size_t p = 0; p < pred_cols.size() && pass; ++p) {
+        pass = atom.predicates[p].Eval(pred_cols[p][i]);
+      }
+      if (!pass) continue;
+      Count delta = scale;
+      for (const Part& part : parts) {
+        key.clear();
+        for (std::span<const Value> col : part.cols) key.push_back(col[i]);
+        delta *= part.table->Lookup(key);
+      }
+      sens[i] = delta;
+    }
+    op.set_rows_out(sens.size());
+  }
+  return out;
+}
+
+StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
+    const ConjunctiveQuery& q, const Database& db,
+    const TSensComputeOptions& options) {
+  auto per_tuple = TupleSensitivities(q, db, options);
+  if (!per_tuple.ok()) return per_tuple.status();
+
+  // Every atom's view restricted to its existing rows: the max over the
   // active domain replaces the representative-domain max, and the argmax
-  // becomes a concrete present tuple's shared projection.
-  SensitivityResult result = *std::move(full);
-  for (AtomSensitivity& atom : result.atoms) {
-    if (atom.skipped) continue;
-    auto per_tuple = TupleSensitivities(result, q, db, atom.atom_index,
-                                        options);
-    if (!per_tuple.ok()) return per_tuple.status();
-    const Relation* rel = db.Find(atom.relation);
-    LSENS_CHECK(rel != nullptr);
-
-    Count best = Count::Zero();
+  // is the winning row's projection onto the table attributes.
+  SensitivityResult result;
+  result.atoms.resize(static_cast<size_t>(q.num_atoms()));
+  for (int a = 0; a < q.num_atoms(); ++a) {
+    const Atom& spec = q.atom(a);
+    AtomSensitivity& atom = result.atoms[static_cast<size_t>(a)];
+    atom.atom_index = a;
+    atom.relation = spec.relation;
+    atom.table_attrs = q.SharedVarsOf(a);
+    atom.free_vars = q.ExclusiveVarsOf(a);
+    atom.skipped = std::find(options.skip_atoms.begin(),
+                             options.skip_atoms.end(),
+                             a) != options.skip_atoms.end();
+    const std::vector<Count>& sens = (*per_tuple)[static_cast<size_t>(a)];
     size_t best_row = SIZE_MAX;
-    for (size_t r = 0; r < per_tuple->size(); ++r) {
-      if ((*per_tuple)[r] > best) {
-        best = (*per_tuple)[r];
+    for (size_t r = 0; r < sens.size(); ++r) {
+      if (sens[r] > atom.max_sensitivity) {
+        atom.max_sensitivity = sens[r];
         best_row = r;
       }
     }
-    atom.max_sensitivity = best;
-    atom.argmax.clear();
-    if (best_row != SIZE_MAX) {
-      // Project the winning row onto the table attributes.
-      const Atom& spec = q.atom(atom.atom_index);
-      for (AttrId var : atom.table_attrs) {
-        size_t col = 0;
-        while (spec.vars[col] != var) ++col;
-        atom.argmax.push_back(rel->At(best_row, col));
-      }
+    if (best_row == SIZE_MAX) continue;
+    const Relation* rel = db.Find(spec.relation);
+    for (AttrId var : atom.table_attrs) {
+      size_t col = 0;
+      while (spec.vars[col] != var) ++col;
+      atom.argmax.push_back(rel->At(best_row, col));
     }
   }
   ReduceWinner(&result);

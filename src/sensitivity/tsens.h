@@ -68,11 +68,23 @@ std::string ExplainQuery(const ConjunctiveQuery& q,
 StatusOr<std::pair<int, std::vector<Value>>> MaterializeMostSensitiveTuple(
     const SensitivityResult& result, const ConjunctiveQuery& q);
 
+// δ(t) (Definition 2.2) of every row of every atom's relation: one vector
+// per atom, in atom order, holding its relation's rows in row order; empty
+// for an atom in options.skip_atoms. Plans (PlanSensitivity), evaluates the
+// dataflow once keeping its tables, and reads each row's multiplicity in
+// place: δ(t) is the atom's §5.4 tree scale times, per component of T_a,
+// the component's count at t's projection, so T_a is never built as the
+// cross product of its components. A row failing the atom's predicates has
+// δ(t) = 0. Unsupported under top_k (δ needs exact tables).
+StatusOr<std::vector<std::vector<Count>>> TupleSensitivities(
+    const ConjunctiveQuery& q, const Database& db,
+    const TSensComputeOptions& options = {});
+
 // Downward-only local sensitivity: max_t δ⁻(t) over the tuples *present*
 // in D — the deletion-propagation view the paper contrasts with (§8).
-// The result's per-atom maxima/argmaxes and tables range over the active
-// domain only; insertions are not considered. Incompatible with top_k
-// (exact tables are required).
+// The result's per-atom maxima and argmaxes range over the active domain
+// only (TupleSensitivities); insertions are not considered. Incompatible
+// with top_k (exact tables are required).
 StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options = {});

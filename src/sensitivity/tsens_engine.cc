@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "exec/exec_context.h"
@@ -83,8 +84,118 @@ std::vector<std::vector<size_t>> ConnectivityComponents(
   return components;
 }
 
-// §5.4 scale factor of an atom in `tree`: a tuple added there combines with
-// every full result of the other trees.
+// --- Canonical subtree signatures ------------------------------------------
+// Order-normalized, attribute-id-free descriptions of the dataflow nodes
+// SensitivityCache maintains (S_a source projections, group and join
+// nodes). Two queries that bind the same relations through structurally
+// identical subtrees — same relation-local keep columns, same (sorted)
+// predicates, same child subtrees glued through the same column pattern —
+// produce byte-identical signatures, so the cache keys one shared table per
+// canonical subtree and a single delta repairs every dependent query.
+// Signatures embed child signatures verbatim (length-prefixed), making
+// equality exact by induction: equal signatures imply identical table
+// contents *and* column order, with no hash-collision caveat.
+
+// One child subtree reference inside a composite signature: the child's
+// full signature plus the column pattern gluing it to the parent (group
+// nodes: the driver columns carrying its key; join nodes: the output scope
+// column backing each child column).
+struct CanonicalChild {
+  std::string sig;
+  std::vector<int> cols;
+};
+
+void AppendChild(std::string* out, const CanonicalChild& child) {
+  *out += std::to_string(child.sig.size());
+  *out += ':';
+  *out += child.sig;
+  *out += '<';
+  for (int c : child.cols) {
+    *out += std::to_string(c);
+    *out += ',';
+  }
+  *out += '>';
+}
+
+void SortChildren(std::vector<CanonicalChild>* children) {
+  std::sort(children->begin(), children->end(),
+            [](const CanonicalChild& a, const CanonicalChild& b) {
+              if (a.sig != b.sig) return a.sig < b.sig;
+              return a.cols < b.cols;
+            });
+}
+
+// Signature of S_a = γ_keep(σ_pred(R_a)): the relation name, the relation
+// column backing each keep attribute (in keep order — sharing requires the
+// same column order, so table layouts line up without permutations), and
+// the predicates as sorted (column, op, rhs) triples. `keep` must be a
+// subset of the atom's variables.
+std::string CanonicalSourceSignature(const Atom& atom,
+                                     const AttributeSet& keep) {
+  std::string out = "src[";
+  out += atom.relation;
+  out += "](";
+  for (AttrId a : keep) {
+    size_t col = 0;
+    while (atom.vars[col] != a) ++col;
+    out += std::to_string(col);
+    out += ',';
+  }
+  out += ")s{";
+  std::vector<std::tuple<size_t, int, Value>> preds;
+  preds.reserve(atom.predicates.size());
+  for (const Predicate& p : atom.predicates) {
+    size_t col = 0;
+    while (atom.vars[col] != p.var) ++col;
+    preds.emplace_back(col, static_cast<int>(p.op), p.rhs);
+  }
+  std::sort(preds.begin(), preds.end());
+  for (const auto& [col, op, rhs] : preds) {
+    out += std::to_string(col);
+    out += ' ';
+    out += std::to_string(op);
+    out += ' ';
+    out += std::to_string(rhs);
+    out += ';';
+  }
+  out += '}';
+  return out;
+}
+
+// Signature of a group node out = γ_group(driver ⋈ inputs...): the driver's
+// signature, the driver columns forming the output key (in output order),
+// and the inputs as a sorted multiset.
+std::string CanonicalGroupSignature(const std::string& driver_sig,
+                                    const std::vector<int>& group_cols,
+                                    std::vector<CanonicalChild> inputs) {
+  SortChildren(&inputs);
+  std::string out = "grp[";
+  out += std::to_string(driver_sig.size());
+  out += ':';
+  out += driver_sig;
+  out += "](";
+  for (int c : group_cols) {
+    out += std::to_string(c);
+    out += ',';
+  }
+  out += "){";
+  for (const CanonicalChild& input : inputs) AppendChild(&out, input);
+  out += '}';
+  return out;
+}
+
+// Signature of a join node out = r⋈(pieces...): the pieces (signature plus
+// scope-column pattern) as a sorted multiset.
+std::string CanonicalJoinSignature(std::vector<CanonicalChild> pieces) {
+  SortChildren(&pieces);
+  std::string out = "join{";
+  for (const CanonicalChild& piece : pieces) AppendChild(&out, piece);
+  out += '}';
+  return out;
+}
+
+}  // namespace
+
 Count TreeScale(std::span<const Count> tree_totals, int tree) {
   Count scale = Count::One();
   for (size_t t = 0; t < tree_totals.size(); ++t) {
@@ -92,8 +203,6 @@ Count TreeScale(std::span<const Count> tree_totals, int tree) {
   }
   return scale;
 }
-
-}  // namespace
 
 int SensitivityDataflow::AddSource(const ConjunctiveQuery& q, int atom,
                                    AttributeSet keep) {
@@ -317,22 +426,20 @@ StatusOr<SensitivityResult> EvaluateDataflow(
     for (int c : node.children) ++num_consumers[static_cast<size_t>(c)];
   }
   std::vector<std::vector<std::pair<size_t, size_t>>> readers(n);
-  std::vector<size_t> pending(num_units, 0);
   for (size_t u = 0; u < num_units; ++u) {
     const std::vector<int>& comps = df.assembly[u].components;
     for (size_t c = 0; c < comps.size(); ++c) {
       if (comps[c] < 0) continue;
       readers[static_cast<size_t>(comps[c])].emplace_back(u, c);
-      ++pending[u];
     }
   }
 
-  // Only the max row matters for a component that groups a join when no
-  // table is kept and no predicate filters its rows: GroupMax reads it
-  // from the join's pieces and the join is never materialized.
+  // Only the max row matters for a component that groups a join when the
+  // caller takes no table and no predicate filters its rows: GroupMax reads
+  // it from the join's pieces and the join is never materialized.
   std::vector<bool> max_only(n, false);
   std::vector<bool> fused(n, false);  // a join only a max-only node reads
-  if (tables == nullptr && !options.keep_tables) {
+  if (tables == nullptr) {
     for (size_t i = 0; i < n; ++i) {
       const DataflowNode& node = nodes[i];
       if (node.kind != DataflowNode::Kind::kGroup || !node.component ||
@@ -382,25 +489,8 @@ StatusOr<SensitivityResult> EvaluateDataflow(
   std::vector<std::optional<CountedRelation>> cut(n);
   std::vector<Count> totals(df.tree_totals.size(), Count::Zero());
   std::vector<std::vector<ComponentMax>> parts(num_units);
-  // keep_tables: each atom's filtered components, then their cross product.
-  std::vector<std::vector<std::optional<CountedRelation>>> kept(num_units);
-  std::vector<std::optional<CountedRelation>> t_tables(num_units);
-  auto cross = [&](size_t u) {
-    std::vector<const CountedRelation*> comps;
-    for (const auto& table : kept[u]) {
-      if (table.has_value()) comps.push_back(&*table);
-    }
-    // Components are pairwise attribute-disjoint: a pure cross product.
-    t_tables[u] = comps.empty() ? CountedRelation::Unit()
-                                : FoldJoin(std::move(comps), options.join);
-    kept[u].clear();
-  };
   for (size_t u = 0; u < num_units; ++u) {
     parts[u].resize(df.assembly[u].components.size());
-    kept[u].resize(df.assembly[u].components.size());
-    if (options.keep_tables && !df.assembly[u].skipped && pending[u] == 0) {
-      cross(u);
-    }
   }
   bool truncated = false;
 
@@ -463,10 +553,6 @@ StatusOr<SensitivityResult> EvaluateDataflow(
         std::span<const Value> row = view.Row(r);
         part.argmax.assign(row.begin(), row.end());
       }
-      if (options.keep_tables) {
-        kept[u][slot] = filtered.has_value() ? *std::move(filtered) : table;
-        if (--pending[u] == 0) cross(u);
-      }
     }
     if (node.link && options.top_k > 0 && table.NumRows() > options.top_k) {
       cut[i] = table;
@@ -485,22 +571,10 @@ StatusOr<SensitivityResult> EvaluateDataflow(
       q, df, totals, [&](size_t u, size_t c) -> const ComponentMax& {
         return parts[u][c];
       });
-  for (size_t u = 0; u < num_units; ++u) {
-    const DataflowAtom& unit = df.assembly[u];
-    if (unit.skipped) continue;
-    AtomSensitivity& out = result.atoms[static_cast<size_t>(unit.atom)];
-    out.approximate = truncated;
-    if (!options.keep_tables) continue;
-    CountedRelation table = *std::move(t_tables[u]);
-    // FoldJoin rejects all-defaulted inputs; top-k combined with
-    // keep_tables is not supported (exact tables are the point).
-    table.ScaleCounts(TreeScale(totals, unit.tree), &ctx);
-    if (table.attrs() != out.table_attrs) {
-      // Components may be scalars (empty attrs); regroup to be safe.
-      table = GroupBySum(table, Intersect(out.table_attrs, table.attrs()),
-                         &ctx);
+  for (const DataflowAtom& unit : df.assembly) {
+    if (!unit.skipped) {
+      result.atoms[static_cast<size_t>(unit.atom)].approximate = truncated;
     }
-    out.table = std::move(table);
   }
   if (tables != nullptr) {
     tables->clear();
@@ -578,76 +652,6 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   auto df = BuildGhdDataflow(q, ghd, options.skip_atoms);
   if (!df.ok()) return df.status();
   return EvaluateDataflow(q, *df, db, options);
-}
-
-StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
-                                                const ConjunctiveQuery& q,
-                                                const Database& db,
-                                                int atom_index,
-                                                const TSensOptions& options) {
-  if (Status valid = q.Validate(db); !valid.ok()) {
-    return Status::InvalidArgument("query does not match the database: " +
-                                   valid.message());
-  }
-  if (atom_index < 0 || atom_index >= q.num_atoms() ||
-      atom_index >= static_cast<int>(result.atoms.size())) {
-    return Status::InvalidArgument("atom index out of range");
-  }
-  const AtomSensitivity& as = result.atoms[static_cast<size_t>(atom_index)];
-  if (!as.table.has_value()) {
-    return Status::InvalidArgument(
-        "multiplicity table not stored; compute with keep_tables = true");
-  }
-  const Atom& atom = q.atom(atom_index);
-  // The column routing below finds every table attribute among the atom's
-  // variables, so a result computed for another query is refused here.
-  if (as.relation != atom.relation ||
-      !IsSubset(as.table_attrs, atom.VarSet())) {
-    return Status::InvalidArgument(
-        "result was computed for another query: atom " +
-        std::to_string(atom_index) + " does not bind its table");
-  }
-  const Relation& rel = *db.Find(atom.relation);
-
-  // Column routing: table attr j lives at relation column cols[j].
-  std::vector<size_t> cols(as.table_attrs.size());
-  for (size_t j = 0; j < as.table_attrs.size(); ++j) {
-    size_t c = 0;
-    while (atom.vars[c] != as.table_attrs[j]) ++c;
-    cols[j] = c;
-  }
-  std::vector<size_t> pred_cols(atom.predicates.size());
-  for (size_t p = 0; p < atom.predicates.size(); ++p) {
-    size_t c = 0;
-    while (atom.vars[c] != atom.predicates[p].var) ++c;
-    pred_cols[p] = c;
-  }
-
-  // Per-tuple δ lookups in the multiplicity table. The scan reads the
-  // relation's key and predicate columns directly — resolved to column
-  // spans once here — instead of materializing row tuples.
-  ExecContext& ctx = ResolveExecContext(options.join.ctx);
-  OpTimer op(ctx, "tsens.tuple_sens", rel.NumRows());
-  const size_t n = rel.NumRows();
-  std::vector<std::span<const Value>> key_spans(cols.size());
-  for (size_t j = 0; j < cols.size(); ++j) key_spans[j] = rel.Column(cols[j]);
-  std::vector<std::span<const Value>> pred_spans(pred_cols.size());
-  for (size_t p = 0; p < pred_cols.size(); ++p) {
-    pred_spans[p] = rel.Column(pred_cols[p]);
-  }
-  std::vector<Count> out(n, Count::Zero());
-  std::vector<Value> key(cols.size());
-  for (size_t i = 0; i < n; ++i) {
-    bool pass = true;
-    for (size_t p = 0; p < atom.predicates.size() && pass; ++p) {
-      pass = atom.predicates[p].Eval(pred_spans[p][i]);
-    }
-    if (!pass) continue;
-    for (size_t j = 0; j < cols.size(); ++j) key[j] = key_spans[j][i];
-    out[i] = as.table->Lookup(key);
-  }
-  op.set_rows_out(n);
-  return out;
 }
 
 }  // namespace lsens

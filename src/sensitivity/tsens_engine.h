@@ -27,10 +27,6 @@ struct TSensOptions {
   // was affected).
   size_t top_k = 0;
 
-  // Store the full multiplicity tables T_i in the result (needed by the DP
-  // truncation mechanism to look up per-tuple sensitivities).
-  bool keep_tables = false;
-
   // Atoms whose multiplicity table should not be computed, e.g. relations
   // whose query variables contain a superkey so δ <= 1 by construction (the
   // paper skips Lineitem in q3 this way). Skipped atoms report
@@ -51,8 +47,8 @@ struct DataflowNode {
   };
   Kind kind = Kind::kSource;
   AttributeSet attrs;
-  // Canonical subtree signature (query/conjunctive_query.h): the key under
-  // which SensitivityCache shares the node's table across queries.
+  // Canonical subtree signature (format: sensitivity/tsens_engine.cc): the
+  // key under which SensitivityCache shares the node's table across queries.
   std::string sig;
   int atom = -1;              // kSource
   std::vector<int> children;  // earlier nodes
@@ -123,13 +119,12 @@ struct ComponentMax {
 
 // Runs `df` over `db`. Under top_k the ⊥/⊤ recursions fold truncated copies
 // of link tables; every atom and every tree total reads the untruncated
-// tables, so the §5.4 scale factors stay exact. When no table is kept and
-// no predicate touches its group, a component grouping a join is reduced to
-// its max row (GroupMax) instead of being materialized. With `tables`,
-// every node's untruncated table is moved there (by node index) for a
-// caller that maintains them. Otherwise S and ⊥/⊤ tables live for the
-// whole run, and a join or component table is dropped after the last node
-// or atom reading it.
+// tables, so the §5.4 scale factors stay exact. With `tables`, every node's
+// untruncated table is moved there (by node index) for a caller that reads
+// or maintains them. Otherwise a component grouping a join that no
+// predicate touches is reduced to its max row (GroupMax) instead of being
+// materialized, S and ⊥/⊤ tables live for the whole run, and a join or
+// component table is dropped after the last node or atom reading it.
 StatusOr<SensitivityResult> EvaluateDataflow(
     const ConjunctiveQuery& q, const SensitivityDataflow& df,
     const Database& db, const TSensOptions& options,
@@ -142,6 +137,10 @@ SensitivityResult AssembleSensitivity(
     const ConjunctiveQuery& q, const SensitivityDataflow& df,
     std::span<const Count> tree_totals,
     const std::function<const ComponentMax&(size_t, size_t)>& part);
+
+// §5.4 scale factor of an atom in `tree`: a tuple added there combines with
+// every full result of the other trees.
+Count TreeScale(std::span<const Count> tree_totals, int tree);
 
 // Sets result's local sensitivity and argmax atom from its atoms' maxima:
 // the lowest-index atom attaining the largest nonzero maximum.
@@ -166,22 +165,10 @@ void ReduceWinner(SensitivityResult* result);
 // The T_a expression can factor into attribute-disjoint groups (always the
 // case for path queries: ⊤ and ⊥ share nothing). The engine exploits
 // γ_{X∪Y}(A × B) = γ_X(A) × γ_Y(B) to avoid materializing such cross
-// products unless keep_tables requires the full table. Builds
-// BuildGhdDataflow and runs EvaluateDataflow.
+// products. Builds BuildGhdDataflow and runs EvaluateDataflow.
 StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                          const Ghd& ghd, const Database& db,
                                          const TSensOptions& options = {});
-
-// δ(t) for every row of the relation bound by `atom_index`, in row order.
-// Requires `result` computed with keep_tables = true over the same query
-// and database. Rows failing the atom's predicates have sensitivity 0.
-// `options.join` supplies the stats context.
-StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
-                                                const ConjunctiveQuery& q,
-                                                const Database& db,
-                                                int atom_index,
-                                                const TSensOptions& options =
-                                                    {});
 
 }  // namespace lsens
 

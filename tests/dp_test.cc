@@ -7,6 +7,7 @@
 #include "dp/svt.h"
 #include "dp/truncation.h"
 #include "dp/tsens_dp.h"
+#include "exec/exec_context.h"
 #include "query/eval.h"
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
@@ -157,24 +158,22 @@ TEST(TSensDpTest, AdditiveTruncatedCountsMatchRealTruncation) {
   Database db = MakeTpchDatabase(topts);
   WorkloadQuery q1 = MakeTpchQ1(db);
 
-  TSensComputeOptions opts;
-  opts.keep_tables = true;
-  auto tsens = ComputeLocalSensitivity(q1.query, db, opts);
-  ASSERT_TRUE(tsens.ok());
-  auto sens = TupleSensitivities(*tsens, q1.query, db, q1.private_atom);
-  ASSERT_TRUE(sens.ok());
+  auto per_atom = TupleSensitivities(q1.query, db);
+  ASSERT_TRUE(per_atom.ok());
+  const std::vector<Count>& sens =
+      (*per_atom)[static_cast<size_t>(q1.private_atom)];
   auto full = CountQuery(q1.query, db);
   ASSERT_TRUE(full.ok());
 
   const std::string pr = q1.query.atom(q1.private_atom).relation;
   for (uint64_t threshold : {0, 1, 5, 20, 60, 1000}) {
     double additive = full->ToDouble();
-    for (Count c : *sens) {
+    for (Count c : sens) {
       if (c > Count(threshold)) additive -= c.ToDouble();
     }
     Database truncated = db.Clone();
     auto removed =
-        TruncateBySensitivity(truncated, pr, *sens, Count(threshold));
+        TruncateBySensitivity(truncated, pr, sens, Count(threshold));
     ASSERT_TRUE(removed.ok());
     auto real = CountQuery(q1.query, truncated);
     ASSERT_TRUE(real.ok());
@@ -194,24 +193,23 @@ TEST(TSensDpTest, AdditiveTruncatedCountsOnTriangles) {
   WorkloadQuery tri = MakeFacebookTriangle(db);
 
   TSensComputeOptions opts;
-  opts.keep_tables = true;
   opts.ghd = tri.ghd_ptr();
-  auto tsens = ComputeLocalSensitivity(tri.query, db, opts);
-  ASSERT_TRUE(tsens.ok());
-  auto sens = TupleSensitivities(*tsens, tri.query, db, tri.private_atom);
-  ASSERT_TRUE(sens.ok());
+  auto per_atom = TupleSensitivities(tri.query, db, opts);
+  ASSERT_TRUE(per_atom.ok());
+  const std::vector<Count>& sens =
+      (*per_atom)[static_cast<size_t>(tri.private_atom)];
   auto full = CountQuery(tri.query, db, {}, tri.ghd_ptr());
   ASSERT_TRUE(full.ok());
 
   const std::string pr = tri.query.atom(tri.private_atom).relation;
   for (uint64_t threshold : {0, 1, 2, 4, 8}) {
     double additive = full->ToDouble();
-    for (Count c : *sens) {
+    for (Count c : sens) {
       if (c > Count(threshold)) additive -= c.ToDouble();
     }
     Database truncated = db.Clone();
     ASSERT_TRUE(
-        TruncateBySensitivity(truncated, pr, *sens, Count(threshold)).ok());
+        TruncateBySensitivity(truncated, pr, sens, Count(threshold)).ok());
     auto real = CountQuery(tri.query, truncated, {}, tri.ghd_ptr());
     ASSERT_TRUE(real.ok());
     EXPECT_DOUBLE_EQ(additive, real->ToDouble()) << "threshold " << threshold;
@@ -256,6 +254,26 @@ TEST(DpDecompositionTest, CyclicQueryWithoutGhdSearchesOne) {
   expect_same(privsql, RunPrivSql(tri.query, db, policy, popts));
 }
 
+// TSensDP reads tuple sensitivities of the private relation only, from the
+// multiplicity-table components in place.
+TEST(TSensDpTest, ScansOnlyThePrivateRelationWithoutCrossProducts) {
+  TpchOptions topts;
+  topts.scale = 0.001;
+  Database db = MakeTpchDatabase(topts);
+  WorkloadQuery q1 = MakeTpchQ1(db);
+  ExecContext ctx;
+  TSensDpOptions opts;
+  opts.join.ctx = &ctx;
+  auto run = RunTSensDp(q1.query, db, q1.private_atom, opts);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(ctx.FindStats("join.cross"), nullptr);
+  const OperatorStats* lookups = ctx.FindStats("tsens.tuple_sens");
+  ASSERT_NE(lookups, nullptr);
+  EXPECT_EQ(lookups->calls, 1u);
+  EXPECT_EQ(lookups->rows_in,
+            db.Find(q1.query.atom(q1.private_atom).relation)->NumRows());
+}
+
 TEST(TSensDpTest, HighBudgetGivesAccurateAnswers) {
   TpchOptions topts;
   topts.scale = 0.001;
@@ -297,6 +315,10 @@ TEST(TSensDpTest, RejectsBadParameters) {
   opts.epsilon = 1.0;
   opts.ell = 0;
   EXPECT_FALSE(RunTSensDp(ex.query, ex.db, 0, opts).ok());
+  opts.ell = 10;
+  ASSERT_TRUE(RunTSensDp(ex.query, ex.db, 0, opts).ok());
+  EXPECT_FALSE(RunTSensDp(ex.query, ex.db, -1, opts).ok());
+  EXPECT_FALSE(RunTSensDp(ex.query, ex.db, 99, opts).ok());
 }
 
 TEST(PrivSqlTest, HighBudgetOnQ1IsAccurate) {

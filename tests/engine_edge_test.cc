@@ -113,13 +113,11 @@ TEST(EngineEdgeTest, KeepTablesOnMultiAtomBags) {
   q.AddAtom(db, "E2", {"C", "A"});
   auto ghd = BuildGhd(q, {{0, 1}, {2}});
   ASSERT_TRUE(ghd.ok());
-  TSensOptions opts;
-  opts.keep_tables = true;
-  auto result = TSensOverGhd(q, *ghd, db, opts);
-  ASSERT_TRUE(result.ok());
+  TSensComputeOptions opts;
+  opts.ghd = &*ghd;
+  auto sens = TupleSensitivities(q, db, opts);
+  ASSERT_TRUE(sens.ok()) << sens.status().ToString();
   for (int atom = 0; atom < 3; ++atom) {
-    auto sens = TupleSensitivities(*result, q, db, atom);
-    ASSERT_TRUE(sens.ok());
     const Relation* rel = db.Find(q.atom(atom).relation);
     std::vector<std::vector<Value>> rows;
     for (size_t r = 0; r < rel->NumRows(); ++r) {
@@ -130,11 +128,13 @@ TEST(EngineEdgeTest, KeepTablesOnMultiAtomBags) {
     for (size_t r = 0; r < rows.size(); ++r) {
       auto naive = NaiveTupleSensitivity(q, db, atom, rows[r], nopts);
       ASSERT_TRUE(naive.ok());
-      EXPECT_EQ((*sens)[r], *naive) << "atom " << atom << " row " << r;
+      EXPECT_EQ((*sens)[static_cast<size_t>(atom)][r], *naive)
+          << "atom " << atom << " row " << r;
     }
   }
 }
 
+// The §5.4 scale: a tuple of one tree joins every result of the other.
 TEST(EngineEdgeTest, DisconnectedKeepTablesScalesTables) {
   Database db;
   auto* r = db.AddRelation("R", {"A"});
@@ -147,17 +147,11 @@ TEST(EngineEdgeTest, DisconnectedKeepTablesScalesTables) {
   ConjunctiveQuery q;
   q.AddAtom(db, "R", {"A"});
   q.AddAtom(db, "T", {"X"});
-  TSensComputeOptions opts;
-  opts.keep_tables = true;
-  auto result = ComputeLocalSensitivity(q, db, opts);
-  ASSERT_TRUE(result.ok());
+  auto sens = TupleSensitivities(q, db);
+  ASSERT_TRUE(sens.ok());
   // Every R tuple participates in |T| = 3 outputs; every T tuple in 2.
-  auto r_sens = TupleSensitivities(*result, q, db, 0);
-  ASSERT_TRUE(r_sens.ok());
-  EXPECT_EQ((*r_sens)[0], Count(3));
-  auto t_sens = TupleSensitivities(*result, q, db, 1);
-  ASSERT_TRUE(t_sens.ok());
-  EXPECT_EQ((*t_sens)[0], Count(2));
+  EXPECT_EQ((*sens)[0], std::vector<Count>(2, Count(3)));
+  EXPECT_EQ((*sens)[1], std::vector<Count>(3, Count(2)));
 }
 
 TEST(EngineEdgeTest, SkipAtomsNeverRaisesLs) {
@@ -167,6 +161,8 @@ TEST(EngineEdgeTest, SkipAtomsNeverRaisesLs) {
     auto ex = MakeRandomAcyclicInstance(rng, spec);
     auto full = ComputeLocalSensitivity(ex.query, ex.db);
     ASSERT_TRUE(full.ok());
+    auto full_sens = TupleSensitivities(ex.query, ex.db);
+    ASSERT_TRUE(full_sens.ok());
     for (int skip = 0; skip < ex.query.num_atoms(); ++skip) {
       TSensComputeOptions opts;
       opts.skip_atoms = {skip};
@@ -183,6 +179,17 @@ TEST(EngineEdgeTest, SkipAtomsNeverRaisesLs) {
                                 .max_sensitivity);
       }
       EXPECT_EQ(partial->local_sensitivity, expected);
+      // A skipped atom gets no tuple sensitivities; the others keep theirs.
+      auto partial_sens = TupleSensitivities(ex.query, ex.db, opts);
+      ASSERT_TRUE(partial_sens.ok());
+      for (int a = 0; a < ex.query.num_atoms(); ++a) {
+        const size_t i = static_cast<size_t>(a);
+        if (a == skip) {
+          EXPECT_TRUE((*partial_sens)[i].empty());
+        } else {
+          EXPECT_EQ((*partial_sens)[i], (*full_sens)[i]);
+        }
+      }
     }
   }
 }
@@ -202,45 +209,25 @@ TEST(EngineEdgeTest, SearchGhdRefusesHugeQueries) {
 }
 
 TEST(EngineEdgeTest, TupleSensitivitiesValidatesInputs) {
-  auto ex = MakeFigure3Example();
-  auto result = ComputeLocalSensitivity(ex.query, ex.db);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, 0).ok());
-  EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, -1).ok());
-  EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, 99).ok());
-}
-
-TEST(EngineEdgeTest, TupleSensitivitiesRefusesAResultOfAnotherQuery) {
   Database db;
   db.AddRelation("R", {"A", "B"})->AppendRow({1, 2});
   db.AddRelation("S", {"B", "C"})->AppendRow({2, 3});
   ConjunctiveQuery q;
   q.AddAtom(db, "R", {"A", "B"});
   q.AddAtom(db, "S", {"B", "C"});
-  TSensComputeOptions keep;
-  keep.keep_tables = true;
-  auto result = ComputeLocalSensitivity(q, db, keep);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(TupleSensitivities(*result, q, db, 0).ok());
-
-  // Same relations under other variables: R's table is keyed on B, which
-  // R(X, Y) does not bind.
-  ConjunctiveQuery renamed;
-  renamed.AddAtom(db, "R", {"X", "Y"});
-  renamed.AddAtom(db, "S", {"Y", "Z"});
-  EXPECT_EQ(TupleSensitivities(*result, renamed, db, 0).status().code(),
-            Status::Code::kInvalidArgument);
-  // The atoms in the other order: atom 0 binds S, the table is R's.
-  ConjunctiveQuery swapped;
-  swapped.AddAtom(db, "S", {"B", "C"});
-  swapped.AddAtom(db, "R", {"A", "B"});
-  EXPECT_EQ(TupleSensitivities(*result, swapped, db, 0).status().code(),
-            Status::Code::kInvalidArgument);
+  ASSERT_TRUE(TupleSensitivities(q, db).ok());
   // A database the query does not fit: S has arity 1 there.
   Database other;
   other.AddRelation("R", {"A", "B"})->AppendRow({1, 2});
   other.AddRelation("S", {"B"})->AppendRow({2});
-  EXPECT_EQ(TupleSensitivities(*result, q, other, 0).status().code(),
+  EXPECT_EQ(TupleSensitivities(q, other).status().code(),
+            Status::Code::kInvalidArgument);
+  // A GHD naming an atom outside the query.
+  Ghd ghd = *BuildGhd(q, {{0}, {1}});
+  ghd.bags[1].atom_indices = {7};
+  TSensComputeOptions options;
+  options.ghd = &ghd;
+  EXPECT_EQ(TupleSensitivities(q, db, options).status().code(),
             Status::Code::kInvalidArgument);
 }
 

@@ -122,10 +122,11 @@ TEST(CountedRelationTest, FilterAndScale) {
   CountedRelation r = MakeCounted({1}, {{{1}, 2}, {{2}, 3}, {{3}, 4}});
   r.Filter([](std::span<const Value> row) { return row[0] != 2; });
   EXPECT_EQ(r.NumRows(), 2u);
-  r.ScaleCounts(Count(10));
-  EXPECT_EQ(r.TotalCount(), Count(60));
-  r.ScaleCounts(Count::Zero());
-  EXPECT_EQ(r.NumRows(), 0u);
+  // A zero factor drops its row.
+  const std::vector<Count> factors{Count(10), Count::Zero()};
+  CountedRelation scaled = r.FilterScale(factors);
+  EXPECT_EQ(scaled.NumRows(), 1u);
+  EXPECT_EQ(scaled.TotalCount(), Count(20));
 }
 
 class JoinAlgoTest : public ::testing::TestWithParam<JoinAlgorithm> {};

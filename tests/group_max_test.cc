@@ -1,10 +1,10 @@
 // Max-only multiplicity tables. The exec-level suite pins GroupMax against
 // the materialized GroupBySum(NaturalJoin(a, b), g) + MaxCount/ArgMaxRow it
 // replaces, and FoldJoinButLast against FoldJoin. The engine-level
-// differential suite asserts that a keep_tables = false compute (which
-// takes the GroupMax path wherever it applies) reports every atom's
-// max_sensitivity, argmax and approximate flag bit for bit equal to a
-// keep_tables = true compute (which always materializes), over randomized
+// differential suite asserts that a plain compute (which takes the GroupMax
+// path wherever it applies) reports every atom's max_sensitivity, argmax
+// and approximate flag bit for bit equal to an EvaluateDataflow run that
+// takes the node tables (which always materializes), over randomized
 // acyclic, GHD/cyclic and disconnected shapes.
 
 #include <gtest/gtest.h>
@@ -270,7 +270,7 @@ TEST(FoldJoinButLastTest, PrefixJoinedWithLastEqualsFoldJoin) {
   }
 }
 
-// --- keep_tables = false vs true, engine level ----------------------------
+// --- max-only vs materialized, engine level -------------------------------
 
 // Per-atom fields the max-only path must reproduce.
 void ExpectSameAtoms(const SensitivityResult& lean,
@@ -287,38 +287,37 @@ void ExpectSameAtoms(const SensitivityResult& lean,
   }
 }
 
-// Computes q with and without keep_tables, asserts the two results agree,
-// and returns the number of GroupMax calls the lean run made.
+// Computes q once taking every node table (materialized) and once plain,
+// asserts the two results agree, and returns the number of GroupMax calls
+// the lean run made.
 uint64_t CheckLeanMatchesKept(const ConjunctiveQuery& q, const Database& db,
                               const Ghd* ghd, size_t top_k,
                               std::vector<int> skip_atoms) {
-  std::optional<SensitivityResult> reference;
-  uint64_t group_max_calls = 0;
-  for (bool keep : {true, false}) {
-    SCOPED_TRACE("keep_tables " + std::to_string(keep));
-    ExecContext ctx;
-    TSensComputeOptions o;
-    o.ghd = ghd;
-    o.keep_tables = keep;
-    o.top_k = top_k;
-    o.skip_atoms = skip_atoms;
-    o.join.ctx = &ctx;
-    auto r = ComputeLocalSensitivity(q, db, o);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    if (!r.ok()) return group_max_calls;
-    if (!reference.has_value()) {
-      reference = *std::move(r);
-      continue;
-    }
-    ExpectSameAtoms(*r, *reference);
-    const OperatorStats* s = ctx.FindStats("group_max");
-    if (keep) {
-      EXPECT_EQ(s, nullptr) << "kept tables must be materialized";
-    } else if (s != nullptr) {
-      group_max_calls = s->calls;
-    }
-  }
-  return group_max_calls;
+  TSensComputeOptions o;
+  o.ghd = ghd;
+  o.top_k = top_k;
+  o.skip_atoms = std::move(skip_atoms);
+  auto plan = PlanSensitivity(q, o);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return 0;
+
+  ExecContext kept_ctx;
+  o.join.ctx = &kept_ctx;
+  std::vector<CountedRelation> tables;
+  auto kept = EvaluateDataflow(q, plan->dataflow, db, o, &tables);
+  EXPECT_TRUE(kept.ok()) << kept.status().ToString();
+  if (!kept.ok()) return 0;
+  EXPECT_EQ(kept_ctx.FindStats("group_max"), nullptr)
+      << "taken tables must be materialized";
+
+  ExecContext lean_ctx;
+  o.join.ctx = &lean_ctx;
+  auto lean = ComputeLocalSensitivity(q, db, o);
+  EXPECT_TRUE(lean.ok()) << lean.status().ToString();
+  if (!lean.ok()) return 0;
+  ExpectSameAtoms(*lean, *kept);
+  const OperatorStats* s = lean_ctx.FindStats("group_max");
+  return s == nullptr ? 0 : s->calls;
 }
 
 class MaxOnlyDifferentialTest : public ::testing::TestWithParam<uint64_t> {};

@@ -53,15 +53,6 @@ void ExpectResultsIdentical(const SensitivityResult& a,
     EXPECT_EQ(x.argmax, y.argmax) << context << " atom " << i;
     EXPECT_EQ(x.skipped, y.skipped) << context;
     EXPECT_EQ(x.approximate, y.approximate) << context;
-    ASSERT_EQ(x.table.has_value(), y.table.has_value()) << context;
-    if (x.table.has_value()) {
-      ASSERT_EQ(x.table->NumRows(), y.table->NumRows()) << context;
-      for (size_t r = 0; r < x.table->NumRows(); ++r) {
-        EXPECT_EQ(CompareRows(x.table->Row(r), y.table->Row(r)), 0)
-            << context;
-        EXPECT_EQ(x.table->CountAt(r), y.table->CountAt(r)) << context;
-      }
-    }
   }
 }
 
@@ -398,27 +389,6 @@ TEST(SensitivityCacheTest, TopKStaysMemoizedWithReason) {
   auto fresh = ComputeLocalSensitivity(ex.query, ex.db, topk);
   ASSERT_TRUE(fresh.ok());
   ExpectResultsIdentical(*r, *fresh, "top-k memoized");
-}
-
-TEST(SensitivityCacheTest, KeepTablesStaysMemoizedWithReason) {
-  // keep_tables results carry full multiplicity tables that repair does
-  // not patch; they stay version-memoized (and recomputed on change).
-  PaperExample fig1 = MakeFigure1Example();
-  TSensComputeOptions keep;
-  keep.keep_tables = true;
-  SensitivityCache cache;
-  auto kt = cache.Compute(fig1.query, fig1.db, keep);
-  ASSERT_TRUE(kt.ok());
-  Relation* rel = fig1.db.Find(fig1.query.atom(0).relation);
-  std::vector<Value> row(rel->arity(), 1);
-  rel->AppendRow(row);
-  auto kt2 = cache.Compute(fig1.query, fig1.db, keep);
-  ASSERT_TRUE(kt2.ok());
-  EXPECT_EQ(cache.stats().fallback_unsupported, 1u);
-  EXPECT_EQ(cache.stats().repairs, 0u);
-  auto kt_fresh = ComputeLocalSensitivity(fig1.query, fig1.db, keep);
-  ASSERT_TRUE(kt_fresh.ok());
-  ExpectResultsIdentical(*kt2, *kt_fresh, "keep_tables memoized");
 }
 
 TEST(SensitivityCacheTest, DeleteHeavyStreamRepairsDownToEmpty) {

@@ -167,13 +167,12 @@ TEST(IntegrationTest, TSensDpRunsOnAllQueries) {
     TSensComputeOptions sopts;
     sopts.ghd = w.ghd_ptr();
     sopts.skip_atoms = w.skip_atoms;
-    sopts.keep_tables = true;
-    auto tsens = ComputeLocalSensitivity(w.query, db, sopts);
-    ASSERT_TRUE(tsens.ok()) << w.name;
-    auto sens = TupleSensitivities(*tsens, w.query, db, w.private_atom);
+    auto sens = TupleSensitivities(w.query, db, sopts);
     ASSERT_TRUE(sens.ok()) << w.name;
     Count max_delta = Count::Zero();
-    for (Count c : *sens) max_delta = std::max(max_delta, c);
+    for (Count c : (*sens)[static_cast<size_t>(w.private_atom)]) {
+      max_delta = std::max(max_delta, c);
+    }
     if (max_delta.IsZero()) continue;  // nothing joins; nothing to test
 
     TSensDpOptions opts;
@@ -181,7 +180,6 @@ TEST(IntegrationTest, TSensDpRunsOnAllQueries) {
     opts.ell = 2 * max_delta.ToUint64Saturated();
     opts.seed = 3;
     opts.ghd = w.ghd_ptr();
-    opts.skip_atoms = w.skip_atoms;
     auto run = RunTSensDp(w.query, db, w.private_atom, opts);
     ASSERT_TRUE(run.ok()) << w.name << ": " << run.status().ToString();
     if (run->true_answer > 0) {

@@ -175,10 +175,6 @@ TEST(ExplainTest, ReportsTheEngineTheFacadeRuns) {
   auto ex = testing::MakeFigure3Example();  // a path query
   EXPECT_EQ(ExplainedEngine(ExplainQuery(ex.query, ex.db.attrs())),
             "TSensOverGhd");
-  TSensComputeOptions keep;
-  keep.keep_tables = true;
-  EXPECT_EQ(ExplainedEngine(ExplainQuery(ex.query, ex.db.attrs(), keep)),
-            "TSensOverGhd");
 }
 
 TEST(ExplainTest, AcyclicQueryWithUserGhdIsExplainedAsSupplied) {

@@ -67,13 +67,11 @@ TEST_P(AcyclicPropertyTest, PerTupleSensitivitiesMatchOracle) {
   spec.max_rows = 5;
   for (int trial = 0; trial < 8; ++trial) {
     auto ex = MakeRandomAcyclicInstance(rng, spec);
-    TSensComputeOptions opts;
-    opts.keep_tables = true;
-    auto tsens = ComputeLocalSensitivity(ex.query, ex.db, opts);
-    ASSERT_TRUE(tsens.ok());
+    auto per_atom = TupleSensitivities(ex.query, ex.db);
+    ASSERT_TRUE(per_atom.ok());
     for (int atom = 0; atom < ex.query.num_atoms(); ++atom) {
-      auto sens = TupleSensitivities(*tsens, ex.query, ex.db, atom);
-      ASSERT_TRUE(sens.ok());
+      const std::vector<Count>& sens =
+          (*per_atom)[static_cast<size_t>(atom)];
       // Snapshot rows first: NaiveTupleSensitivity restores contents but
       // may permute row order.
       const Relation* rel = ex.db.Find(ex.query.atom(atom).relation);
@@ -84,7 +82,7 @@ TEST_P(AcyclicPropertyTest, PerTupleSensitivitiesMatchOracle) {
       for (size_t row = 0; row < rows.size(); ++row) {
         auto naive = NaiveTupleSensitivity(ex.query, ex.db, atom, rows[row]);
         ASSERT_TRUE(naive.ok());
-        EXPECT_EQ((*sens)[row], *naive)
+        EXPECT_EQ(sens[row], *naive)
             << ex.query.ToString(ex.db.attrs()) << " atom " << atom
             << " row " << row;
       }
@@ -234,11 +232,7 @@ TEST_P(HardAcyclicPropertyTest, StarWithCyclicMultiplicityJoinMatchesOracle) {
         << "trial " << trial;
 
     // Per-tuple sensitivities through the cyclic multiplicity join.
-    TSensComputeOptions topts;
-    topts.keep_tables = true;
-    auto with_tables = ComputeLocalSensitivity(ex.query, ex.db, topts);
-    ASSERT_TRUE(with_tables.ok());
-    auto sens = TupleSensitivities(*with_tables, ex.query, ex.db, 0);
+    auto sens = TupleSensitivities(ex.query, ex.db);
     ASSERT_TRUE(sens.ok());
     std::vector<std::vector<Value>> rows;
     for (size_t r = 0; r < r0->NumRows(); ++r) {
@@ -247,7 +241,7 @@ TEST_P(HardAcyclicPropertyTest, StarWithCyclicMultiplicityJoinMatchesOracle) {
     for (size_t r = 0; r < rows.size(); ++r) {
       auto oracle = NaiveTupleSensitivity(ex.query, ex.db, 0, rows[r]);
       ASSERT_TRUE(oracle.ok());
-      EXPECT_EQ((*sens)[r], *oracle) << "row " << r;
+      EXPECT_EQ((*sens)[0][r], *oracle) << "row " << r;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/exec_context.h"
 #include "query/eval.h"
 #include "query/ghd.h"
 #include "sensitivity/incremental.h"
@@ -38,18 +39,15 @@ TEST(TSensTest, Figure1LocalSensitivityIsFour) {
 
 TEST(TSensTest, Figure1PerRelationMaxima) {
   auto ex = MakeFigure1Example();
-  TSensComputeOptions opts;
-  opts.keep_tables = true;
-  auto result = ComputeLocalSensitivity(ex.query, ex.db, opts);
-  ASSERT_TRUE(result.ok());
   // Example 2.1 notes δ((a1,b1,c1) in R1) = 1 (downward). The other two R1
   // rows have no matching R2 pair, so removing/re-adding them changes
   // nothing.
-  auto sens = TupleSensitivities(*result, ex.query, ex.db, 0);
+  auto sens = TupleSensitivities(ex.query, ex.db);
   ASSERT_TRUE(sens.ok());
-  EXPECT_EQ((*sens)[0], Count(1));       // (a1,b1,c1)
-  EXPECT_EQ((*sens)[1], Count::Zero());  // (a1,b2,c1): no R2(a1,b2,·)
-  EXPECT_EQ((*sens)[2], Count::Zero());  // (a2,b1,c1): no R2(a2,b1,·)
+  const std::vector<Count>& r1 = (*sens)[0];
+  EXPECT_EQ(r1[0], Count(1));       // (a1,b1,c1)
+  EXPECT_EQ(r1[1], Count::Zero());  // (a1,b2,c1): no R2(a1,b2,·)
+  EXPECT_EQ(r1[2], Count::Zero());  // (a2,b1,c1): no R2(a2,b1,·)
 }
 
 TEST(TSensTest, Figure1DescribeMostSensitive) {
@@ -74,7 +72,7 @@ TEST(TSensTest, Figure3PathSensitivity) {
   EXPECT_EQ(best->argmax[1], ex.db.dict().Lookup("c1"));
 }
 
-// Every field of two results, multiplicity tables included.
+// Every field of two results.
 void ExpectBitIdentical(const SensitivityResult& a, const SensitivityResult& b,
                         const std::string& context) {
   EXPECT_EQ(a.local_sensitivity, b.local_sensitivity) << context;
@@ -92,13 +90,6 @@ void ExpectBitIdentical(const SensitivityResult& a, const SensitivityResult& b,
     EXPECT_EQ(x.argmax, y.argmax) << at;
     EXPECT_EQ(x.skipped, y.skipped) << at;
     EXPECT_EQ(x.approximate, y.approximate) << at;
-    ASSERT_EQ(x.table.has_value(), y.table.has_value()) << at;
-    if (!x.table.has_value()) continue;
-    ASSERT_EQ(x.table->NumRows(), y.table->NumRows()) << at;
-    for (size_t r = 0; r < x.table->NumRows(); ++r) {
-      EXPECT_EQ(CompareRows(x.table->Row(r), y.table->Row(r)), 0) << at;
-      EXPECT_EQ(x.table->CountAt(r), y.table->CountAt(r)) << at;
-    }
   }
 }
 
@@ -106,7 +97,7 @@ void ExpectBitIdentical(const SensitivityResult& a, const SensitivityResult& b,
 // shape: ComputeLocalSensitivity runs exactly PlanSensitivity's
 // decomposition, SensitivityCache returns the same result, and after a
 // one-row delta the cache repairs exactly the shapes its policy keeps state
-// for (top-k and keep_tables recompute; a single atom needs no repair).
+// for (top-k recomputes; a single atom needs no repair).
 TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
   struct Case {
     std::string name;
@@ -157,12 +148,10 @@ TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
   for (Case& c : cases) {
     TSensComputeOptions base;
     base.ghd = c.ghd ? &*c.ghd : nullptr;
-    TSensComputeOptions keep = base;
-    keep.keep_tables = true;
     TSensComputeOptions top_k = base;
     top_k.top_k = 1;
     const std::vector<std::pair<std::string, TSensComputeOptions>> variants =
-        {{"default", base}, {"keep", keep}, {"top-k", top_k}};
+        {{"default", base}, {"top-k", top_k}};
     for (const auto& [variant, options] : variants) {
       const std::string context = c.name + "/" + variant;
       const ConjunctiveQuery& q = c.ex.query;
@@ -192,7 +181,7 @@ TEST(TSensPlanTest, FacadeRunsThePlannedEngineOnEveryShape) {
       ASSERT_TRUE(fresh.ok()) << context << fresh.status().ToString();
       ExpectBitIdentical(*repaired, *fresh, context + " after delta");
       // A single-atom LS is data-independent, so its delta is a hit.
-      const bool repairable = options.top_k == 0 && !options.keep_tables;
+      const bool repairable = options.top_k == 0;
       const bool constant = repairable && q.num_atoms() == 1;
       EXPECT_EQ(cache.stats().hits, constant ? 1u : 0u) << context;
       EXPECT_EQ(cache.stats().repairs, repairable && !constant ? 1u : 0u)
@@ -405,13 +394,10 @@ TEST(TSensTest, TopKProducesUpperBound) {
 
 TEST(TSensTest, KeepTablesMatchesNaivePerTuple) {
   auto ex = MakeFigure1Example();
-  TSensComputeOptions opts;
-  opts.keep_tables = true;
-  auto result = ComputeLocalSensitivity(ex.query, ex.db, opts);
-  ASSERT_TRUE(result.ok());
+  auto per_atom = TupleSensitivities(ex.query, ex.db);
+  ASSERT_TRUE(per_atom.ok());
   for (int atom = 0; atom < ex.query.num_atoms(); ++atom) {
-    auto sens = TupleSensitivities(*result, ex.query, ex.db, atom);
-    ASSERT_TRUE(sens.ok());
+    const std::vector<Count>& sens = (*per_atom)[static_cast<size_t>(atom)];
     // Snapshot rows first: NaiveTupleSensitivity restores contents but may
     // permute row order, which would desynchronize row indices.
     const Relation* rel = ex.db.Find(ex.query.atom(atom).relation);
@@ -422,10 +408,54 @@ TEST(TSensTest, KeepTablesMatchesNaivePerTuple) {
     for (size_t row = 0; row < rows.size(); ++row) {
       auto naive = NaiveTupleSensitivity(ex.query, ex.db, atom, rows[row]);
       ASSERT_TRUE(naive.ok());
-      EXPECT_EQ((*sens)[row], *naive)
-          << "atom " << atom << " row " << row;
+      EXPECT_EQ(sens[row], *naive) << "atom " << atom << " row " << row;
     }
   }
+}
+
+// A path query's T_a splits into one component per tree neighbour: the
+// per-tuple lookups read each component in place and never build their
+// cross product.
+TEST(TSensTest, TupleSensitivitiesReadComponentsInPlace) {
+  auto ex = MakeFigure3Example();
+  auto plan = PlanSensitivity(ex.query);
+  ASSERT_TRUE(plan.ok());
+  size_t widest = 0;
+  for (const DataflowAtom& unit : plan->dataflow.assembly) {
+    widest = std::max(widest, unit.components.size());
+  }
+  ASSERT_GE(widest, 2u) << "no multiplicity table has two components";
+
+  ExecContext ctx;
+  TSensComputeOptions opts;
+  opts.join.ctx = &ctx;
+  auto per_atom = TupleSensitivities(ex.query, ex.db, opts);
+  ASSERT_TRUE(per_atom.ok()) << per_atom.status().ToString();
+  EXPECT_EQ(ctx.FindStats("join.cross"), nullptr);
+  const OperatorStats* lookups = ctx.FindStats("tsens.tuple_sens");
+  ASSERT_NE(lookups, nullptr);
+  EXPECT_EQ(lookups->calls, static_cast<uint64_t>(ex.query.num_atoms()));
+  for (int atom = 0; atom < ex.query.num_atoms(); ++atom) {
+    const std::vector<Count>& sens = (*per_atom)[static_cast<size_t>(atom)];
+    const Relation* rel = ex.db.Find(ex.query.atom(atom).relation);
+    std::vector<std::vector<Value>> rows;
+    for (size_t r = 0; r < rel->NumRows(); ++r) rows.push_back(rel->Row(r));
+    ASSERT_EQ(sens.size(), rows.size());
+    for (size_t row = 0; row < rows.size(); ++row) {
+      auto naive = NaiveTupleSensitivity(ex.query, ex.db, atom, rows[row]);
+      ASSERT_TRUE(naive.ok());
+      EXPECT_EQ(sens[row], *naive) << "atom " << atom << " row " << row;
+    }
+  }
+}
+
+// Under top_k the tables are upper bounds, not δ(t).
+TEST(TSensTest, TupleSensitivitiesRejectTopK) {
+  auto ex = MakeFigure1Example();
+  TSensComputeOptions opts;
+  opts.top_k = 1;
+  EXPECT_EQ(TupleSensitivities(ex.query, ex.db, opts).status().code(),
+            Status::Code::kUnsupported);
 }
 
 TEST(DownwardSensitivityTest, Figure1DeletionOnlyView) {
